@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .decomposition import (Component, DistanceDecomposition,
-                            distance_decomposition)
+from .decomposition import DistanceDecomposition, distance_decomposition
 from .errors import InternalError, StructuralInputError
 from .graph_core import connected_components
 from .tjoin import Graft, is_join, minimum_join
@@ -81,7 +80,7 @@ def is_eligible(
 def head_set(
     graft: Graft, dd: DistanceDecomposition, verdict: EligibilityVerdict,
 ) -> dict[int, frozenset[int]]:
-    """Per-component head vertices, memoized up the depth tree.
+    """Per-component head vertices, computed bottom-up over the depth tree.
 
     A component without depth answers with its terminal vertices: the one
     edge reaching it from above must land on a terminal.  Otherwise a
@@ -90,31 +89,31 @@ def head_set(
     v sees every child's head set, and the count of child links plus v's
     own terminal bit has the parity the component's beam budget dictates —
     odd off the initial component, even on it.
+
+    The tree below the initial component is listed parents first and then
+    read backwards, children before parents, so the depth of the tree
+    costs no stack.
     """
     if not verdict.eligible:
         raise StructuralInputError("head sets are defined for eligible systems")
     graph = graft.graph
+    order = [dd.initial]
+    for comp in order:  # grows while it is read: a breadth-first listing
+        order.extend(dd.component(c) for c in comp.d_children)
     heads: dict[int, frozenset[int]] = {}
-
-    def compute(comp: Component) -> frozenset[int]:
-        if comp.id in heads:
-            return heads[comp.id]
-        if not comp.d_set:
-            result = graft.terminals & comp.vertices
-        else:
-            child_heads = [compute(dd.component(c)) for c in comp.d_children]
-            want = 0 if comp.id == dd.initial_id else 1
-            top_terminals = graft.terminals & comp.a_set
-            result = frozenset(
-                v for v in comp.a_set
-                if top_terminals <= {v}
-                and ((v in graft.terminals) + len(child_heads)) % 2 == want
-                and all(any(u in ch for u, _ in graph.incident(v))
-                        for ch in child_heads))
-        heads[comp.id] = result
-        return result
-
-    compute(dd.initial)
+    for comp in reversed(order):
+        if not comp.d_children:
+            heads[comp.id] = graft.terminals & comp.a_set
+            continue
+        child_heads = [heads[c] for c in comp.d_children]
+        want = 0 if comp.id == dd.initial_id else 1
+        top_terminals = graft.terminals & comp.a_set
+        heads[comp.id] = frozenset(
+            v for v in comp.a_set
+            if top_terminals <= {v}
+            and ((v in graft.terminals) + len(child_heads)) % 2 == want
+            and all(any(u in ch for u, _ in graph.incident(v))
+                    for ch in child_heads))
     return heads
 
 

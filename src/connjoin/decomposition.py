@@ -7,6 +7,15 @@ deferring the edges internal to level i splits them further into
 one join edge (its *beam*), whose inner endpoint (the component's *join
 root*) sits on the component's top level.
 
+The components form a laminar merge forest, built by one upward union-find
+sweep: each is a node adopting the previous snapshot's components merged
+into it.  A node stores only its top level (``a_set``, at most 2n vertex
+references in all); ``vertices`` and ``d_set`` are built from the depth
+children on first read and cached.  A join edge leaves exactly the nodes
+below its endpoints' lowest common node, so beams take one pass over the
+join.  The build costs O(n + m) beside the union-find and the per-level
+sorts, where storing every vertex set would cost n per level.
+
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
@@ -16,7 +25,8 @@ trusting the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
@@ -48,29 +58,37 @@ class Component:
     id: int
     level: int
     kind: str  # LAYER or Q
-    vertices: frozenset[int]
     a_set: frozenset[int]  # vertices exactly at `level`
-    d_set: frozenset[int]  # vertices strictly below
     is_cap: bool  # contains the decomposition root
     beam: int | None  # the unique join edge leaving a non-cap component
     f_root: int | None  # the beam's endpoint inside the component
     q_children: tuple[int, ...]  # same-level Q components (LAYER kind only)
     d_children: tuple[int, ...]  # layer components one level down
+    parent: int | None  # the next snapshot's component holding this one
+    _below: tuple[Component, ...] = field(repr=False, compare=False)  # d_children
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        """``a_set`` plus the depth children's vertices, built on first read.
+        Uncached descendants are filled deepest first, so no read recurses."""
+        todo = [self]
+        for comp in todo:
+            todo.extend(c for c in comp._below if "vertices" not in c.__dict__)
+        for comp in reversed(todo[1:]):
+            comp.vertices  # caches it from its children, cached already
+        return self.a_set.union(*(c.vertices for c in self._below))
+
+    @cached_property
+    def d_set(self) -> frozenset[int]:
+        """Vertices strictly below ``level``."""
+        return self.vertices - self.a_set
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "level": self.level,
-            "kind": self.kind,
-            "vertices": sorted(self.vertices),
-            "a_set": sorted(self.a_set),
-            "d_set": sorted(self.d_set),
-            "is_cap": self.is_cap,
-            "beam": self.beam,
-            "f_root": self.f_root,
-            "q_children": list(self.q_children),
-            "d_children": list(self.d_children),
-        }
+        doc = {k: getattr(self, k)
+               for k in ("id", "level", "kind", "is_cap", "beam", "f_root")}
+        for k in ("vertices", "a_set", "d_set", "q_children", "d_children"):
+            doc[k] = sorted(getattr(self, k))
+        return doc
 
 
 @dataclass(frozen=True)
@@ -100,43 +118,51 @@ class DistanceDecomposition:
                 yield c
 
     def to_json(self) -> dict:
-        return {
-            "root": self.root,
-            "interval": list(self.interval),
-            "components": [c.to_json() for c in self.components],
-        }
+        return {"root": self.root, "interval": list(self.interval),
+                "components": [c.to_json() for c in self.components]}
 
 
-class _DSU:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _find(parent: list[int], v: int) -> int:
+    """Union-find root of ``v``, halving the path on the way up."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
 
-def _groups(dsu: _DSU, present: list[int]) -> list[list[int]]:
-    by_root: dict[int, list[int]] = {}
-    for v in present:
-        by_root.setdefault(dsu.find(v), []).append(v)
-    return sorted(by_root.values(), key=min)
+class _Node:
+    """A component while the sweep builds it."""
+
+    __slots__ = ("id", "level", "kind", "rank", "top", "children", "parent",
+                 "smallest", "leaving", "is_cap")
+
+    def __init__(self, level: int, kind: str, top: list[int]) -> None:
+        self.level, self.kind, self.top = level, kind, top  # top: the newcomers
+        self.rank = 2 * level + (kind == LAYER)  # snapshot order, Q first
+        self.children: list[_Node] = []  # previous snapshot's nodes inside
+        self.leaving: list[tuple[int, int]] = []  # (join edge, inner end)
+        self.parent, self.is_cap = None, False  # parent: a _Node once merged
+
+
+def _snapshot(uf: list[int], level: int, kind: str, newcomers: Iterable[int],
+              merges: list[tuple[int, int]], below: list[_Node]) -> list[_Node]:
+    """Apply ``merges``, then make one node per union-find group of the
+    level's newcomers, adopting the previous snapshot's nodes merged into it.
+    Every group holds a newcomer, so a node of ``below`` left out is a bug."""
+    for u, v in merges:
+        uf[_find(uf, u)] = _find(uf, v)
+    groups: dict[int, list[int]] = {}
+    for v in newcomers:
+        groups.setdefault(_find(uf, v), []).append(v)
+    nodes = {root: _Node(level, kind, top) for root, top in groups.items()}
+    for child in below:
+        node = nodes.get(_find(uf, child.smallest))
+        if node is None:
+            raise InternalError("every component meets its own level")
+        node.children.append(child)
+        child.parent = node
+    for node in nodes.values():
+        node.smallest = min(node.top + [c.smallest for c in node.children])
+    return list(nodes.values())
 
 
 def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
@@ -144,92 +170,74 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
 
     Levels are swept upward with an incremental union-find: cross edges into
     level i are merged first (snapshot: Q components), the edges internal to
-    level i after (snapshot: layer components).
-    """
+    level i after (snapshot: layer components).  Ids follow (level, smallest
+    vertex, layer before Q)."""
     join = frozenset(join)
     dm = f_distances(graft, join, root)  # also asserts the join is minimum
     graph = graft.graph
     interval = dm.interval()
     levels = dm.level_sets()
 
-    dsu = _DSU(graph.n)
-    present: list[int] = []
-    # (level, kind, vertices) in discovery order; ids assigned after sorting.
-    raw: list[tuple[int, str, frozenset[int]]] = []
+    uf = list(range(graph.n))
+    nodes: list[_Node] = []
+    home: dict[int, _Node] = {}  # vertex -> the Q node of its own level
+    layers: list[_Node] = []  # the previous level's layer nodes
     for i in interval:
-        newcomers = sorted(levels[i])
-        present.extend(newcomers)
-        deferred: list[tuple[int, int]] = []
-        for v in newcomers:
+        cross, inner = [], []  # edges into lower levels, edges inside level i
+        for v in levels[i]:
             for u, _ in graph.incident(v):
-                du = dm[u]
-                if du is None or du > i:
-                    continue
-                if du == i:
-                    if u < v:  # one direction is enough for level-internal edges
-                        deferred.append((u, v))
-                else:
-                    dsu.union(u, v)
-        for grp in _groups(dsu, present):
-            raw.append((i, Q, frozenset(grp)))
-        for u, v in deferred:
-            dsu.union(u, v)
-        for grp in _groups(dsu, present):
-            raw.append((i, LAYER, frozenset(grp)))
+                if dm[u] is not None and dm[u] <= i:
+                    (inner if dm[u] == i else cross).append((u, v))
+        qs = _snapshot(uf, i, Q, levels[i], cross, layers)
+        home.update((v, q) for q in qs for v in q.top)
+        layers = _snapshot(uf, i, LAYER, levels[i], inner, qs)
+        nodes += qs + layers
+    nodes.sort(key=lambda c: (c.level, c.smallest, c.kind != LAYER))
+    for cid, node in enumerate(nodes):
+        node.id = cid
 
-    raw.sort(key=lambda t: (t[0], min(t[2]), t[1] != LAYER))
-    index: dict[tuple[int, str, int], int] = {}
-    for cid, (level, kind, verts) in enumerate(raw):
-        for v in verts:
-            index[(level, kind, v)] = cid
-
-    beams: dict[int, tuple[int, int]] = {}
-    for cid, (level, kind, verts) in enumerate(raw):
-        if root in verts:
-            continue
-        crossing = [e for e in join
-                    if (graph.endpoints(e)[0] in verts)
-                    != (graph.endpoints(e)[1] in verts)]
-        if len(crossing) != 1:
-            raise TheoremViolationError(
-                f"component at level {level} (smallest vertex {min(verts)}) "
-                f"is left by {len(crossing)} join edges instead of 1")
-        e = crossing[0]
+    node = home[root]
+    while node is not None:  # the root's own nodes are the caps
+        node.is_cap, node = True, node.parent
+    for e in join:
         u, v = graph.endpoints(e)
-        beams[cid] = (e, u if u in verts else v)
+        # e leaves each node below its ends' lowest common node
+        a, b = home.get(u), home.get(v)  # both None off the root's component
+        while a is not b:
+            ra, rb = a.rank, b.rank
+            if ra <= rb:
+                a.leaving.append((e, u))
+                a = a.parent
+            if rb <= ra:
+                b.leaving.append((e, v))
+                b = b.parent
 
     components: list[Component] = []
-    initial_id: int | None = None
-    for cid, (level, kind, verts) in enumerate(raw):
-        a = frozenset(v for v in verts if dm[v] == level)
-        if not a:
-            raise InternalError("every component meets its own level")
-        is_cap = root in verts
-        beam, f_root = beams.get(cid, (None, None))
-        if f_root is not None and f_root not in a:
+    for node in nodes:
+        if not node.is_cap and len(node.leaving) != 1:
+            raise TheoremViolationError(
+                f"component at level {node.level} (smallest vertex {node.smallest})"
+                f" is left by {len(node.leaving)} join edges instead of 1")
+        beam, f_root = (None, None) if node.is_cap else node.leaving[0]
+        if f_root is not None and dm[f_root] != node.level:
             raise TheoremViolationError(
                 f"join root {f_root} lies below the top level of its component")
-        q_children = tuple(
-            sorted({index[(level, Q, v)] for v in verts})) if kind == LAYER else ()
-        # Layer components one level down partition V(<= level-1), so every
-        # d_set vertex resolves to exactly one child there.
-        d_children = tuple(sorted(
-            {index[(level - 1, LAYER, v)] for v in verts if dm[v] < level}))
+        depth, q_children = node.children, ()
+        if node.kind == LAYER:
+            q_children = tuple(sorted(q.id for q in node.children))
+            depth = [d for q in node.children for d in q.children]
+        d_children = tuple(sorted(d.id for d in depth))
         components.append(Component(
-            id=cid, level=level, kind=kind, vertices=verts, a_set=a,
-            d_set=verts - a, is_cap=is_cap, beam=beam, f_root=f_root,
-            q_children=q_children, d_children=d_children))
-        if kind == LAYER and level == 0 and is_cap:
-            initial_id = cid
-    if initial_id is None:
-        raise InternalError("no initial component found at level 0")
+            id=node.id, level=node.level, kind=node.kind,
+            a_set=frozenset(node.top), is_cap=node.is_cap, beam=beam,
+            f_root=f_root, q_children=q_children, d_children=d_children,
+            parent=None if node.parent is None else node.parent.id,
+            _below=tuple(components[d] for d in d_children)))
 
-    detached = tuple(c for c in connected_components(graph)
-                     if root not in c)
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
-        components=tuple(components), initial_id=initial_id,
-        detached=detached)
+        components=tuple(components), initial_id=home[root].parent.id,
+        detached=tuple(c for c in connected_components(graph) if root not in c))
 
 
 def has_perfect_matching(graph: Graph) -> bool:
@@ -243,11 +251,9 @@ def is_factor_critical(graph: Graph) -> bool:
     """True iff deleting any single vertex leaves a perfectly matchable graph."""
     if graph.n % 2 == 0 and graph.n > 0:
         return False
-    for v in range(graph.n):
-        keep = [u for u in range(graph.n) if u != v]
-        relabel = {u: i for i, u in enumerate(keep)}
-        edges = [(relabel[a], relabel[b]) for a, b in graph.edges
-                 if a != v and b != v]
+    for v in range(graph.n):  # delete v, shifting the later vertices down
+        edges = [(a - (a > v), b - (b > v)) for a, b in graph.edges
+                 if v not in (a, b)]
         if not has_perfect_matching(Graph(graph.n - 1, edges)):
             return False
     return True
@@ -307,12 +313,6 @@ class DecompositionReport:
                  "message": v.message}
                 for v in self.violations],
         }
-
-
-def _restricted_join(graph: Graph, join: frozenset[int], verts: frozenset[int]) -> frozenset[int]:
-    return frozenset(e for e in join
-                     if graph.endpoints(e)[0] in verts
-                     and graph.endpoints(e)[1] in verts)
 
 
 def verify_decomposition(

@@ -20,13 +20,11 @@ from typing import Iterable
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
 from .graph_core import Graph, connected_components
 from .matching import min_weight_perfect_matching_value
-from .oracle import enumerate_paths
 from .tjoin import Graft, _hop_distances, _nu_component_value, is_join
 
 UNREACHABLE = None
 
-__all__ = ["DistanceMap", "UNREACHABLE", "f_weight", "f_distances",
-           "f_distance_between", "shortest_path_weight_oracle"]
+__all__ = ["DistanceMap", "UNREACHABLE", "f_weight", "f_distances"]
 
 
 def f_weight(join: Iterable[int], edges: Iterable[int]) -> int:
@@ -123,23 +121,3 @@ def _nu_component_value_given(
         return d
 
     return min_weight_perfect_matching_value(pts, weight)
-
-
-def f_distance_between(graft: Graft, join: Iterable[int], x: int, y: int) -> int | None:
-    """Symmetric distance query, by re-rooting at x."""
-    return f_distances(graft, join, x)[y]
-
-
-def shortest_path_weight_oracle(
-    graft: Graft, join: Iterable[int], x: int, y: int,
-) -> int | None:
-    """Exhaustive reference: minimum join-weight over all simple x-y paths.
-
-    Unlike f_distances this never assumes the join is minimum; it is the
-    raw definition, usable only at enumeration scale.
-    """
-    paths = enumerate_paths(graft.graph, x, y)
-    if not paths:
-        return UNREACHABLE
-    j = frozenset(join)
-    return min(f_weight(j, p) for p in paths)

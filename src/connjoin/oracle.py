@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
+from .distances import UNREACHABLE, f_weight
 from .errors import InternalError, OracleScaleError
 from .graph_core import Graph, connected_components
 from .tjoin import Graft, is_join
@@ -29,6 +31,7 @@ __all__ = [
     "all_joins",
     "enumerate_circuits",
     "enumerate_paths",
+    "shortest_path_weight_oracle",
     "MAX_ORACLE_EDGES",
     "MAX_ENUMERATION_VERTICES",
 ]
@@ -217,3 +220,18 @@ def enumerate_paths(graph: Graph, x: int, y: int) -> list[frozenset[int]]:
             elif u != x and u not in used_v:
                 stack.append((u, used_v | {u}, edges + (e,)))
     return sorted(out, key=lambda p: (len(p), sorted(p)))
+
+
+def shortest_path_weight_oracle(
+    graft: Graft, join: Iterable[int], x: int, y: int,
+) -> int | None:
+    """Exhaustive reference: minimum join-weight over all simple x-y paths.
+
+    Unlike f_distances this never assumes the join is minimum; it is the
+    raw definition, usable only at enumeration scale.
+    """
+    paths = enumerate_paths(graft.graph, x, y)
+    if not paths:
+        return UNREACHABLE
+    j = frozenset(join)
+    return min(f_weight(j, p) for p in paths)

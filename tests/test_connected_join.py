@@ -1,5 +1,11 @@
+import json
+import random
+import sys
+import time
+
 import pytest
 
+from connjoin.cli import format_graft, main
 from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      MULTIPLE_Q_COMPONENTS, T_OUTSIDE_INITIAL,
                                      EligibilityVerdict, connected_minimum_join,
@@ -152,3 +158,42 @@ def test_head_set_requires_matching_decomposition():
     verdict = is_eligible(g, join, 0, dd)
     heads = head_set(g, dd, verdict)
     assert heads[dd.initial_id] == frozenset({0})
+
+
+def spine(length, legs=0, seed=0):
+    """A path of ``length`` edges with terminals at both ends, plus ``legs``
+    pendant vertices hung off random spine vertices (a caterpillar)."""
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(length)]
+    edges += [(rng.randrange(length + 1), length + 1 + j) for j in range(legs)]
+    return validate_graft(Graph(length + 1 + legs, edges), {0, length})
+
+
+@pytest.fixture
+def default_recursion_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+@pytest.mark.parametrize("legs", [0, 1000], ids=["path", "caterpillar"])
+def test_deep_spine_decides_without_recursion(
+        legs, default_recursion_limit, tmp_path, capsys):
+    # 2000 levels: the spine is the only join, and it is connected
+    g = spine(2000, legs)
+    d = decide(g)
+    assert d.answer and d.join == frozenset(range(2000))
+    path = tmp_path / "spine.graft"
+    path.write_text(format_graft(g))
+    assert main(["check", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["answer"] == "yes"
+
+
+def test_long_path_scale():
+    g = spine(10_000)
+    start = time.perf_counter()
+    d = decide(g)
+    elapsed = time.perf_counter() - start
+    assert d.answer and len(d.join) == 10_000
+    assert elapsed < 5.0, f"n = 10^4 path took {elapsed:.2f} s"

@@ -15,7 +15,7 @@ from connjoin.constructive import (PRIMAL, RAKE, ConstructionRecipe,
                                    is_rake, replay, replay_witness)
 from connjoin.connected_join import decide
 from connjoin.decomposition import distance_decomposition, is_strong_comb
-from connjoin.distances import f_distance_between, f_distances
+from connjoin.distances import f_distances
 from connjoin.errors import StructuralInputError
 from connjoin.graph_core import Graph
 from connjoin.oracle import oracle_report
@@ -208,7 +208,7 @@ def test_gen_primal_a_pairs_nonnegative():
         tops = sorted(witness.a_set)
         for i, x in enumerate(tops):
             for y in tops[i:]:
-                assert f_distance_between(witness.graft, join, x, y) >= 0
+                assert f_distances(witness.graft, join, x)[y] >= 0
 
 
 def test_gen_primal_decomposition_echo():

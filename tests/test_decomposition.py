@@ -1,13 +1,22 @@
 """Layered decomposition: frozen small goldens plus the self-check route."""
 
+import random
+
 import pytest
 
+from connjoin import decomposition
+from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import (distance_decomposition, has_perfect_matching,
                                     is_factor_critical, is_strong_comb,
                                     verify_decomposition)
-from connjoin.errors import StructuralInputError
+from connjoin.distances import DistanceMap
+from connjoin.errors import (InternalError, StructuralInputError,
+                             TheoremViolationError)
 from connjoin.graph_core import Graph
+from connjoin.oracle import shortest_path_weight_oracle
 from connjoin.tjoin import minimum_join, validate_graft
+
+from decomposition_oracle import oracle_components
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -120,3 +129,70 @@ def test_is_strong_comb():
     assert not is_strong_comb(star, 0, {1, 2})  # 3 not dominated by the teeth
     assert not is_strong_comb(C4, 0, {1, 3})  # dist(0,2) = -2, not 0
     assert not is_strong_comb(star, 1, {1, 2, 3})  # root inside the teeth
+
+
+def assert_matches_oracle(graft, root, dist=None):
+    """Every component and its parent equal the BFS oracle's; ``dist``
+    defaults to the decomposition's own distance map."""
+    join = minimum_join(graft)
+    dd = distance_decomposition(graft, join, root)
+    if dist is None:
+        dist = dd.distance_map.dist
+    assert list(dd.distance_map.dist) == list(dist)
+    got = [dict(c.to_json(), parent=c.parent) for c in dd.components]
+    assert got == oracle_components(graft, join, root, dist)
+
+
+def test_matches_bfs_oracle_on_corpus(corpus):
+    # distances by brute-force path enumeration, components by plain BFS
+    for case in corpus:
+        graft = case.graft
+        root = min(graft.terminals, default=0)
+        join = minimum_join(graft)
+        dist = [shortest_path_weight_oracle(graft, join, root, v)
+                for v in range(graft.graph.n)]
+        assert_matches_oracle(graft, root, dist)
+
+
+def shuffled(graft, root, seed):
+    """An isomorphic copy under random vertex labels, and its root."""
+    label = list(range(graft.graph.n))
+    random.Random(seed).shuffle(label)
+    edges = [(label[u], label[v]) for u, v in graft.graph.edges]
+    return (validate_graft(Graph(graft.graph.n, edges),
+                           {label[t] for t in graft.terminals}), label[root])
+
+
+@pytest.mark.parametrize("family", ["primal", "tailed"])
+def test_matches_bfs_oracle_on_generator_families(family):
+    for seed in range(8):
+        if family == "primal":
+            witness, _ = gen_primal(seed % 4, width=2 + seed % 3, seed=seed)
+            graft, root = witness.graft, witness.root
+        else:
+            graft, root, _ = gen_tailed(1 + seed % 2, width=2 + seed % 3,
+                                        seed=seed)
+        # the generators number vertices top-down; a shuffled copy also
+        # orders same-level components whose smallest vertex lies deeper
+        for g, r in ((graft, root), shuffled(graft, root, seed)):
+            assert_matches_oracle(g, r)
+
+
+@pytest.mark.parametrize("n,edges,terminals,dist,error,fragment", [
+    # vertex 2 at -2 between 1 and 3 at -1: {2} is left by two join edges
+    (4, [(0, 1), (1, 2), (2, 3)], {0, 3}, (0, -1, -2, -1),
+     TheoremViolationError, "left by 2 join edges"),
+    # the only join edge leaving {1, 2} ends at 1, below its level -1
+    (3, [(0, 1), (1, 2)], {0, 1}, (0, -2, -1),
+     TheoremViolationError, "below the top level"),
+    # {2} at level -2 has no neighbour at level -1
+    (3, [(0, 1), (0, 2)], {1, 2}, (0, -1, -2),
+     InternalError, "meets its own level"),
+])
+def test_build_guards_raise_on_inconsistent_distances(
+        monkeypatch, n, edges, terminals, dist, error, fragment):
+    graft = validate_graft(Graph(n, edges), terminals)
+    monkeypatch.setattr(decomposition, "f_distances",
+                        lambda *args: DistanceMap(0, dist))
+    with pytest.raises(error, match=fragment):
+        distance_decomposition(graft, minimum_join(graft), 0)

@@ -8,10 +8,10 @@ corpus instances with several minimum joins.
 
 import pytest
 
-from connjoin.distances import (UNREACHABLE, f_distance_between, f_distances,
-                                f_weight, shortest_path_weight_oracle)
+from connjoin.distances import UNREACHABLE, f_distances, f_weight
 from connjoin.errors import NotMinimumJoinError, StructuralInputError
 from connjoin.graph_core import Graph
+from connjoin.oracle import shortest_path_weight_oracle
 from connjoin.tjoin import minimum_join, nu, validate_graft
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
@@ -108,8 +108,8 @@ def test_symmetry_and_edge_lipschitz(corpus):
 
 
 def test_symmetric_query_helper():
-    assert f_distance_between(C4, minimum_join(C4), 1, 3) == \
-        f_distance_between(C4, minimum_join(C4), 3, 1) == 0
+    assert f_distances(C4, minimum_join(C4), 1)[3] == \
+        f_distances(C4, minimum_join(C4), 3)[1] == 0
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(
