@@ -388,17 +388,15 @@ def gen_primal(
 
 def attach_tail(
     witness: PrimalWitness, tail: Graph,
-    bridge_edges: Sequence[tuple[int, int]], seed: int | None = None,
+    bridge_edges: Sequence[tuple[int, int]],
 ) -> Graft:
     """Hang a terminal-free tail graph off the witness's top level.
 
     Each bridge (a, h) joins top-set vertex a to tail vertex h.  Tail
     vertices are relabeled to follow the witness block.  The terminal set
     is unchanged, so the witness's connected minimum join still answers
-    for the composite.  ``seed`` is accepted for signature parity with the
-    generators; all choices here are explicit.
+    for the composite.
     """
-    del seed
     n0 = witness.graft.graph.n
     for a, h in bridge_edges:
         if a not in witness.a_set:

@@ -7,9 +7,14 @@ minimum — this distance is the same for every minimum join of the graft.
 
 Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
-the root and the target.  Toggled sizes come from one matching solve per
-terminal (pairing the target with each terminal in turn is exact, since a
-perfect matching on S + {x} must match x to someone and the rest optimally).
+the root and the target.  The root component's minimum-join size is one
+perfect matching of its terminals under hop distance, solved once with its
+optimal duals.  Each toggled size with a terminal target, a perfect
+matching on (T ^ {root}) - {t}, is then a warm restart of the blossom solver
+from that optimum: blossom duals folded into the vertex duals, the matched
+edges that stay tight kept, usually one augmentation from optimal.  Any other
+target x must pair with one of the toggled terminals, and the rest match
+optimally, so its toggled size is a minimum over those.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
-from .graph_core import Graph, connected_components
-from .matching import min_weight_perfect_matching_value
-from .tjoin import Graft, _hop_distances, _nu_component_value, is_join
+from .graph_core import connected_components
+from .matching import (DualState, max_weight_matching,
+                       min_weight_perfect_matching_value)
+from .tjoin import Graft, _hop_distances, is_join
 
 UNREACHABLE = None
 
@@ -63,19 +69,6 @@ class DistanceMap:
         return {i: frozenset(s) for i, s in out.items()}
 
 
-def _assert_minimum(graft: Graft, join: Iterable[int]) -> frozenset[int]:
-    j = frozenset(join)
-    if not is_join(graft, j):
-        raise NotMinimumJoinError("the given edge set is not a join")
-    total = 0
-    for comp in connected_components(graft.graph):
-        total += _nu_component_value(graft.graph, sorted(graft.terminals & comp))
-    if len(j) != total:
-        raise NotMinimumJoinError(
-            f"join has {len(j)} edges but the minimum is {total}")
-    return j
-
-
 def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     """Distances from ``root`` under the weighting of a minimum ``join``.
 
@@ -84,40 +77,78 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     UNREACHABLE.  The join argument is only asserted minimum — the values
     are join-independent.
     """
-    if not (0 <= root < graft.graph.n):
-        raise StructuralInputError(f"root {root} is not a vertex")
-    _assert_minimum(graft, join)
     graph = graft.graph
-    comp = next(c for c in connected_components(graph) if root in c)
-    base = _nu_component_value(graph, sorted(graft.terminals & comp))
-    toggled = sorted((graft.terminals & comp) ^ {root})
-    hop = {t: _hop_distances(graph, t) for t in toggled}
-    nu_without = {
-        t: _nu_component_value_given(graph, [s for s in toggled if s != t], hop)
-        for t in toggled}
+    if not (0 <= root < graph.n):
+        raise StructuralInputError(f"root {root} is not a vertex")
+    join = frozenset(join)
+    if not is_join(graft, join):
+        raise NotMinimumJoinError("the given edge set is not a join")
+    hop = {s: _hop_distances(graph, s) for s in sorted(graft.terminals | {root})}
+    comps = connected_components(graph)
+    comp = next(c for c in comps if root in c)
+    base, toggled = _toggled_sizes(sorted(graft.terminals & comp), root, hop)
+    minimum = base + sum(
+        min_weight_perfect_matching_value(
+            sorted(graft.terminals & c), lambda a, b: hop[a][b])
+        for c in comps if c is not comp)
+    if len(join) != minimum:
+        raise NotMinimumJoinError(
+            f"join has {len(join)} edges but the minimum is {minimum}")
 
     dist: list[int | None] = [None] * graph.n
+    for x in comp:  # x outside the toggled terminals must pair with one
+        dist[x] = (toggled[x] if x in toggled else min(
+            hop[t][x] + size for t, size in toggled.items())) - base
     dist[root] = 0
-    for x in comp:
-        if x == root:
-            continue
-        if x in nu_without:
-            toggled_size = nu_without[x]
-        else:
-            # x joins the toggled terminals; it must pair with one of them.
-            toggled_size = min(
-                hop[t][x] + nu_without[t] for t in toggled)
-        dist[x] = toggled_size - base
     return DistanceMap(root, tuple(dist))
 
 
-def _nu_component_value_given(
-    graph: Graph, pts: list[int], hop: dict[int, list[int | None]],
-) -> int:
-    def weight(a: int, b: int) -> int:
-        d = hop[a][b]
-        if d is None:
-            raise StructuralInputError("terminals span components")
-        return d
+def _toggled_sizes(
+    pts: list[int], root: int, hop: dict[int, list[int | None]],
+) -> tuple[int, dict[int, int]]:
+    """nu(T) and nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T is
+    ``pts``, the terminals of the root's component.
 
-    return min_weight_perfect_matching_value(pts, weight)
+    Matchings maximize weight -hop, so a slack is y_a + y_b + 2 hop(a, b).
+    The toggles double the weights and the start duals: then every exposed
+    start vertex has an even dual, as the solver needs.
+    """
+    k = len(pts)
+    state = DualState([-1] * k, [0] * k)
+    base = _perfect_matching(pts, hop, 1, state)
+    y = state.dual
+    for leaves, z in state.blossoms:
+        for v in leaves:
+            y[v] += z
+    dual = {p: 2 * y[a] for a, p in enumerate(pts)}
+    tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, state.mate))
+             if y[a] + y[b] + 2 * hop[p][pts[b]] == 0}
+
+    sizes = {}
+    for t in sorted(set(pts) ^ {root}):
+        if t == root:  # root is not a terminal: (T + root) - root is T
+            sizes[t] = base
+            continue
+        points = [p for p in pts if p != t and p != root]
+        start = [dual[p] for p in points]
+        if root not in pts:
+            start.append(max(-4 * hop[root][p] - dual[p] for p in points))
+            points.append(root)
+        index = {p: i for i, p in enumerate(points)}
+        sizes[t] = _perfect_matching(points, hop, 2, DualState(
+            [index.get(tight.get(p), -1) for p in points], start))
+    return base, sizes
+
+
+def _perfect_matching(
+    points: list[int], hop: dict[int, list[int | None]], scale: int,
+    state: DualState,
+) -> int:
+    """Hop total of the perfect matching of ``points`` maximizing weight
+    -scale * hop, solved from ``state``."""
+    rows = [hop[p] for p in points]
+    n = len(points)
+    mate = max_weight_matching(n, [
+        (i, j, -scale * rows[i][points[j]])
+        for i in range(n) for j in range(i + 1, n)], state)
+    return sum(rows[i][points[j]] for i, j in enumerate(mate) if i < j)

@@ -1,26 +1,44 @@
-"""Exact minimum-weight perfect matching on small complete graphs.
+"""Exact maximum-weight and minimum-weight perfect matching, small graphs.
 
 The workhorse is a maximum-weight matching solver using Edmonds' blossom
 method in the classic primal-dual formulation (Galil's survey describes the
 exact scheme implemented here).  Integer weights only, so all dual variables
 stay integral and the optimum is certified exactly at the end of every solve.
 
+Passing a ``DualState`` selects the internal perfect-matching mode: the
+solve starts from that matching and those vertex duals, has no delta-1 step,
+lets vertex duals go negative and ends only with a perfect matching.
+``distances`` re-optimises each terminal toggle this way from the base
+optimum, doubling weights and start duals so that exposed start vertices
+share a dual parity (an odd S-S slack would make the halved delta round).
+The subset-DP cross-check oracle lives in the tests.
+
 ``min_weight_perfect_matching`` reduces minimization to maximization on a
 complete graph with strictly positive shifted weights (which forces the
 max-weight matching to be perfect) and then canonicalizes ties so that equal
 inputs always yield the lexicographically smallest optimal pairing.
-
-``min_weight_perfect_matching_dp`` is an independent bitmask dynamic program
-(k <= 16) kept as a cross-check oracle; the library paths never call it.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import InternalError, OracleScaleError, StructuralInputError
+from .errors import InternalError, StructuralInputError
 
 WeightFn = Callable[[int, int], int]
+
+
+@dataclass
+class DualState:
+    """A primal-dual state in the solver's units: the slack of edge vw is
+    ``dual[v] + dual[w] - 2 w(v, w)`` plus ``2 z`` for each blossom holding
+    both ends.  ``blossoms`` lists each blossom's leaves and dual ``z``."""
+
+    mate: list[int]
+    dual: list[int]
+    blossoms: list[tuple[list[int], int]] = field(default_factory=list)
 
 
 class _Blossom:
@@ -45,12 +63,21 @@ class _Blossom:
                 yield t
 
 
-def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) -> list[int]:
+def max_weight_matching(
+    n: int, weighted_edges: Sequence[tuple[int, int, int]],
+    state: DualState | None = None,
+) -> list[int]:
     """Maximum-weight matching of the given integer-weighted graph.
 
     Returns ``mate`` with ``mate[v]`` the partner of ``v`` or -1.  Edges with
-    non-positive weight never help a maximum-weight matching here because all
-    callers pre-shift weights to be positive; they are still accepted.
+    non-positive weight never help a maximum-weight matching; they are still
+    accepted.
+
+    With ``state`` this is a maximum-weight *perfect* matching solve, any
+    weights allowed, started from ``state`` (a blossom-free, dual-feasible
+    matching whose edges are tight, its exposed vertices of one dual parity;
+    ``InternalError`` otherwise), and ``state`` is overwritten with the
+    optimum.
     """
     wt: dict[tuple[int, int], int] = {}
     nbr: list[list[int]] = [[] for _ in range(n)]
@@ -69,13 +96,9 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
         wt[key] = w
     for lst in nbr:
         lst.sort()
-    if not wt:
+    perfect = state is not None
+    if not wt and not perfect:
         return [-1] * n
-
-    def weight(v: int, w: int) -> int:
-        return wt[(v, w) if v < w else (w, v)]
-
-    maxweight = max(wt.values())
 
     mate: dict[int, int] = {}
     # label[b]: 1 = S, 2 = T (absent = free), for top-level blossoms; also
@@ -86,15 +109,29 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
     blossomparent: dict = {v: None for v in range(n)}
     blossombase: dict = {v: v for v in range(n)}
     bestedge: dict = {}
-    # Vertex duals are premultiplied by two so integer arithmetic survives
-    # the half-integral updates.
-    dualvar: dict = {v: maxweight for v in range(n)}
     blossomdual: dict[_Blossom, int] = {}
     allowedge: dict[tuple[int, int], bool] = {}
     queue: list[int] = []
 
     def slack(v: int, w: int) -> int:
-        return dualvar[v] + dualvar[w] - 2 * weight(v, w)
+        return dualvar[v] + dualvar[w] - 2 * wt[(v, w) if v < w else (w, v)]
+
+    # Vertex duals are premultiplied by two so integer arithmetic survives
+    # the half-integral updates.
+    if not perfect:
+        dualvar = dict.fromkeys(range(n), max(wt.values()))
+    else:
+        if len(state.mate) != n or len(state.dual) != n or state.blossoms:
+            raise InternalError("a start needs n mates, n duals, no blossoms")
+        dualvar = dict(enumerate(state.dual))
+        mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
+        if any(mate.get(w) != v or (min(v, w), max(v, w)) not in wt
+               or slack(v, w) for v, w in mate.items()):
+            raise InternalError("start matching is not a set of tight edges")
+        if any(dualvar[i] + dualvar[j] < 2 * w for (i, j), w in wt.items()):
+            raise InternalError("start duals are not feasible")
+        if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
+            raise InternalError("start's exposed duals differ in parity")
 
     def assign_label(w: int, t: int, v: int | None) -> None:
         b = inblossom[w]
@@ -315,21 +352,20 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
 
     def verify_optimum() -> None:
         """Certify the final matching via complementary slackness."""
-        if min(dualvar.values()) < 0:
+        if not perfect and min(dualvar.values()) < 0:
             raise InternalError("matching dual went negative")
         if blossomdual and min(blossomdual.values()) < 0:
             raise InternalError("blossom dual went negative")
+        chain = {}  # each vertex's enclosing blossoms, outermost first
+        for v in range(n):
+            c = [v]
+            while blossomparent[c[-1]] is not None:
+                c.append(blossomparent[c[-1]])
+            c.reverse()
+            chain[v] = c
         for (i, j), w in wt.items():
             s = dualvar[i] + dualvar[j] - 2 * w
-            iblossoms = [i]
-            jblossoms = [j]
-            while blossomparent[iblossoms[-1]] is not None:
-                iblossoms.append(blossomparent[iblossoms[-1]])
-            while blossomparent[jblossoms[-1]] is not None:
-                jblossoms.append(blossomparent[jblossoms[-1]])
-            iblossoms.reverse()
-            jblossoms.reverse()
-            for bi, bj in zip(iblossoms, jblossoms):
+            for bi, bj in zip(chain[i], chain[j]):
                 if bi != bj:
                     break
                 s += 2 * blossomdual[bi]
@@ -337,9 +373,10 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
                 raise InternalError("matching edge with negative slack")
             if (mate.get(i) == j or mate.get(j) == i) and s != 0:
                 raise InternalError("matched edge with nonzero slack")
-        for v in range(n):
-            if v not in mate and dualvar[v] != 0:
-                raise InternalError("exposed vertex with nonzero dual")
+        if perfect and len(mate) != n:
+            raise InternalError("perfect solve left a vertex exposed")
+        if any(dualvar[v] != 0 for v in range(n) if v not in mate):
+            raise InternalError("exposed vertex with nonzero dual")
         for b, zb in blossomdual.items():
             if zb > 0:
                 if len(b.edges) % 2 != 1:
@@ -348,7 +385,7 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
                     if mate[i] != j or mate[j] != i:
                         raise InternalError("positive blossom not full")
 
-    while 1:
+    while not (perfect and len(mate) == n):
         # One stage per augmentation.
         label.clear()
         labeledge.clear()
@@ -400,8 +437,9 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
 
             # No augmenting path with the current duals; compute the
             # bottleneck among the four standard dual adjustments.
-            deltatype = 1
-            delta = min(dualvar.values())
+            # The perfect mode has no delta-1 step: duals may go negative.
+            deltatype = -1 if perfect else 1
+            delta = math.inf if perfect else min(dualvar.values())
             deltaedge = deltablossom = None
 
             for v in range(n):
@@ -428,6 +466,8 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
                     delta = blossomdual[b]
                     deltatype = 4
                     deltablossom = b
+            if deltatype == -1:
+                raise InternalError("the graph has no perfect matching")
 
             for v in range(n):
                 lbl = label.get(inblossom[v])
@@ -469,18 +509,11 @@ def max_weight_matching(n: int, weighted_edges: Sequence[tuple[int, int, int]]) 
     out = [-1] * n
     for v, w in mate.items():
         out[v] = w
+    if perfect:
+        state.mate = list(out)
+        state.dual = [dualvar[v] for v in range(n)]
+        state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
     return out
-
-
-def _pairs_from_mate(points: Sequence[int], mate: list[int]) -> list[tuple[int, int]]:
-    pairs = []
-    for i, _ in enumerate(points):
-        j = mate[i]
-        if j == -1:
-            raise InternalError("perfect matching expected but vertex exposed")
-        if i < j:
-            pairs.append((points[i], points[j]))
-    return pairs
 
 
 def _solve_value_and_pairs(
@@ -496,23 +529,14 @@ def _solve_value_and_pairs(
     k = len(pts)
     if k == 0:
         return 0, []
-    wts = {}
-    shift = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = weight(pts[a], pts[b])
-            wts[(a, b)] = w
-            shift = max(shift, w)
-    shift += 1
+    wts = {(a, b): weight(pts[a], pts[b]) for a in range(k) for b in range(a + 1, k)}
+    shift = max(wts.values()) + 1
     mate = max_weight_matching(
         k, [(a, b, shift - w) for (a, b), w in wts.items()])
-    pairs = _pairs_from_mate(pts, mate)
-    total = 0
-    idx = {p: i for i, p in enumerate(pts)}
-    for x, y in pairs:
-        a, b = idx[x], idx[y]
-        total += wts[(a, b) if a < b else (b, a)]
-    return total, pairs
+    if -1 in mate:
+        raise InternalError("perfect matching expected but vertex exposed")
+    pairs = [(a, b) for a, b in enumerate(mate) if a < b]
+    return sum(wts[p] for p in pairs), [(pts[a], pts[b]) for a, b in pairs]
 
 
 def min_weight_perfect_matching_value(points: Sequence[int], weight: WeightFn) -> int:
@@ -561,58 +585,3 @@ def min_weight_perfect_matching(
     _, idx_pairs = _solve_value_and_pairs(range(k), encoded)
     return sorted((pts[i], pts[j]) for i, j in idx_pairs)
 
-
-def min_weight_perfect_matching_dp(
-    points: Sequence[int], weight: WeightFn,
-) -> tuple[int, list[tuple[int, int]]]:
-    """Independent subset-DP solver (cross-check oracle), k <= 16.
-
-    Returns ``(total, pairs)`` with the same lexicographic tie-break as
-    ``min_weight_perfect_matching``.
-    """
-    pts = sorted(points)
-    k = len(pts)
-    if k % 2 != 0:
-        raise StructuralInputError("perfect matching needs an even point count")
-    if k > 16:
-        raise OracleScaleError(f"subset DP limited to 16 points, got {k}")
-    if k == 0:
-        return 0, []
-    w = [[0] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            w[a][b] = w[b][a] = weight(pts[a], pts[b])
-    full = (1 << k) - 1
-    INF = float("inf")
-    dp = [INF] * (1 << k)
-    dp[0] = 0
-    for mask in range(1, 1 << k):
-        if bin(mask).count("1") % 2:
-            continue
-        a = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << a)
-        best = INF
-        bb = rest
-        while bb:
-            b = (bb & -bb).bit_length() - 1
-            bb &= bb - 1
-            cand = dp[rest ^ (1 << b)] + w[a][b]
-            if cand < best:
-                best = cand
-        dp[mask] = best
-    pairs: list[tuple[int, int]] = []
-    mask = full
-    while mask:
-        a = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << a)
-        bb = rest
-        while bb:
-            b = (bb & -bb).bit_length() - 1
-            bb &= bb - 1
-            if dp[rest ^ (1 << b)] + w[a][b] == dp[mask]:
-                pairs.append((pts[a], pts[b]))
-                mask = rest ^ (1 << b)
-                break
-        else:
-            raise InternalError("DP reconstruction failed")
-    return int(dp[full]), pairs

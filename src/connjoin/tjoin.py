@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Contraction, Graph, connected_components, contract
-from .matching import min_weight_perfect_matching, min_weight_perfect_matching_value
+from .matching import min_weight_perfect_matching
 
 __all__ = [
     "Graft",
@@ -90,13 +90,15 @@ def _hop_distances(graph: Graph, source: int) -> list[int | None]:
     return dist
 
 
-def _shortest_path_edges(graph: Graph, a: int, b: int) -> frozenset[int]:
-    """Edge set of the canonical shortest a–b path.
+def _shortest_path_edges(
+    graph: Graph, dist: list[int | None], a: int, b: int,
+) -> frozenset[int]:
+    """Edge set of the canonical shortest a–b path, given ``dist``, the hop
+    distances from a.
 
     Walking back from b, each step takes the smallest (vertex, edge) pair
     one BFS layer closer to a, so equal inputs trace equal paths.
     """
-    dist = _hop_distances(graph, a)
     if dist[b] is None:
         raise InternalError(f"no path between matched terminals {a} and {b}")
     path: set[int] = set()
@@ -139,7 +141,7 @@ def minimum_join(graft: Graft) -> frozenset[int]:
 
         for a, b in min_weight_perfect_matching(pts, weight):
             expected += weight(a, b)
-            result ^= _shortest_path_edges(graft.graph, a, b)
+            result ^= _shortest_path_edges(graft.graph, hop[a], a, b)
     if len(result) != expected or not is_join(graft, result):
         raise InternalError("matching reduction produced a non-minimum join")
     return frozenset(result)
@@ -148,21 +150,6 @@ def minimum_join(graft: Graft) -> frozenset[int]:
 def nu(graft: Graft) -> int:
     """Size of a minimum join."""
     return len(minimum_join(graft))
-
-
-def _nu_component_value(graph: Graph, pts: list[int]) -> int:
-    """Minimum join size for terminals ``pts`` known to share a component."""
-    if not pts:
-        return 0
-    hop = {s: _hop_distances(graph, s) for s in pts}
-
-    def weight(x: int, y: int) -> int:
-        d = hop[x][y]
-        if d is None:
-            raise InternalError("terminals in one component must connect")
-        return d
-
-    return min_weight_perfect_matching_value(pts, weight)
 
 
 @dataclass(frozen=True)

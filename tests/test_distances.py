@@ -6,13 +6,20 @@ does not depend on which minimum join is supplied) gets its own check on
 corpus instances with several minimum joins.
 """
 
+import random
+
 import pytest
 
-from connjoin.distances import UNREACHABLE, f_distances, f_weight
+from connjoin import distances, tjoin
+from connjoin.connected_join import decide
+from connjoin.constructive import gen_primal, gen_tailed
+from connjoin.distances import (UNREACHABLE, _toggled_sizes, f_distances,
+                                f_weight)
 from connjoin.errors import NotMinimumJoinError, StructuralInputError
-from connjoin.graph_core import Graph
+from connjoin.graph_core import Graph, connected_components
+from connjoin.matching import min_weight_perfect_matching_value
 from connjoin.oracle import shortest_path_weight_oracle
-from connjoin.tjoin import minimum_join, nu, validate_graft
+from connjoin.tjoin import _hop_distances, minimum_join, nu, validate_graft
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -110,6 +117,65 @@ def test_symmetry_and_edge_lipschitz(corpus):
 def test_symmetric_query_helper():
     assert f_distances(C4, minimum_join(C4), 1)[3] == \
         f_distances(C4, minimum_join(C4), 3)[1] == 0
+
+
+def sparse_graft(n, k, seed):
+    """Random connected multigraph: a spanning tree plus n extra edges."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    return validate_graft(Graph(n, edges), rng.sample(range(n), k))
+
+
+def cold_distances(graft, root):
+    """The root component's terminals and hop tables, its toggled sizes and
+    the distance map from `root`, with one cold matching solve per toggle."""
+    comp = next(c for c in connected_components(graft.graph) if root in c)
+    pts = graft.terminals & comp
+    toggled = pts ^ {root}
+    hop = {s: _hop_distances(graft.graph, s) for s in pts | {root}}
+
+    def weight(a, b):
+        return hop[a][b]
+
+    base = min_weight_perfect_matching_value(sorted(pts), weight)
+    sizes = {t: min_weight_perfect_matching_value(sorted(toggled - {t}), weight)
+             for t in toggled}
+    dist = [None] * graft.graph.n
+    for x in comp:
+        size = sizes[x] if x in toggled else min(
+            hop[t][x] + s for t, s in sizes.items())
+        dist[x] = 0 if x == root else size - base
+    return sorted(pts), hop, base, sizes, tuple(dist)
+
+
+def test_warm_toggles_match_cold_solves_above_oracle_reach():
+    grafts = [sparse_graft(300, 20, seed) for seed in (1, 2, 3)]
+    grafts += [gen_primal(3, 3, seed)[0].graft for seed in (1, 7)]
+    grafts += [gen_tailed(2, 4, seed)[0] for seed in (1, 6)]
+    for graft in grafts:
+        join = minimum_join(graft)
+        outside = min(set(range(graft.graph.n)) - graft.terminals)
+        for root in (min(graft.terminals), outside):
+            pts, hop, base, sizes, dist = cold_distances(graft, root)
+            assert _toggled_sizes(pts, root, hop) == (base, sizes)
+            assert f_distances(graft, join, root).dist == dist
+
+
+def test_decide_bfs_count_is_linear_in_terminals(monkeypatch):
+    # Every hop table is built once per check: k for the minimum join and
+    # k for the distances (k + 1 with a non-terminal root).
+    graft = sparse_graft(300, 20, 5)
+    calls = []
+
+    def counted(graph, source):
+        calls.append(source)
+        return _hop_distances(graph, source)
+
+    monkeypatch.setattr(tjoin, "_hop_distances", counted)
+    monkeypatch.setattr(distances, "_hop_distances", counted)
+    decide(graft)
+    assert 0 < len(calls) <= 2 * 20 + 1
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(

@@ -1,4 +1,5 @@
-"""Matching layer: the blossom solver against brute force and the subset DP."""
+"""Matching layer: the blossom solver against brute force and the subset DP,
+cold and warm-started."""
 
 import itertools
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connjoin.errors import OracleScaleError, StructuralInputError
-from connjoin.matching import (max_weight_matching,
+from connjoin.distances import _toggled_sizes
+from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
+from connjoin.matching import (DualState, max_weight_matching,
                                min_weight_perfect_matching,
-                               min_weight_perfect_matching_dp,
                                min_weight_perfect_matching_value)
+
+from matching_oracle import min_weight_perfect_matching_dp
 
 
 def brute_max_matching_value(n, weighted_edges):
@@ -97,3 +100,67 @@ def test_min_perfect_agrees_with_dp(half, data):
     # identical lexicographic tie-break on both routes
     assert min_weight_perfect_matching(points, weight) == pairs
     assert sorted(v for p in pairs for v in p) == points
+
+
+@given(st.integers(1, 6), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
+    # Terminals 0..k-1; the root is terminal 0 or the extra point k.
+    k = 2 * half
+    n = k + 1
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            table[a][b] = table[b][a] = data.draw(st.integers(0, 9))
+    terminals = list(range(k))
+    root = 0 if root_is_terminal else k
+
+    def weight(a, b):
+        return table[a][b]
+
+    base, sizes = _toggled_sizes(terminals, root, table)
+    assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
+    toggled = set(terminals) ^ {root}
+    assert set(sizes) == toggled
+    for t, size in sizes.items():
+        assert size == min_weight_perfect_matching_dp(
+            sorted(toggled - {t}), weight)[0]
+
+
+# Weights of a maximum-weight perfect matching on 4 vertices, and a start
+# with 0-1 matched and tight, 2 and 3 exposed with duals of unequal parity.
+# Their S-S slack is odd, so the halved delta would round and leave a
+# matched edge with nonzero slack; doubling weights and duals avoids it.
+ODD_SLACK_WEIGHTS = {(0, 1): -1, (0, 2): -4, (0, 3): -3, (1, 2): -3,
+                     (1, 3): -6, (2, 3): -6}
+ODD_SLACK_DUALS = [-2, 0, 0, -1]
+
+
+def test_warm_start_odd_slack_regression():
+    def solve(scale):
+        edges = [(a, b, scale * w) for (a, b), w in ODD_SLACK_WEIGHTS.items()]
+        start = DualState([1, 0, -1, -1], [scale * y for y in ODD_SLACK_DUALS])
+        return max_weight_matching(4, edges, start)
+
+    with pytest.raises(InternalError, match="parity"):
+        solve(1)
+    pairs = [(a, b) for a, b in enumerate(solve(2)) if a < b]
+    total, best = min_weight_perfect_matching_dp(
+        range(4), lambda a, b: -ODD_SLACK_WEIGHTS[min(a, b), max(a, b)])
+    assert pairs == best == [(0, 3), (1, 2)]
+    assert -sum(ODD_SLACK_WEIGHTS[p] for p in pairs) == total == 6
+
+
+def test_warm_start_rejects_bad_starts():
+    edges = [(a, b, w) for (a, b), w in ODD_SLACK_WEIGHTS.items()]
+    feasible = [-2, 0, 0, 0]  # 0-1 tight, every slack nonnegative
+    max_weight_matching(4, edges, DualState([1, 0, -1, -1], list(feasible)))
+    bad = [  # (start, the InternalError it raises)
+        (DualState([1, 0, -1, -1], [-2, 0, -8, 0]), "not feasible"),
+        (DualState([1, 0, -1, -1], [-1, 0, 0, 0]), "tight edges"),
+        (DualState([1, 2, -1, -1], list(feasible)), "tight edges"),
+        (DualState([-1] * 4, [8] * 4, [([0, 1, 2], 1)]), "no blossoms"),
+    ]
+    for start, reason in bad:
+        with pytest.raises(InternalError, match=reason):
+            max_weight_matching(4, edges, start)
