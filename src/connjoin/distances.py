@@ -7,14 +7,16 @@ minimum — this distance is the same for every minimum join of the graft.
 
 Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
-the root and the target.  The root component's minimum-join size is one
-perfect matching of its terminals under hop distance, solved once with its
-optimal duals.  Each toggled size with a terminal target, a perfect
-matching on (T ^ {root}) - {t}, is then a warm restart of the blossom solver
-from that optimum: blossom duals folded into the vertex duals, the matched
-edges that stay tight kept, usually one augmentation from optimal.  Any other
-target x must pair with one of the toggled terminals, and the rest match
-optimally, so its toggled size is a minimum over those.
+the root and the target.  The root component's minimum-join size is the
+perfect matching of its terminals under hop distance that the graft solved
+once (``Graft.solved``), hop tables and optimal duals included; only a root
+outside T needs a hop table of its own.  Each toggled size with a terminal
+target, a perfect matching on (T ^ {root}) - {t}, is a warm restart of the
+blossom solver from that optimum: blossom duals folded into a copy of the
+vertex duals, the matched edges that stay tight kept, usually one
+augmentation from optimal.  Any other target x must pair with one of the
+toggled terminals, and the rest match optimally, so its toggled size is a
+minimum over those.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
-from .graph_core import connected_components
-from .matching import (DualState, max_weight_matching,
-                       min_weight_perfect_matching_value)
-from .tjoin import Graft, _hop_distances, is_join
+from .matching import DualState, max_weight_matching
+from .tjoin import Graft, TerminalSolve, _hop_distances, is_join, nu
 
 UNREACHABLE = None
 
@@ -83,51 +83,51 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     join = frozenset(join)
     if not is_join(graft, join):
         raise NotMinimumJoinError("the given edge set is not a join")
-    hop = {s: _hop_distances(graph, s) for s in sorted(graft.terminals | {root})}
-    comps = connected_components(graph)
-    comp = next(c for c in comps if root in c)
-    base, toggled = _toggled_sizes(sorted(graft.terminals & comp), root, hop)
-    minimum = base + sum(
-        min_weight_perfect_matching_value(
-            sorted(graft.terminals & c), lambda a, b: hop[a][b])
-        for c in comps if c is not comp)
+    minimum = nu(graft)
     if len(join) != minimum:
         raise NotMinimumJoinError(
             f"join has {len(join)} edges but the minimum is {minimum}")
+    solve = next((s for s in graft.solved if s.hop[s.terminals[0]][root]
+                  is not None), None)
+    hop = dict(solve.hop) if solve else {}
+    if root not in hop:
+        hop[root] = _hop_distances(graph, root)
+    toggled = _toggled_sizes(solve, root, hop) if solve else {root: 0}
+    base = solve.nu if solve else 0
 
     dist: list[int | None] = [None] * graph.n
-    for x in comp:  # x outside the toggled terminals must pair with one
-        dist[x] = (toggled[x] if x in toggled else min(
-            hop[t][x] + size for t, size in toggled.items())) - base
+    for x, d in enumerate(hop[root]):  # x outside the toggled terminals
+        if d is not None:              # must pair with one of them
+            dist[x] = (toggled[x] if x in toggled else min(
+                hop[t][x] + size for t, size in toggled.items())) - base
     dist[root] = 0
     return DistanceMap(root, tuple(dist))
 
 
 def _toggled_sizes(
-    pts: list[int], root: int, hop: dict[int, list[int | None]],
-) -> tuple[int, dict[int, int]]:
-    """nu(T) and nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T is
-    ``pts``, the terminals of the root's component.
+    solve: TerminalSolve, root: int, hop: dict[int, list[int | None]],
+) -> dict[int, int]:
+    """nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T are the
+    terminals of ``solve``, the root's component, and ``hop`` holds their
+    hop tables and the root's.
 
     Matchings maximize weight -hop, so a slack is y_a + y_b + 2 hop(a, b).
-    The toggles double the weights and the start duals: then every exposed
+    The toggles maximize -2 hop from doubled start duals: then every exposed
     start vertex has an even dual, as the solver needs.
     """
-    k = len(pts)
-    state = DualState([-1] * k, [0] * k)
-    base = _perfect_matching(pts, hop, 1, state)
-    y = state.dual
-    for leaves, z in state.blossoms:
+    pts = solve.terminals
+    y = list(solve.optimum.dual)
+    for leaves, z in solve.optimum.blossoms:
         for v in leaves:
             y[v] += z
     dual = {p: 2 * y[a] for a, p in enumerate(pts)}
-    tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, state.mate))
-             if y[a] + y[b] + 2 * hop[p][pts[b]] == 0}
+    tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, solve.optimum.mate))
+             if y[a] + y[b] + 2 * solve.cost[a][b] == 0}
 
     sizes = {}
     for t in sorted(set(pts) ^ {root}):
         if t == root:  # root is not a terminal: (T + root) - root is T
-            sizes[t] = base
+            sizes[t] = solve.nu
             continue
         points = [p for p in pts if p != t and p != root]
         start = [dual[p] for p in points]
@@ -135,20 +135,10 @@ def _toggled_sizes(
             start.append(max(-4 * hop[root][p] - dual[p] for p in points))
             points.append(root)
         index = {p: i for i, p in enumerate(points)}
-        sizes[t] = _perfect_matching(points, hop, 2, DualState(
-            [index.get(tight.get(p), -1) for p in points], start))
-    return base, sizes
-
-
-def _perfect_matching(
-    points: list[int], hop: dict[int, list[int | None]], scale: int,
-    state: DualState,
-) -> int:
-    """Hop total of the perfect matching of ``points`` maximizing weight
-    -scale * hop, solved from ``state``."""
-    rows = [hop[p] for p in points]
-    n = len(points)
-    mate = max_weight_matching(n, [
-        (i, j, -scale * rows[i][points[j]])
-        for i in range(n) for j in range(i + 1, n)], state)
-    return sum(rows[i][points[j]] for i, j in enumerate(mate) if i < j)
+        n, rows = len(points), [hop[p] for p in points]
+        mate = max_weight_matching(n, [
+            (i, j, -2 * rows[i][points[j]])
+            for i in range(n) for j in range(i + 1, n)], DualState(
+                [index.get(tight.get(p), -1) for p in points], start))
+        sizes[t] = sum(rows[i][points[j]] for i, j in enumerate(mate) if i < j)
+    return sizes

@@ -13,10 +13,11 @@ optimum, doubling weights and start duals so that exposed start vertices
 share a dual parity (an odd S-S slack would make the halved delta round).
 The subset-DP cross-check oracle lives in the tests.
 
-``min_weight_perfect_matching`` reduces minimization to maximization on a
-complete graph with strictly positive shifted weights (which forces the
-max-weight matching to be perfect) and then canonicalizes ties so that equal
-inputs always yield the lexicographically smallest optimal pairing.
+A minimum-cost perfect matching is solved once by ``perfect_optimum``, the
+perfect mode from zero duals under weight -cost.  ``tight_pairing`` then
+finds the lexicographically smallest optimal pairing by a second solve on
+the edges tight under the optimum's duals, with a tie-break penalty encoded
+below the primary cost; it is the only pairing routine.
 """
 
 from __future__ import annotations
@@ -79,25 +80,18 @@ def max_weight_matching(
     ``InternalError`` otherwise), and ``state`` is overwritten with the
     optimum.
     """
-    wt: dict[tuple[int, int], int] = {}
-    nbr: list[list[int]] = [[] for _ in range(n)]
+    # w2[v][w]: twice the heaviest weight among the parallel v-w edges.
+    w2: list[dict[int, int]] = [{} for _ in range(n)]
     for i, j, w in weighted_edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise StructuralInputError(f"bad matching edge ({i}, {j})")
         if int(w) != w:
             raise StructuralInputError("matching weights must be integers")
-        key = (i, j) if i < j else (j, i)
-        if key in wt:
-            if w <= wt[key]:
-                continue
-        else:
-            nbr[i].append(j)
-            nbr[j].append(i)
-        wt[key] = w
-    for lst in nbr:
-        lst.sort()
+        if j not in w2[i] or 2 * w > w2[i][j]:
+            w2[i][j] = w2[j][i] = 2 * w
+    nbr = [sorted(row) for row in w2]
     perfect = state is not None
-    if not wt and not perfect:
+    if not any(w2) and not perfect:
         return [-1] * n
 
     mate: dict[int, int] = {}
@@ -114,21 +108,22 @@ def max_weight_matching(
     queue: list[int] = []
 
     def slack(v: int, w: int) -> int:
-        return dualvar[v] + dualvar[w] - 2 * wt[(v, w) if v < w else (w, v)]
+        return dualvar[v] + dualvar[w] - w2[v][w]
 
     # Vertex duals are premultiplied by two so integer arithmetic survives
     # the half-integral updates.
     if not perfect:
-        dualvar = dict.fromkeys(range(n), max(wt.values()))
+        dualvar = [max(max(row.values()) for row in w2 if row) // 2] * n
     else:
         if len(state.mate) != n or len(state.dual) != n or state.blossoms:
             raise InternalError("a start needs n mates, n duals, no blossoms")
-        dualvar = dict(enumerate(state.dual))
+        dualvar = list(state.dual)
         mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
-        if any(mate.get(w) != v or (min(v, w), max(v, w)) not in wt
-               or slack(v, w) for v, w in mate.items()):
+        if any(mate.get(w) != v or w not in w2[v] or slack(v, w)
+               for v, w in mate.items()):
             raise InternalError("start matching is not a set of tight edges")
-        if any(dualvar[i] + dualvar[j] < 2 * w for (i, j), w in wt.items()):
+        if any(dualvar[i] + dualvar[j] < w
+               for i in range(n) for j, w in w2[i].items()):
             raise InternalError("start duals are not feasible")
         if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
             raise InternalError("start's exposed duals differ in parity")
@@ -136,10 +131,7 @@ def max_weight_matching(
     def assign_label(w: int, t: int, v: int | None) -> None:
         b = inblossom[w]
         label[w] = label[b] = t
-        if v is not None:
-            labeledge[w] = labeledge[b] = (v, w)
-        else:
-            labeledge[w] = labeledge[b] = None
+        labeledge[w] = labeledge[b] = None if v is None else (v, w)
         bestedge[w] = bestedge[b] = None
         if t == 1:
             if isinstance(b, _Blossom):
@@ -228,14 +220,7 @@ def max_weight_matching(
                     bestedgeto[bj] = k
             bestedge[bv] = None
         b.mybestedges = list(bestedgeto.values())
-        mybest = None
-        mybestslack = 0
-        for k in b.mybestedges:
-            kslack = slack(*k)
-            if mybest is None or kslack < mybestslack:
-                mybest = k
-                mybestslack = kslack
-        bestedge[b] = mybest
+        bestedge[b] = min(b.mybestedges, key=lambda k: slack(*k), default=None)
 
     def expand_blossom(b: _Blossom, endstage: bool) -> None:
         for s in b.childs:
@@ -352,7 +337,7 @@ def max_weight_matching(
 
     def verify_optimum() -> None:
         """Certify the final matching via complementary slackness."""
-        if not perfect and min(dualvar.values()) < 0:
+        if not perfect and min(dualvar) < 0:
             raise InternalError("matching dual went negative")
         if blossomdual and min(blossomdual.values()) < 0:
             raise InternalError("blossom dual went negative")
@@ -363,8 +348,9 @@ def max_weight_matching(
                 c.append(blossomparent[c[-1]])
             c.reverse()
             chain[v] = c
-        for (i, j), w in wt.items():
-            s = dualvar[i] + dualvar[j] - 2 * w
+        for i, j, w in ((i, j, w) for i in range(n)
+                        for j, w in w2[i].items() if i < j):
+            s = dualvar[i] + dualvar[j] - w
             for bi, bj in zip(chain[i], chain[j]):
                 if bi != bj:
                     break
@@ -402,13 +388,14 @@ def max_weight_matching(
         while 1:
             while queue and not augmented:
                 v = queue.pop()
+                dv, wv = dualvar[v], w2[v]
                 for w in nbr[v]:
-                    bv = inblossom[v]
+                    bv = inblossom[v]  # add_blossom may move v mid-scan
                     bw = inblossom[w]
                     if bv == bw:
                         continue
                     if (v, w) not in allowedge:
-                        kslack = slack(v, w)
+                        kslack = dv + dualvar[w] - wv[w]
                         if kslack <= 0:
                             allowedge[(v, w)] = allowedge[(w, v)] = True
                     if (v, w) in allowedge:
@@ -439,7 +426,7 @@ def max_weight_matching(
             # bottleneck among the four standard dual adjustments.
             # The perfect mode has no delta-1 step: duals may go negative.
             deltatype = -1 if perfect else 1
-            delta = math.inf if perfect else min(dualvar.values())
+            delta = math.inf if perfect else min(dualvar)
             deltaedge = deltablossom = None
 
             for v in range(n):
@@ -453,8 +440,7 @@ def max_weight_matching(
             for b in blossomparent:
                 if (blossomparent[b] is None and label.get(b) == 1
                         and bestedge.get(b) is not None):
-                    kslack = slack(*bestedge[b])
-                    d = kslack // 2
+                    d = slack(*bestedge[b]) // 2
                     if d < delta:
                         delta = d
                         deltatype = 3
@@ -484,11 +470,7 @@ def max_weight_matching(
 
             if deltatype == 1:
                 break
-            elif deltatype == 2:
-                (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                queue.append(v)
-            elif deltatype == 3:
+            elif deltatype in (2, 3):
                 (v, w) = deltaedge
                 allowedge[(v, w)] = allowedge[(w, v)] = True
                 queue.append(v)
@@ -499,51 +481,91 @@ def max_weight_matching(
             break
 
         for b in list(blossomdual.keys()):
-            if b not in blossomdual:
-                continue
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if (b in blossomdual and blossomparent[b] is None
+                    and label.get(b) == 1 and blossomdual[b] == 0):
                 expand_blossom(b, True)
 
     verify_optimum()
 
-    out = [-1] * n
-    for v, w in mate.items():
-        out[v] = w
+    out = [mate.get(v, -1) for v in range(n)]
     if perfect:
         state.mate = list(out)
-        state.dual = [dualvar[v] for v in range(n)]
+        state.dual = dualvar
         state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
     return out
 
 
-def _solve_value_and_pairs(
-    points: Sequence[int], weight: WeightFn,
-) -> tuple[int, list[tuple[int, int]]]:
-    """One blossom solve on the complete graph over ``points``.
+def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
+    """An optimal state of the minimum-cost perfect matching on the ranks of
+    the symmetric table ``cost``: the maximum-weight perfect matching under
+    weight -cost, solved in the perfect mode from zero duals."""
+    k = len(cost)
+    state = DualState([-1] * k, [0] * k)
+    max_weight_matching(k, [(i, j, -cost[i][j])
+                            for i in range(k) for j in range(i + 1, k)], state)
+    return state
 
-    Weights are shifted to ``shift - w`` with ``shift`` large enough that all
-    are positive, so the maximum-weight matching is perfect and minimizes the
-    original total.
+
+def matched_total(cost: Sequence[Sequence[int]], state: DualState) -> int:
+    return sum(cost[i][j] for i, j in enumerate(state.mate) if i < j)
+
+
+def tight_pairing(
+    cost: Sequence[Sequence[int]], optimum: DualState,
+) -> list[tuple[int, int]]:
+    """The lexicographically smallest minimum-cost perfect matching, as
+    sorted rank pairs, given ``optimum = perfect_optimum(cost)`` (read only).
+
+    By complementary slackness every optimal matching uses only edges tight
+    under the optimal duals, blossom duals included, so the tie-break solves
+    on those alone.  It keeps the primary cost, since a perfect matching of
+    tight edges crossing a positive blossom three times is not optimal, and
+    adds a penalty B^(k-i) * j per pair (i < j the ranks, B > k^2) below one
+    unit of cost.  Summed penalties compare like sorted pair lists: matchings
+    agreeing on all pairs with smaller endpoint below rank i both match rank
+    i next, and the B^(k-i) term dominates every later position.
     """
-    pts = list(points)
-    k = len(pts)
-    if k == 0:
-        return 0, []
-    wts = {(a, b): weight(pts[a], pts[b]) for a in range(k) for b in range(a + 1, k)}
-    shift = max(wts.values()) + 1
-    mate = max_weight_matching(
-        k, [(a, b, shift - w) for (a, b), w in wts.items()])
-    if -1 in mate:
-        raise InternalError("perfect matching expected but vertex exposed")
-    pairs = [(a, b) for a, b in enumerate(mate) if a < b]
-    return sum(wts[p] for p in pairs), [(pts[a], pts[b]) for a, b in pairs]
+    k = len(cost)
+    inside = [[0] * k for _ in range(k)]  # twice the blossom duals over ij
+    for leaves, z in optimum.blossoms:
+        for a in leaves:
+            for b in leaves:
+                inside[a][b] += 2 * z
+    y = optimum.dual
+    B = k * k + 1
+    scale = B ** (k + 1)
+    pow_b = [B ** (k - i) for i in range(k)]
+    mate = max_weight_matching(k, [
+        (i, j, -(cost[i][j] * scale + pow_b[i] * j))
+        for i in range(k) for j in range(i + 1, k)
+        if y[i] + y[j] + 2 * cost[i][j] + inside[i][j] == 0],
+        DualState([-1] * k, [0] * k))
+    pairs = [(i, j) for i, j in enumerate(mate) if i < j]
+    if sum(cost[i][j] for i, j in pairs) != matched_total(cost, optimum):
+        raise InternalError("tie-break pairing is not a minimum-cost matching")
+    return pairs
+
+
+def _cost_table(
+    points: Sequence[int], weight: WeightFn,
+) -> tuple[list[int], list[list[int]]]:
+    """Sorted points and their symmetric weight table, by rank."""
+    pts = sorted(points)
+    if len(set(pts)) != len(pts):
+        raise StructuralInputError("matching points must be distinct")
+    if len(pts) % 2 != 0:
+        raise StructuralInputError("perfect matching needs an even point count")
+    cost = [[weight(min(a, b), max(a, b)) if a != b else 0 for b in pts]
+            for a in pts]
+    if any(int(w) != w or w < 0 for row in cost for w in row):
+        raise StructuralInputError("matching weights must be nonnegative integers")
+    return pts, cost
 
 
 def min_weight_perfect_matching_value(points: Sequence[int], weight: WeightFn) -> int:
     """Optimal total weight only (no canonical pairing)."""
-    if len(points) % 2 != 0:
-        raise StructuralInputError("perfect matching needs an even point count")
-    return _solve_value_and_pairs(points, weight)[0]
+    _, cost = _cost_table(points, weight)
+    return matched_total(cost, perfect_optimum(cost))
 
 
 def min_weight_perfect_matching(
@@ -553,35 +575,8 @@ def min_weight_perfect_matching(
 
     ``weight`` must be a symmetric nonnegative-integer function.  Among all
     optimal matchings the lexicographically smallest sorted pair list is
-    returned, so equal inputs give identical output.
-
-    The tie-break runs inside a single solve: each pair carries a secondary
-    penalty B^(k-i) * j (i < j the point ranks, B > k^2) scaled below one
-    unit of primary weight.  Summed penalties compare exactly like sorted
-    pair lists — matchings agreeing on all pairs with smaller endpoint
-    below rank i must both match rank i next, and the B^(k-i) term then
-    dominates every later position — so the penalty-minimal optimum is the
-    lexicographic one.
+    returned, so equal inputs give identical output: one value solve, then
+    the tight-edge tie-break of ``tight_pairing``.
     """
-    pts = sorted(points)
-    if len(set(pts)) != len(pts):
-        raise StructuralInputError("matching points must be distinct")
-    if len(pts) % 2 != 0:
-        raise StructuralInputError("perfect matching needs an even point count")
-    k = len(pts)
-    if k == 0:
-        return []
-    B = k * k + 1
-    scale = B ** (k + 1)
-    pow_b = [B ** (k - i) for i in range(k)]
-
-    def encoded(a: int, b: int) -> int:
-        i, j = (a, b) if a < b else (b, a)
-        w = weight(pts[i], pts[j])
-        if int(w) != w or w < 0:
-            raise StructuralInputError("matching weights must be nonnegative integers")
-        return w * scale + pow_b[i] * j
-
-    _, idx_pairs = _solve_value_and_pairs(range(k), encoded)
-    return sorted((pts[i], pts[j]) for i, j in idx_pairs)
-
+    pts, cost = _cost_table(points, weight)
+    return [(pts[i], pts[j]) for i, j in tight_pairing(cost, perfect_optimum(cost))]

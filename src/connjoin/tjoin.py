@@ -5,17 +5,23 @@ connected component.  A join is an edge set whose degree is odd exactly at
 the terminals; ``minimum_join`` computes one of minimum cardinality by
 matching terminals along shortest hop paths and taking the symmetric
 difference of the realized paths.
+
+Each graft solves its terminal matching once, on first use (``Graft.solved``:
+per component the hop tables, the optimum under weight -hop with its duals,
+and ν).  ``nu``, ``minimum_join`` (a tie-break solve on the optimum's tight
+edges, paths from the stored tables) and ``f_distances`` all read it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Contraction, Graph, connected_components, contract
-from .matching import min_weight_perfect_matching
+from .matching import DualState, matched_total, perfect_optimum, tight_pairing
 
 __all__ = [
     "Graft",
@@ -24,7 +30,6 @@ __all__ = [
     "is_join",
     "minimum_join",
     "nu",
-    "min_weight_perfect_matching",
     "induced_graft",
     "induced_graft_from_join",
     "contract_graft",
@@ -51,6 +56,35 @@ class Graft:
     @property
     def m(self) -> int:
         return self.graph.m
+
+    @cached_property
+    def solved(self) -> tuple[TerminalSolve, ...]:
+        """The solved terminal matching of each component holding terminals,
+        built on first read; ``NoJoinError`` if a component's count is odd."""
+        validate_graft(self.graph, self.terminals)
+        parts = (sorted(self.terminals & c) for c in connected_components(self.graph))
+        return tuple(TerminalSolve.of(p, {s: _hop_distances(self.graph, s) for s in p})
+                     for p in parts if p)
+
+
+@dataclass(frozen=True)
+class TerminalSolve:
+    """One component's terminal matching, solved (read only): its sorted
+    terminals, their hop tables, the hop table by terminal rank (``cost``),
+    its minimum-cost perfect matching with vertex and blossom duals, and ν."""
+
+    terminals: tuple[int, ...]
+    hop: dict[int, list[int | None]] = field(repr=False)
+    cost: list[list[int]] = field(repr=False)
+    optimum: DualState = field(repr=False)
+    nu: int
+
+    @classmethod
+    def of(cls, terminals: Iterable[int], hop: dict) -> TerminalSolve:
+        pts = tuple(sorted(terminals))
+        cost = [[hop[a][b] for b in pts] for a in pts]
+        optimum = perfect_optimum(cost)
+        return cls(pts, hop, cost, optimum, matched_total(cost, optimum))
 
 
 def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:
@@ -118,38 +152,24 @@ def _shortest_path_edges(
 def minimum_join(graft: Graft) -> frozenset[int]:
     """A minimum join of the graft, deterministic for fixed input.
 
-    Per component: pair up the terminals by a minimum-weight perfect
-    matching under hop distance, realize each pair as a canonical shortest
-    path, and XOR the paths.  The XOR is a join of size at most the matching
-    total, and no join can be smaller, so the result is exactly minimum.
+    Per component: pair up the terminals by the canonical minimum-weight
+    perfect matching under hop distance, realize each pair as a canonical
+    shortest path, and XOR the paths, a join of size at most the matching
+    total; no join can be smaller, so the result is exactly minimum.
     """
-    validate_graft(graft.graph, graft.terminals)
     result: set[int] = set()
-    expected = 0
-    for comp in connected_components(graft.graph):
-        pts = sorted(graft.terminals & comp)
-        if not pts:
-            continue
-        hop: dict[int, list[int | None]] = {
-            s: _hop_distances(graft.graph, s) for s in pts}
-
-        def weight(x: int, y: int, hop=hop) -> int:
-            d = hop[x][y]
-            if d is None:
-                raise InternalError("terminals in one component must connect")
-            return d
-
-        for a, b in min_weight_perfect_matching(pts, weight):
-            expected += weight(a, b)
-            result ^= _shortest_path_edges(graft.graph, hop[a], a, b)
-    if len(result) != expected or not is_join(graft, result):
+    for s in graft.solved:
+        for i, j in tight_pairing(s.cost, s.optimum):
+            a, b = s.terminals[i], s.terminals[j]
+            result ^= _shortest_path_edges(graft.graph, s.hop[a], a, b)
+    if len(result) != nu(graft) or not is_join(graft, result):
         raise InternalError("matching reduction produced a non-minimum join")
     return frozenset(result)
 
 
 def nu(graft: Graft) -> int:
     """Size of a minimum join."""
-    return len(minimum_join(graft))
+    return sum(s.nu for s in graft.solved)
 
 
 @dataclass(frozen=True)
@@ -180,15 +200,10 @@ def _induced(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, dict, tuple,
         if not (0 <= v < graph.n):
             raise StructuralInputError(f"vertex {v} is not in the graph")
     vmap = {v: i for i, v in enumerate(inside)}
-    emap: dict[int, int] = {}
-    eback: list[int] = []
-    sub_edges: list[tuple[int, int]] = []
-    for e in range(graph.m):
-        u, v = graph.endpoints(e)
-        if u in vmap and v in vmap:
-            emap[e] = len(sub_edges)
-            eback.append(e)
-            sub_edges.append((vmap[u], vmap[v]))
+    eback = sorted({e for v in inside
+                    for u, e in graph.incident(v) if u in vmap})
+    emap = {e: i for i, e in enumerate(eback)}
+    sub_edges = [(vmap[u], vmap[v]) for u, v in map(graph.endpoints, eback)]
     return Graph(len(inside), sub_edges), vmap, tuple(inside), emap, tuple(eback)
 
 

@@ -32,6 +32,14 @@ def random_connected_graft(seed: int) -> Graft:
     return validate_graft(Graph(n, edges), rng.sample(range(n), k))
 
 
+def sparse_graft(n: int, k: int, seed: int) -> Graft:
+    """Random connected multigraph: a spanning tree plus n extra edges."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    return validate_graft(Graph(n, edges), rng.sample(range(n), k))
+
+
 @dataclass(frozen=True)
 class Case:
     seed: int

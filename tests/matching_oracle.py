@@ -1,7 +1,11 @@
-"""Test-only matching oracle: an independent bitmask dynamic program.
+"""Test-only matching oracles.
 
-It shares no code with the blossom solver in ``connjoin.matching``, so the
+``min_weight_perfect_matching_dp`` is an independent bitmask dynamic program:
+it shares no code with the blossom solver in ``connjoin.matching``, so the
 matching tests can cross-check the solver's values and tie-breaks against it.
+``min_weight_perfect_matching_encoded`` is the reference pairing above the
+DP's reach: one blossom solve on the complete graph under the encoded
+lexicographic weights, without the library's tight-edge restriction.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
+from connjoin.matching import max_weight_matching
 
 WeightFn = Callable[[int, int], int]
 
@@ -67,3 +72,29 @@ def min_weight_perfect_matching_dp(
         else:
             raise InternalError("DP reconstruction failed")
     return int(dp[full]), pairs
+
+
+def min_weight_perfect_matching_encoded(
+    points: Sequence[int], weight: WeightFn,
+) -> list[tuple[int, int]]:
+    """The lexicographically smallest minimum-weight perfect matching, from a
+    single solve over all pairs.
+
+    Pair i < j (ranks) weighs w * B^(k+1) + B^(k-i) * j with B > k^2: the
+    penalty stays below one unit of w and compares like sorted pair lists.
+    Each weight is subtracted from a shift above the largest, so every
+    weight is positive and the maximum-weight matching is perfect.
+    """
+    pts = sorted(points)
+    k = len(pts)
+    if k == 0:
+        return []
+    B = k * k + 1
+    encoded = {(i, j): weight(pts[i], pts[j]) * B ** (k + 1) + B ** (k - i) * j
+               for i in range(k) for j in range(i + 1, k)}
+    shift = max(encoded.values()) + 1
+    mate = max_weight_matching(
+        k, [(i, j, shift - w) for (i, j), w in encoded.items()])
+    if -1 in mate:
+        raise InternalError("perfect matching expected but vertex exposed")
+    return [(pts[i], pts[j]) for i, j in enumerate(mate) if i < j]

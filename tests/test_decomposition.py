@@ -93,6 +93,21 @@ def test_verify_reports_on_wrong_join():
     assert rep.to_json()["ok"] is False
 
 
+def test_verify_reports_non_minimum_restriction():
+    # A join with one edge too many (the minimum join 1-0-2-4 XOR the
+    # triangle 0-2-3): the layer component around it has a join root, so
+    # the distances' own minimality assertion reports it.
+    g = validate_graft(
+        Graph(5, [(0, 1), (0, 2), (0, 3), (2, 4), (2, 3)]), {1, 4})
+    assert minimum_join(g) == {0, 1, 3}
+    dd = distance_decomposition(g, minimum_join(g), 1)
+    rep = verify_decomposition(g, {0, 2, 3, 4}, dd)
+    found = [v for v in rep.violations if v.check == "induced-join-minimality"]
+    assert [(v.component_id, v.message) for v in found] == [
+        (4, "restriction has 3 edges, minimum is 2")]
+    assert dd.component(4).f_root is not None
+
+
 def test_beam_counts(corpus):
     for case in corpus[:60]:
         join = minimum_join(case.graft)

@@ -6,11 +6,9 @@ does not depend on which minimum join is supplied) gets its own check on
 corpus instances with several minimum joins.
 """
 
-import random
-
 import pytest
 
-from connjoin import distances, tjoin
+from connjoin import distances, matching, tjoin
 from connjoin.connected_join import decide
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.distances import (UNREACHABLE, _toggled_sizes, f_distances,
@@ -19,7 +17,10 @@ from connjoin.errors import NotMinimumJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.matching import min_weight_perfect_matching_value
 from connjoin.oracle import shortest_path_weight_oracle
-from connjoin.tjoin import _hop_distances, minimum_join, nu, validate_graft
+from connjoin.tjoin import (TerminalSolve, _hop_distances, minimum_join, nu,
+                           validate_graft)
+
+from conftest import sparse_graft
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -119,14 +120,6 @@ def test_symmetric_query_helper():
         f_distances(C4, minimum_join(C4), 3)[1] == 0
 
 
-def sparse_graft(n, k, seed):
-    """Random connected multigraph: a spanning tree plus n extra edges."""
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
-    return validate_graft(Graph(n, edges), rng.sample(range(n), k))
-
-
 def cold_distances(graft, root):
     """The root component's terminals and hop tables, its toggled sizes and
     the distance map from `root`, with one cold matching solve per toggle."""
@@ -158,24 +151,49 @@ def test_warm_toggles_match_cold_solves_above_oracle_reach():
         outside = min(set(range(graft.graph.n)) - graft.terminals)
         for root in (min(graft.terminals), outside):
             pts, hop, base, sizes, dist = cold_distances(graft, root)
-            assert _toggled_sizes(pts, root, hop) == (base, sizes)
+            solve = TerminalSolve.of(pts, hop)
+            assert (solve.nu, _toggled_sizes(solve, root, hop)) == (base, sizes)
             assert f_distances(graft, join, root).dist == dist
 
 
+def count_work(monkeypatch):
+    """Count hop-table BFS runs and blossom solves from here on."""
+    calls = {"bfs": 0, "solves": 0}
+    bfs, solve = tjoin._hop_distances, matching.max_weight_matching
+
+    def counted_bfs(*args):
+        calls["bfs"] += 1
+        return bfs(*args)
+
+    def counted_solve(*args):
+        calls["solves"] += 1
+        return solve(*args)
+
+    for module in (tjoin, distances):
+        monkeypatch.setattr(module, "_hop_distances", counted_bfs)
+    for module in (matching, distances):
+        monkeypatch.setattr(module, "max_weight_matching", counted_solve)
+    return calls
+
+
 def test_decide_bfs_count_is_linear_in_terminals(monkeypatch):
-    # Every hop table is built once per check: k for the minimum join and
-    # k for the distances (k + 1 with a non-terminal root).
+    # The graft builds each terminal's hop table once, and the minimum join
+    # and the distances from a terminal root both read them.
     graft = sparse_graft(300, 20, 5)
-    calls = []
-
-    def counted(graph, source):
-        calls.append(source)
-        return _hop_distances(graph, source)
-
-    monkeypatch.setattr(tjoin, "_hop_distances", counted)
-    monkeypatch.setattr(distances, "_hop_distances", counted)
+    calls = count_work(monkeypatch)
     decide(graft)
-    assert 0 < len(calls) <= 2 * 20 + 1
+    assert 0 < calls["bfs"] <= 20 + 1
+
+
+def test_graft_solves_its_matching_once(monkeypatch):
+    graft = sparse_graft(300, 20, 5)
+    calls = count_work(monkeypatch)
+    join = minimum_join(graft)  # k hop tables; the base and tie-break solves
+    assert calls == {"bfs": 20, "solves": 2}
+    assert nu(graft) == len(join)
+    assert calls == {"bfs": 20, "solves": 2}
+    f_distances(graft, join, min(graft.terminals))  # k - 1 warm toggles
+    assert calls == {"bfs": 20, "solves": 2 + 19}
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(

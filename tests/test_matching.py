@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from connjoin.distances import _toggled_sizes
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
-from connjoin.matching import (DualState, max_weight_matching,
+from connjoin.matching import (DualState, matched_total, max_weight_matching,
                                min_weight_perfect_matching,
-                               min_weight_perfect_matching_value)
+                               min_weight_perfect_matching_value,
+                               perfect_optimum)
+from connjoin.tjoin import (TerminalSolve, _hop_distances,
+                            _shortest_path_edges, minimum_join)
 
-from matching_oracle import min_weight_perfect_matching_dp
+from conftest import sparse_graft
+from matching_oracle import (min_weight_perfect_matching_dp,
+                             min_weight_perfect_matching_encoded)
 
 
 def brute_max_matching_value(n, weighted_edges):
@@ -102,6 +107,62 @@ def test_min_perfect_agrees_with_dp(half, data):
     assert sorted(v for p in pairs for v in p) == points
 
 
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tight_tie_break_equals_reference(half, data):
+    # Weights 0..3 on up to 16 points leave many optimal matchings to choose
+    # between; the tight-edge tie-break must pick the reference's.
+    k = 2 * half
+    table = {(a, b): data.draw(st.integers(0, 3))
+             for a in range(k) for b in range(a + 1, k)}
+
+    def weight(a, b):
+        return table[min(a, b), max(a, b)]
+
+    pairs = min_weight_perfect_matching(range(k), weight)
+    assert pairs == min_weight_perfect_matching_encoded(range(k), weight)
+    assert sum(weight(a, b) for a, b in pairs) == \
+        min_weight_perfect_matching_value(range(k), weight)
+
+
+# The base optimum of this table has the positive blossom {0, 2, 3}.  Its
+# tight edges hold the perfect matching 01 24 35, lexicographically first
+# but of cost 4 > 3 = nu: it crosses the blossom three times.  A tie-break
+# that dropped the primary cost would return it.
+BLOSSOM_TRAP = [[0, 2, 0, 1, 2, 3], [2, 0, 2, 3, 3, 0], [0, 2, 0, 1, 2, 3],
+                [1, 3, 1, 0, 3, 0], [2, 3, 2, 3, 0, 3], [3, 0, 3, 0, 3, 0]]
+
+
+def test_tie_break_keeps_primary_cost_across_positive_blossom():
+    optimum = perfect_optimum(BLOSSOM_TRAP)
+    assert ([0, 2, 3], 1) in [(sorted(b), z) for b, z in optimum.blossoms]
+    y, blossom = optimum.dual, {0, 2, 3}
+    trap = [(0, 1), (2, 4), (3, 5)]
+    assert all(y[a] + y[b] + 2 * BLOSSOM_TRAP[a][b]
+               + 2 * ({a, b} <= blossom) == 0 for a, b in trap)
+    assert sum(BLOSSOM_TRAP[a][b] for a, b in trap) == 4
+    assert matched_total(BLOSSOM_TRAP, optimum) == 3
+
+    def weight(a, b):
+        return BLOSSOM_TRAP[a][b]
+
+    total, pairs = min_weight_perfect_matching_dp(range(6), weight)
+    assert total == 3
+    assert min_weight_perfect_matching(range(6), weight) == pairs
+
+
+def test_minimum_join_equals_reference_pairing_above_oracle_reach():
+    for k in (20, 28, 34, 40, 48):
+        graft = sparse_graft(300, k, k)
+        pts = sorted(graft.terminals)
+        hop = {s: _hop_distances(graft.graph, s) for s in pts}
+        join = set()
+        for a, b in min_weight_perfect_matching_encoded(
+                pts, lambda a, b: hop[a][b]):
+            join ^= _shortest_path_edges(graft.graph, hop[a], a, b)
+        assert minimum_join(graft) == join
+
+
 @given(st.integers(1, 6), st.booleans(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
@@ -118,7 +179,8 @@ def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
     def weight(a, b):
         return table[a][b]
 
-    base, sizes = _toggled_sizes(terminals, root, table)
+    solve = TerminalSolve.of(terminals, table)
+    base, sizes = solve.nu, _toggled_sizes(solve, root, table)
     assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
     toggled = set(terminals) ^ {root}
     assert set(sizes) == toggled
