@@ -10,13 +10,14 @@ equals the drop in minimum-join size when the terminal set is toggled at
 the root and the target.  The root component's minimum-join size is the
 perfect matching of its terminals under hop distance that the graft solved
 once (``Graft.solved``), hop tables and optimal duals included; only a root
-outside T needs a hop table of its own.  Each toggled size with a terminal
-target, a perfect matching on (T ^ {root}) - {t}, is a warm restart of the
-blossom solver from that optimum: blossom duals folded into a copy of the
-vertex duals, the matched edges that stay tight kept, usually one
-augmentation from optimal.  Any other target x must pair with one of the
-toggled terminals, and the rest match optimally, so its toggled size is a
-minimum over those.
+outside T needs a hop table of its own.  The toggled sizes at the points
+of the odd set T ^ {root} are its near-perfect matchings, each leaving out
+one point, and one blossom search reads them all off its duals: started from that optimum (blossom duals folded into a copy of the
+vertex duals, the matched edges that stay tight kept), it augments until
+one point is exposed and then grows that point's tree until one blossom
+spans the set.  Any other target x must pair with one of the toggled
+terminals, and the rest match optimally, so its toggled size is a minimum
+over those.
 """
 
 from __future__ import annotations
@@ -112,33 +113,30 @@ def _toggled_sizes(
     hop tables and the root's.
 
     Matchings maximize weight -hop, so a slack is y_a + y_b + 2 hop(a, b).
-    The toggles maximize -2 hop from doubled start duals: then every exposed
-    start vertex has an even dual, as the solver needs.
+    Each toggle is a near-perfect matching of the odd set T ^ {root}
+    exposing t, read off the duals of one near-perfect solve (``DualState``)
+    under weight -2 hop from the doubled folded base duals: then every
+    exposed start vertex has an even dual, as the solver needs.
     """
     pts = solve.terminals
     y = list(solve.optimum.dual)
     for leaves, z in solve.optimum.blossoms:
         for v in leaves:
             y[v] += z
-    dual = {p: 2 * y[a] for a, p in enumerate(pts)}
     tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, solve.optimum.mate))
              if y[a] + y[b] + 2 * solve.cost[a][b] == 0}
-
-    sizes = {}
-    for t in sorted(set(pts) ^ {root}):
-        if t == root:  # root is not a terminal: (T + root) - root is T
-            sizes[t] = solve.nu
-            continue
-        points = [p for p in pts if p != t and p != root]
-        start = [dual[p] for p in points]
-        if root not in pts:
-            start.append(max(-4 * hop[root][p] - dual[p] for p in points))
-            points.append(root)
-        index = {p: i for i, p in enumerate(points)}
-        n, rows = len(points), [hop[p] for p in points]
-        mate = max_weight_matching(n, [
-            (i, j, -2 * rows[i][points[j]])
-            for i in range(n) for j in range(i + 1, n)], DualState(
-                [index.get(tight.get(p), -1) for p in points], start))
-        sizes[t] = sum(rows[i][points[j]] for i, j in enumerate(mate) if i < j)
-    return sizes
+    points = [p for p in pts if p != root]  # root's mate starts exposed
+    start = [2 * y[a] for a, p in enumerate(pts) if p != root]
+    if root not in pts:
+        start.append(max(-4 * hop[root][p] - d for p, d in zip(points, start)))
+        points.append(root)
+    index = {p: i for i, p in enumerate(points)}
+    n, rows = len(points), [hop[p] for p in points]
+    state = DualState([index.get(tight.get(p), -1) for p in points], start)
+    max_weight_matching(n, [(i, j, -2 * rows[i][points[j]])
+                            for i in range(n) for j in range(i + 1, n)], state)
+    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
+                                  for leaves, z in state.blossoms)
+    if any((spent - d) % 4 for d in state.dual):
+        raise InternalError("a toggled size is not an integer")
+    return {t: (d - spent) // 4 for t, d in zip(points, state.dual)}

@@ -7,10 +7,14 @@ stay integral and the optimum is certified exactly at the end of every solve.
 
 Passing a ``DualState`` selects the internal perfect-matching mode: the
 solve starts from that matching and those vertex duals, has no delta-1 step,
-lets vertex duals go negative and ends only with a perfect matching.
-``distances`` re-optimises each terminal toggle this way from the base
-optimum, doubling weights and start duals so that exposed start vertices
-share a dual parity (an odd S-S slack would make the halved delta round).
+lets vertex duals go negative and ends only with a perfect matching.  On an
+odd vertex count it is the near-perfect mode: it augments until one vertex
+is exposed, then grows that vertex's tree until no delta is left, which on a
+complete graph means one blossom spans every vertex.  Those duals bound the
+near-perfect matchings exposing each vertex t tightly, so ``distances``
+reads every terminal toggle off one such solve from the base optimum,
+doubling weights and start duals so that exposed start vertices share a
+dual parity (an odd S-S slack would make the halved delta round).
 The subset-DP cross-check oracle lives in the tests.
 
 A minimum-cost perfect matching is solved once by ``perfect_optimum``, the
@@ -35,7 +39,10 @@ WeightFn = Callable[[int, int], int]
 class DualState:
     """A primal-dual state in the solver's units: the slack of edge vw is
     ``dual[v] + dual[w] - 2 w(v, w)`` plus ``2 z`` for each blossom holding
-    both ends.  ``blossoms`` lists each blossom's leaves and dual ``z``."""
+    both ends.  ``blossoms`` lists each blossom's leaves and dual ``z``.
+    After a near-perfect solve (odd n) one of them spans every vertex, and
+    twice a matching exposing t weighs at most sum(dual) - dual[t] plus
+    z (len(leaves) - 1) per blossom, with equality for the best such."""
 
     mate: list[int]
     dual: list[int]
@@ -78,7 +85,9 @@ def max_weight_matching(
     weights allowed, started from ``state`` (a blossom-free, dual-feasible
     matching whose edges are tight, its exposed vertices of one dual parity;
     ``InternalError`` otherwise), and ``state`` is overwritten with the
-    optimum.
+    optimum.  For odd n it ends near-perfect, one vertex exposed, with the
+    open blossoms left as they are: certified by one top-level blossom
+    spanning every vertex, each blossom an odd cycle of tight edges.
     """
     # w2[v][w]: twice the heaviest weight among the parallel v-w edges.
     w2: list[dict[int, int]] = [{} for _ in range(n)]
@@ -91,6 +100,7 @@ def max_weight_matching(
             w2[i][j] = w2[j][i] = 2 * w
     nbr = [sorted(row) for row in w2]
     perfect = state is not None
+    odd = perfect and n % 2 == 1  # the near-perfect mode
     if not any(w2) and not perfect:
         return [-1] * n
 
@@ -348,25 +358,34 @@ def max_weight_matching(
                 c.append(blossomparent[c[-1]])
             c.reverse()
             chain[v] = c
-        for i, j, w in ((i, j, w) for i in range(n)
-                        for j, w in w2[i].items() if i < j):
-            s = dualvar[i] + dualvar[j] - w
+
+        def full_slack(i: int, j: int) -> int:  # blossom duals included
+            s = slack(i, j)
             for bi, bj in zip(chain[i], chain[j]):
                 if bi != bj:
                     break
                 s += 2 * blossomdual[bi]
+            return s
+
+        for i, j in ((i, j) for i in range(n) for j in w2[i] if i < j):
+            s = full_slack(i, j)
             if s < 0:
                 raise InternalError("matching edge with negative slack")
             if (mate.get(i) == j or mate.get(j) == i) and s != 0:
                 raise InternalError("matched edge with nonzero slack")
-        if perfect and len(mate) != n:
+        if perfect and len(mate) != n - odd:
             raise InternalError("perfect solve left a vertex exposed")
-        if any(dualvar[v] != 0 for v in range(n) if v not in mate):
+        if not perfect and any(dualvar[v] != 0 for v in range(n) if v not in mate):
             raise InternalError("exposed vertex with nonzero dual")
+        # One top-level node, so a blossom holding every vertex when n > 1.
+        if odd and sum(p is None for p in blossomparent.values()) != 1:
+            raise InternalError("near-perfect solve left no spanning blossom")
         for b, zb in blossomdual.items():
+            if (zb > 0 or odd) and len(b.edges) % 2 != 1:
+                raise InternalError("odd blossom with even edge count")
+            if odd and any(full_slack(i, j) for i, j in b.edges):
+                raise InternalError("blossom cycle edge with nonzero slack")
             if zb > 0:
-                if len(b.edges) % 2 != 1:
-                    raise InternalError("odd blossom with even edge count")
                 for i, j in b.edges[1::2]:
                     if mate[i] != j or mate[j] != i:
                         raise InternalError("positive blossom not full")
@@ -453,6 +472,8 @@ def max_weight_matching(
                     deltatype = 4
                     deltablossom = b
             if deltatype == -1:
+                if odd:  # the lone exposed vertex's tree can grow no more
+                    break
                 raise InternalError("the graph has no perfect matching")
 
             for v in range(n):

@@ -143,7 +143,10 @@ def cold_distances(graft, root):
 
 
 def test_warm_toggles_match_cold_solves_above_oracle_reach():
+    # n = 500, k = 48 is the top terminal-count bench rung's shape: deeper
+    # blossom nests than the oracle's k <= 12 ever builds.
     grafts = [sparse_graft(300, 20, seed) for seed in (1, 2, 3)]
+    grafts += [sparse_graft(500, 48, 1)]
     grafts += [gen_primal(3, 3, seed)[0].graft for seed in (1, 7)]
     grafts += [gen_tailed(2, 4, seed)[0] for seed in (1, 6)]
     for graft in grafts:
@@ -192,8 +195,11 @@ def test_graft_solves_its_matching_once(monkeypatch):
     assert calls == {"bfs": 20, "solves": 2}
     assert nu(graft) == len(join)
     assert calls == {"bfs": 20, "solves": 2}
-    f_distances(graft, join, min(graft.terminals))  # k - 1 warm toggles
-    assert calls == {"bfs": 20, "solves": 2 + 19}
+    f_distances(graft, join, min(graft.terminals))  # one near-perfect solve
+    assert calls == {"bfs": 20, "solves": 2 + 1}
+    outside = min(set(range(graft.graph.n)) - graft.terminals)
+    f_distances(graft, join, outside)  # the root's hop table, one solve
+    assert calls == {"bfs": 20 + 1, "solves": 2 + 1 + 1}
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(

@@ -189,6 +189,58 @@ def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
             sorted(toggled - {t}), weight)[0]
 
 
+@given(st.integers(0, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_near_perfect_mode_reads_every_toggle_off_its_duals(half, data):
+    # An odd point count from zero duals under weight -cost: the end state's
+    # duals give each cheapest matching exposing t, in solver units
+    # (doubled) as (d_t - sum of d - sum of z (|B| - 1)) / 2.
+    n = 2 * half + 1
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            table[a][b] = table[b][a] = data.draw(st.integers(0, 9))
+
+    def weight(a, b):
+        return table[a][b]
+
+    state = DualState([-1] * n, [0] * n)
+    mate = max_weight_matching(n, [(a, b, -table[a][b]) for a in range(n)
+                                   for b in range(a + 1, n)], state)
+    # Dual feasibility and z >= 0, recomputed from the returned state alone.
+    assert all(z >= 0 for _, z in state.blossoms)
+    for a in range(n):
+        for b in range(a + 1, n):
+            inside = sum(2 * z for leaves, z in state.blossoms
+                         if a in leaves and b in leaves)
+            assert state.dual[a] + state.dual[b] + inside >= -2 * table[a][b]
+    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
+                                  for leaves, z in state.blossoms)
+    costs = {}
+    for t in range(n):
+        assert (state.dual[t] - spent) % 2 == 0
+        costs[t] = (state.dual[t] - spent) // 2
+        assert costs[t] == min_weight_perfect_matching_dp(
+            [p for p in range(n) if p != t], weight)[0]
+    exposed = [v for v, p in enumerate(mate) if p == -1]
+    assert len(exposed) == 1
+    assert sum(table[a][b] for a, b in enumerate(mate) if a < b) == \
+        costs[exposed[0]]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 1, 0)]),
+    (5, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (3, 4, 0)]),
+])
+def test_near_perfect_mode_needs_a_spanning_blossom(n, edges):
+    # A near-perfect matching exists, but no blossom can span the points, so
+    # the duals certify no toggle: the solve raises and leaves the state.
+    state = DualState([-1] * n, [0] * n)
+    with pytest.raises(InternalError, match="spanning blossom"):
+        max_weight_matching(n, edges, state)
+    assert state == DualState([-1] * n, [0] * n)
+
+
 # Weights of a maximum-weight perfect matching on 4 vertices, and a start
 # with 0-1 matched and tight, 2 and 3 exposed with duals of unequal parity.
 # Their S-S slack is odd, so the halved delta would round and leave a
