@@ -23,6 +23,13 @@ T_OUTSIDE_INITIAL = "T_OUTSIDE_INITIAL"
 INITIAL_DISCONNECTED = "INITIAL_DISCONNECTED"
 MULTIPLE_Q_COMPONENTS = "MULTIPLE_Q_COMPONENTS"
 
+# The stages at which ``decide`` answers NO; a failed eligibility screen
+# appends its reason to STAGE_NOT_ELIGIBLE.
+STAGE_EMPTY_T = "empty-T"
+STAGE_SPLIT_T = "split-T"
+STAGE_NOT_ELIGIBLE = "not-eligible:"
+STAGE_EMPTY_HEAD_SET = "empty-head-set"
+
 __all__ = [
     "EligibilityVerdict",
     "Decision",
@@ -35,6 +42,10 @@ __all__ = [
     "T_OUTSIDE_INITIAL",
     "INITIAL_DISCONNECTED",
     "MULTIPLE_Q_COMPONENTS",
+    "STAGE_EMPTY_T",
+    "STAGE_SPLIT_T",
+    "STAGE_NOT_ELIGIBLE",
+    "STAGE_EMPTY_HEAD_SET",
 ]
 
 
@@ -180,10 +191,10 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
     """
     terminals = graft.terminals
     if not terminals:
-        return Decision(False, "empty-T")
+        return Decision(False, STAGE_EMPTY_T)
     holding = [c for c in connected_components(graft.graph) if terminals & c]
     if len(holding) > 1:
-        return Decision(False, "split-T")
+        return Decision(False, STAGE_SPLIT_T)
     if root is None:
         root = min(terminals)
     elif root not in terminals:
@@ -192,11 +203,11 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
     dd = distance_decomposition(graft, join, root)
     verdict = is_eligible(graft, join, root, dd)
     if not verdict.eligible:
-        return Decision(False, f"not-eligible:{verdict.failure_reason}", root=root)
+        return Decision(False, STAGE_NOT_ELIGIBLE + verdict.failure_reason, root=root)
     heads = head_set(graft, dd, verdict)
     initial_heads = heads[dd.initial_id]
     if not initial_heads:
-        return Decision(False, "empty-head-set", root=root)
+        return Decision(False, STAGE_EMPTY_HEAD_SET, root=root)
     built = construct_join(graft, dd, heads, min(initial_heads))
     if len(built) != len(join):
         raise InternalError(

@@ -35,7 +35,7 @@ from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
                      StructuralInputError, TheoremViolationError)
 from .graph_core import Graph, connected_components
 from .distances import DistanceMap, f_distances
-from .matching import max_weight_matching
+from .matching import DualState, max_weight_matching
 from .tjoin import (Graft, SubGraft, contract_graft, induced_graft_from_join,
                     is_join, minimum_join, nu)
 
@@ -48,7 +48,6 @@ __all__ = [
     "verify_decomposition",
     "is_factor_critical",
     "is_strong_comb",
-    "has_perfect_matching",
 ]
 
 LAYER = "layer"
@@ -242,23 +241,15 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
         detached=tuple(c for c in connected_components(graph) if root not in c))
 
 
-def has_perfect_matching(graph: Graph) -> bool:
-    if graph.n % 2 != 0:
-        return False
-    mate = max_weight_matching(graph.n, [(u, v, 1) for u, v in graph.edges])
-    return all(p != -1 for p in mate)
-
-
 def is_factor_critical(graph: Graph) -> bool:
-    """True iff deleting any single vertex leaves a perfectly matchable graph."""
-    if graph.n % 2 == 0 and graph.n > 0:
-        return False
-    for v in range(graph.n):  # delete v, shifting the later vertices down
-        edges = [(a - (a > v), b - (b > v)) for a, b in graph.edges
-                 if v not in (a, b)]
-        if not has_perfect_matching(Graph(graph.n - 1, edges)):
-            return False
-    return True
+    """True iff deleting any single vertex leaves a perfectly matchable graph,
+    decided by one near-perfect search (Gallai's lemma; see ``matching``)."""
+    n = graph.n
+    if n % 2 == 0:
+        return n == 0
+    state = DualState([-1] * n, [0] * n)
+    max_weight_matching(n, [(u, v, 0) for u, v in graph.edges], state)
+    return state.spans()
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:

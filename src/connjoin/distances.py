@@ -135,6 +135,8 @@ def _toggled_sizes(
     state = DualState([index.get(tight.get(p), -1) for p in points], start)
     max_weight_matching(n, [(i, j, -2 * rows[i][points[j]])
                             for i in range(n) for j in range(i + 1, n)], state)
+    if not state.spans():
+        raise InternalError("near-perfect solve left no spanning blossom")
     spent = sum(state.dual) + sum(z * (len(leaves) - 1)
                                   for leaves, z in state.blossoms)
     if any((spent - d) % 4 for d in state.dual):

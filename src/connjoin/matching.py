@@ -1,27 +1,26 @@
-"""Exact maximum-weight and minimum-weight perfect matching, small graphs.
+"""Exact maximum-weight perfect matching, small graphs.
 
-The workhorse is a maximum-weight matching solver using Edmonds' blossom
-method in the classic primal-dual formulation (Galil's survey describes the
-exact scheme implemented here).  Integer weights only, so all dual variables
-stay integral and the optimum is certified exactly at the end of every solve.
+The workhorse is a maximum-weight perfect matching solver using Edmonds'
+blossom method in the classic primal-dual formulation (Galil's survey
+describes the exact scheme implemented here), started from a given
+``DualState``.  Integer weights only, so all dual variables stay integral
+and the optimum is certified exactly at the end of every solve.
 
-Passing a ``DualState`` selects the internal perfect-matching mode: the
-solve starts from that matching and those vertex duals, has no delta-1 step,
-lets vertex duals go negative and ends only with a perfect matching.  On an
-odd vertex count it is the near-perfect mode: it augments until one vertex
-is exposed, then grows that vertex's tree until no delta is left, which on a
-complete graph means one blossom spans every vertex.  Those duals bound the
-near-perfect matchings exposing each vertex t tightly, so ``distances``
-reads every terminal toggle off one such solve from the base optimum,
-doubling weights and start duals so that exposed start vertices share a
-dual parity (an odd S-S slack would make the halved delta round).
-The subset-DP cross-check oracle lives in the tests.
+On an odd vertex count it is near-perfect: it augments until one vertex is
+exposed, then grows that vertex's tree until no delta is left.  By Gallai's
+lemma the graph is factor-critical iff that search ends in one blossom
+spanning every vertex (``DualState.spans``), as it always does on a complete
+graph.  Those duals bound the near-perfect matchings exposing each vertex t
+tightly, so ``distances`` reads every terminal toggle off one such solve
+from the base optimum, doubling weights and start duals so that exposed
+start vertices share a dual parity (an odd S-S slack would make the halved
+delta round).  The subset-DP cross-check oracle lives in the tests.
 
 A minimum-cost perfect matching is solved once by ``perfect_optimum``, the
-perfect mode from zero duals under weight -cost.  ``tight_pairing`` then
-finds the lexicographically smallest optimal pairing by a second solve on
-the edges tight under the optimum's duals, with a tie-break penalty encoded
-below the primary cost; it is the only pairing routine.
+solve from zero duals under weight -cost.  ``tight_pairing`` then finds the
+lexicographically smallest optimal pairing by a second solve on the edges
+tight under the optimum's duals, with a tie-break penalty encoded below the
+primary cost; it is the only pairing routine.
 """
 
 from __future__ import annotations
@@ -40,13 +39,20 @@ class DualState:
     """A primal-dual state in the solver's units: the slack of edge vw is
     ``dual[v] + dual[w] - 2 w(v, w)`` plus ``2 z`` for each blossom holding
     both ends.  ``blossoms`` lists each blossom's leaves and dual ``z``.
-    After a near-perfect solve (odd n) one of them spans every vertex, and
-    twice a matching exposing t weighs at most sum(dual) - dual[t] plus
-    z (len(leaves) - 1) per blossom, with equality for the best such."""
+    After a near-perfect solve (odd n) that ``spans``, twice a matching
+    exposing t weighs at most sum(dual) - dual[t] plus z (len(leaves) - 1)
+    per blossom, with equality for the best such."""
 
     mate: list[int]
     dual: list[int]
     blossoms: list[tuple[list[int], int]] = field(default_factory=list)
+
+    def spans(self) -> bool:
+        """After a near-perfect solve: one vertex exposed and, for n > 1, one
+        blossom holding every vertex."""
+        n = len(self.mate)
+        return self.mate.count(-1) == 1 and (
+            n == 1 or any(len(leaves) == n for leaves, _ in self.blossoms))
 
 
 class _Blossom:
@@ -72,22 +78,19 @@ class _Blossom:
 
 
 def max_weight_matching(
-    n: int, weighted_edges: Sequence[tuple[int, int, int]],
-    state: DualState | None = None,
+    n: int, weighted_edges: Sequence[tuple[int, int, int]], state: DualState,
 ) -> list[int]:
-    """Maximum-weight matching of the given integer-weighted graph.
+    """Maximum-weight *perfect* matching of the integer-weighted graph.
 
-    Returns ``mate`` with ``mate[v]`` the partner of ``v`` or -1.  Edges with
-    non-positive weight never help a maximum-weight matching; they are still
-    accepted.
-
-    With ``state`` this is a maximum-weight *perfect* matching solve, any
-    weights allowed, started from ``state`` (a blossom-free, dual-feasible
-    matching whose edges are tight, its exposed vertices of one dual parity;
-    ``InternalError`` otherwise), and ``state`` is overwritten with the
-    optimum.  For odd n it ends near-perfect, one vertex exposed, with the
-    open blossoms left as they are: certified by one top-level blossom
-    spanning every vertex, each blossom an odd cycle of tight edges.
+    Returns ``mate`` with ``mate[v]`` the partner of ``v`` or -1.  Any
+    weights are allowed.  The solve starts from ``state`` (a blossom-free,
+    dual-feasible matching whose edges are tight, its exposed vertices of
+    one dual parity; ``InternalError`` otherwise), and ``state`` is
+    overwritten with the optimum.  For even n a graph without a perfect
+    matching raises ``InternalError``.  For odd n the search ends
+    near-perfect where it can, with the open blossoms left as they are,
+    each an odd cycle of tight edges; ``state.spans()`` tells whether one
+    vertex is exposed and one blossom spans every vertex.
     """
     # w2[v][w]: twice the heaviest weight among the parallel v-w edges.
     w2: list[dict[int, int]] = [{} for _ in range(n)]
@@ -99,10 +102,7 @@ def max_weight_matching(
         if j not in w2[i] or 2 * w > w2[i][j]:
             w2[i][j] = w2[j][i] = 2 * w
     nbr = [sorted(row) for row in w2]
-    perfect = state is not None
-    odd = perfect and n % 2 == 1  # the near-perfect mode
-    if not any(w2) and not perfect:
-        return [-1] * n
+    odd = n % 2 == 1  # the near-perfect search
 
     mate: dict[int, int] = {}
     # label[b]: 1 = S, 2 = T (absent = free), for top-level blossoms; also
@@ -122,21 +122,18 @@ def max_weight_matching(
 
     # Vertex duals are premultiplied by two so integer arithmetic survives
     # the half-integral updates.
-    if not perfect:
-        dualvar = [max(max(row.values()) for row in w2 if row) // 2] * n
-    else:
-        if len(state.mate) != n or len(state.dual) != n or state.blossoms:
-            raise InternalError("a start needs n mates, n duals, no blossoms")
-        dualvar = list(state.dual)
-        mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
-        if any(mate.get(w) != v or w not in w2[v] or slack(v, w)
-               for v, w in mate.items()):
-            raise InternalError("start matching is not a set of tight edges")
-        if any(dualvar[i] + dualvar[j] < w
-               for i in range(n) for j, w in w2[i].items()):
-            raise InternalError("start duals are not feasible")
-        if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
-            raise InternalError("start's exposed duals differ in parity")
+    if len(state.mate) != n or len(state.dual) != n or state.blossoms:
+        raise InternalError("a start needs n mates, n duals, no blossoms")
+    dualvar = list(state.dual)
+    mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
+    if any(mate.get(w) != v or w not in w2[v] or slack(v, w)
+           for v, w in mate.items()):
+        raise InternalError("start matching is not a set of tight edges")
+    if any(dualvar[i] + dualvar[j] < w
+           for i in range(n) for j, w in w2[i].items()):
+        raise InternalError("start duals are not feasible")
+    if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
+        raise InternalError("start's exposed duals differ in parity")
 
     def assign_label(w: int, t: int, v: int | None) -> None:
         b = inblossom[w]
@@ -347,8 +344,6 @@ def max_weight_matching(
 
     def verify_optimum() -> None:
         """Certify the final matching via complementary slackness."""
-        if not perfect and min(dualvar) < 0:
-            raise InternalError("matching dual went negative")
         if blossomdual and min(blossomdual.values()) < 0:
             raise InternalError("blossom dual went negative")
         chain = {}  # each vertex's enclosing blossoms, outermost first
@@ -373,13 +368,6 @@ def max_weight_matching(
                 raise InternalError("matching edge with negative slack")
             if (mate.get(i) == j or mate.get(j) == i) and s != 0:
                 raise InternalError("matched edge with nonzero slack")
-        if perfect and len(mate) != n - odd:
-            raise InternalError("perfect solve left a vertex exposed")
-        if not perfect and any(dualvar[v] != 0 for v in range(n) if v not in mate):
-            raise InternalError("exposed vertex with nonzero dual")
-        # One top-level node, so a blossom holding every vertex when n > 1.
-        if odd and sum(p is None for p in blossomparent.values()) != 1:
-            raise InternalError("near-perfect solve left no spanning blossom")
         for b, zb in blossomdual.items():
             if (zb > 0 or odd) and len(b.edges) % 2 != 1:
                 raise InternalError("odd blossom with even edge count")
@@ -390,7 +378,7 @@ def max_weight_matching(
                     if mate[i] != j or mate[j] != i:
                         raise InternalError("positive blossom not full")
 
-    while not (perfect and len(mate) == n):
+    while len(mate) < n:
         # One stage per augmentation.
         label.clear()
         labeledge.clear()
@@ -442,10 +430,10 @@ def max_weight_matching(
                 break
 
             # No augmenting path with the current duals; compute the
-            # bottleneck among the four standard dual adjustments.
-            # The perfect mode has no delta-1 step: duals may go negative.
-            deltatype = -1 if perfect else 1
-            delta = math.inf if perfect else min(dualvar)
+            # bottleneck among the standard dual adjustments.  There is no
+            # delta-1 step: duals may go negative.
+            deltatype = -1
+            delta = math.inf
             deltaedge = deltablossom = None
 
             for v in range(n):
@@ -472,7 +460,7 @@ def max_weight_matching(
                     deltatype = 4
                     deltablossom = b
             if deltatype == -1:
-                if odd:  # the lone exposed vertex's tree can grow no more
+                if odd:  # the exposed vertices' trees can grow no more
                     break
                 raise InternalError("the graph has no perfect matching")
 
@@ -489,9 +477,7 @@ def max_weight_matching(
                     elif label.get(b) == 2:
                         blossomdual[b] -= delta
 
-            if deltatype == 1:
-                break
-            elif deltatype in (2, 3):
+            if deltatype in (2, 3):
                 (v, w) = deltaedge
                 allowedge[(v, w)] = allowedge[(w, v)] = True
                 queue.append(v)
@@ -509,17 +495,16 @@ def max_weight_matching(
     verify_optimum()
 
     out = [mate.get(v, -1) for v in range(n)]
-    if perfect:
-        state.mate = list(out)
-        state.dual = dualvar
-        state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
+    state.mate = list(out)
+    state.dual = dualvar
+    state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
     return out
 
 
 def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
     """An optimal state of the minimum-cost perfect matching on the ranks of
     the symmetric table ``cost``: the maximum-weight perfect matching under
-    weight -cost, solved in the perfect mode from zero duals."""
+    weight -cost, solved from zero duals."""
     k = len(cost)
     state = DualState([-1] * k, [0] * k)
     max_weight_matching(k, [(i, j, -cost[i][j])

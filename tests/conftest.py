@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from connjoin import Decision, Graft, OracleReport, decide, oracle_report
+from connjoin import (Decision, Graft, OracleReport, decide, decomposition,
+                      distances, matching, oracle_report, tjoin)
 from connjoin.graph_core import Graph
 from connjoin.tjoin import validate_graft
 
@@ -38,6 +39,26 @@ def sparse_graft(n: int, k: int, seed: int) -> Graft:
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     edges += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
     return validate_graft(Graph(n, edges), rng.sample(range(n), k))
+
+
+def count_work(monkeypatch):
+    """Count hop-table BFS runs and blossom solves from here on."""
+    calls = {"bfs": 0, "solves": 0}
+    bfs, solve = tjoin._hop_distances, matching.max_weight_matching
+
+    def counted_bfs(*args):
+        calls["bfs"] += 1
+        return bfs(*args)
+
+    def counted_solve(*args):
+        calls["solves"] += 1
+        return solve(*args)
+
+    for module in (tjoin, distances):
+        monkeypatch.setattr(module, "_hop_distances", counted_bfs)
+    for module in (matching, distances, decomposition):
+        monkeypatch.setattr(module, "max_weight_matching", counted_solve)
+    return calls
 
 
 @dataclass(frozen=True)

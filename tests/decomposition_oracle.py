@@ -7,6 +7,9 @@ neighbouring snapshots, and beams from counting, per component, the join
 edges with exactly one endpoint inside.  Nothing is shared with the
 library's union-find sweep; the distances are an input, so callers can
 pass brute-force ones.
+
+``matchable_deletions`` is the definition of factor-criticality, checked
+by exhaustive search and shared with no matching code.
 """
 
 from __future__ import annotations
@@ -87,3 +90,24 @@ def oracle_components(graft, join, root: int, dist) -> list[dict]:
             "d_children": ids(level - 1, "layer", verts), "parent": parent,
         })
     return out
+
+
+def _perfectly_matchable(left: frozenset[int], adjacent) -> bool:
+    """Exhaustive search: match the smallest vertex left, then recurse."""
+    if not left:
+        return True
+    v = min(left)
+    return any(_perfectly_matchable(left - {v, u}, adjacent)
+               for u in adjacent[v] & left)
+
+
+def matchable_deletions(graph) -> list[bool]:
+    """For each vertex v, whether G - v has a perfect matching.  The graph is
+    factor-critical iff all are, and has a near-perfect matching iff any is."""
+    adjacent = [set() for _ in range(graph.n)]
+    for a, b in graph.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    everyone = frozenset(range(graph.n))
+    return [_perfectly_matchable(everyone - {v}, adjacent)
+            for v in range(graph.n)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
-from connjoin.matching import max_weight_matching
+from connjoin.matching import DualState, max_weight_matching
 
 WeightFn = Callable[[int, int], int]
 
@@ -78,12 +78,11 @@ def min_weight_perfect_matching_encoded(
     points: Sequence[int], weight: WeightFn,
 ) -> list[tuple[int, int]]:
     """The lexicographically smallest minimum-weight perfect matching, from a
-    single solve over all pairs.
+    single perfect solve over all pairs from zero duals.
 
-    Pair i < j (ranks) weighs w * B^(k+1) + B^(k-i) * j with B > k^2: the
+    Pair i < j (ranks) costs w * B^(k+1) + B^(k-i) * j with B > k^2: the
     penalty stays below one unit of w and compares like sorted pair lists.
-    Each weight is subtracted from a shift above the largest, so every
-    weight is positive and the maximum-weight matching is perfect.
+    The solve maximizes the negated costs.
     """
     pts = sorted(points)
     k = len(pts)
@@ -92,9 +91,6 @@ def min_weight_perfect_matching_encoded(
     B = k * k + 1
     encoded = {(i, j): weight(pts[i], pts[j]) * B ** (k + 1) + B ** (k - i) * j
                for i in range(k) for j in range(i + 1, k)}
-    shift = max(encoded.values()) + 1
-    mate = max_weight_matching(
-        k, [(i, j, shift - w) for (i, j), w in encoded.items()])
-    if -1 in mate:
-        raise InternalError("perfect matching expected but vertex exposed")
+    mate = max_weight_matching(k, [(i, j, -w) for (i, j), w in encoded.items()],
+                               DualState([-1] * k, [0] * k))
     return [(pts[i], pts[j]) for i, j in enumerate(mate) if i < j]

@@ -6,17 +6,17 @@ import pytest
 
 from connjoin import decomposition
 from connjoin.constructive import gen_primal, gen_tailed
-from connjoin.decomposition import (distance_decomposition, has_perfect_matching,
-                                    is_factor_critical, is_strong_comb,
-                                    verify_decomposition)
+from connjoin.decomposition import (distance_decomposition, is_factor_critical,
+                                    is_strong_comb, verify_decomposition)
 from connjoin.distances import DistanceMap
 from connjoin.errors import (InternalError, StructuralInputError,
                              TheoremViolationError)
-from connjoin.graph_core import Graph
+from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import shortest_path_weight_oracle
 from connjoin.tjoin import minimum_join, validate_graft
 
-from decomposition_oracle import oracle_components
+from conftest import count_work
+from decomposition_oracle import matchable_deletions, oracle_components
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -130,12 +130,37 @@ def test_factor_critical():
     assert not is_factor_critical(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
-def test_has_perfect_matching():
-    assert has_perfect_matching(Graph(2, [(0, 1)]))
-    assert has_perfect_matching(Graph(4, [(0, 1), (1, 2), (2, 3)]))
-    assert not has_perfect_matching(Graph(4, [(0, 1), (0, 2), (0, 3)]))
-    assert not has_perfect_matching(Graph(3, [(0, 1), (1, 2)]))
-    assert has_perfect_matching(Graph(0, []))
+def test_factor_critical_matches_definition(monkeypatch):
+    # Seeded multigraphs with n <= 9, checked against deleting each vertex
+    # and searching for a perfect matching; odd n costs one search.
+    rng = random.Random(6)
+    calls = count_work(monkeypatch)
+    kinds = set()
+    for _ in range(2000):
+        n = rng.randint(0, 9)
+        edges = [tuple(rng.sample(range(n), 2))
+                 for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+        graph = Graph(n, edges)
+        before = calls["solves"]
+        answer = is_factor_critical(graph)
+        assert calls["solves"] - before == n % 2
+        deletions = matchable_deletions(graph)
+        assert answer == all(deletions)
+        if n % 2 == 0:
+            kinds.add("n=0" if n == 0 else "even")
+        elif n == 1:
+            kinds.add("n=1")
+        elif answer:
+            kinds.add("factor-critical")
+        elif len(connected_components(graph)) > 1:
+            kinds.add("disconnected")
+        elif not any(deletions):
+            kinds.add("no near-perfect matching")
+        else:
+            kinds.add("connected, near-perfect, not factor-critical")
+    assert kinds == {"n=0", "n=1", "even", "factor-critical", "disconnected",
+                     "no near-perfect matching",
+                     "connected, near-perfect, not factor-critical"}
 
 
 def test_is_strong_comb():

@@ -8,7 +8,6 @@ corpus instances with several minimum joins.
 
 import pytest
 
-from connjoin import distances, matching, tjoin
 from connjoin.connected_join import decide
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.distances import (UNREACHABLE, _toggled_sizes, f_distances,
@@ -20,7 +19,7 @@ from connjoin.oracle import shortest_path_weight_oracle
 from connjoin.tjoin import (TerminalSolve, _hop_distances, minimum_join, nu,
                            validate_graft)
 
-from conftest import sparse_graft
+from conftest import count_work, sparse_graft
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -157,26 +156,6 @@ def test_warm_toggles_match_cold_solves_above_oracle_reach():
             solve = TerminalSolve.of(pts, hop)
             assert (solve.nu, _toggled_sizes(solve, root, hop)) == (base, sizes)
             assert f_distances(graft, join, root).dist == dist
-
-
-def count_work(monkeypatch):
-    """Count hop-table BFS runs and blossom solves from here on."""
-    calls = {"bfs": 0, "solves": 0}
-    bfs, solve = tjoin._hop_distances, matching.max_weight_matching
-
-    def counted_bfs(*args):
-        calls["bfs"] += 1
-        return bfs(*args)
-
-    def counted_solve(*args):
-        calls["solves"] += 1
-        return solve(*args)
-
-    for module in (tjoin, distances):
-        monkeypatch.setattr(module, "_hop_distances", counted_bfs)
-    for module in (matching, distances):
-        monkeypatch.setattr(module, "max_weight_matching", counted_solve)
-    return calls
 
 
 def test_decide_bfs_count_is_linear_in_terminals(monkeypatch):

@@ -1,5 +1,5 @@
 """Matching layer: the blossom solver against brute force and the subset DP,
-cold and warm-started."""
+cold and warm-started, perfect and near-perfect."""
 
 import itertools
 
@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connjoin.decomposition import is_factor_critical
 from connjoin.distances import _toggled_sizes
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
 from connjoin.matching import (DualState, matched_total, max_weight_matching,
                                min_weight_perfect_matching,
                                min_weight_perfect_matching_value,
                                perfect_optimum)
+from connjoin.graph_core import Graph
 from connjoin.tjoin import (TerminalSolve, _hop_distances,
                             _shortest_path_edges, minimum_join)
 
@@ -21,14 +23,26 @@ from matching_oracle import (min_weight_perfect_matching_dp,
                              min_weight_perfect_matching_encoded)
 
 
-def brute_max_matching_value(n, weighted_edges):
-    best = 0
-    for r in range(1, n // 2 + 1):
-        for combo in itertools.combinations(weighted_edges, r):
-            used = [v for u, w, _ in combo for v in (u, w)]
-            if len(set(used)) == len(used):
-                best = max(best, sum(wt for _, _, wt in combo))
+def brute_max_perfect_matching_value(n, weighted_edges):
+    """The heaviest perfect matching's weight, or None when there is none."""
+    best = None
+    for combo in itertools.combinations(weighted_edges, n // 2):
+        used = [v for u, w, _ in combo for v in (u, w)]
+        if len(set(used)) == len(used):
+            total = sum(wt for _, _, wt in combo)
+            best = total if best is None else max(best, total)
     return best
+
+
+def zero_duals(n):
+    return DualState([-1] * n, [0] * n)
+
+
+def feasible_start(n, weighted_edges):
+    """Nothing matched, every vertex dual at the heaviest weight (at least 0):
+    each slack is then nonnegative, in the solver's doubled units."""
+    top = max([0] + [w for _, _, w in weighted_edges])
+    return DualState([-1] * n, [top] * n)
 
 
 def mate_value(mate, weighted_edges):
@@ -41,32 +55,39 @@ def mate_value(mate, weighted_edges):
 
 def test_k4_golden():
     edges = [(0, 1, 3), (1, 2, 5), (2, 3, 3), (0, 3, 5), (0, 2, 4), (1, 3, 4)]
-    assert max_weight_matching(4, edges) == [3, 2, 1, 0]
+    state = feasible_start(4, edges)
+    assert max_weight_matching(4, edges, state) == [3, 2, 1, 0]
+    assert state.mate == [3, 2, 1, 0]
 
 
 def test_single_edge():
-    assert max_weight_matching(2, [(0, 1, 7)]) == [1, 0]
-    # zero-weight edge: taking it or not is worth the same
-    mate = max_weight_matching(2, [(0, 1, 0)])
-    assert mate_value(mate, [(0, 1, 0)]) == 0
-    assert mate in ([-1, -1], [1, 0])
+    for w in (7, 0, -3):  # a perfect solve takes the edge at any weight
+        edges = [(0, 1, w)]
+        assert max_weight_matching(2, edges, feasible_start(2, edges)) == [1, 0]
+    with pytest.raises(InternalError, match="no perfect matching"):
+        max_weight_matching(2, [], zero_duals(2))
 
 
-@given(st.integers(2, 7), st.data())
+@given(st.integers(1, 3), st.data())
 @settings(max_examples=150)
-def test_blossom_matches_brute_force(n, data):
+def test_blossom_matches_brute_force(half, data):
+    n = 2 * half
     pool = list(itertools.combinations(range(n), 2))
     edges = data.draw(st.lists(
-        st.tuples(st.sampled_from(pool), st.integers(1, 9)), max_size=12))
+        st.tuples(st.sampled_from(pool), st.integers(-9, 9)), max_size=12))
     weighted = [(u, v, w) for (u, v), w in edges]
-    mate = max_weight_matching(n, weighted)
-    for v, p in enumerate(mate):
-        assert p == -1 or mate[p] == v
+    best = brute_max_perfect_matching_value(n, weighted)
+    if best is None:
+        with pytest.raises(InternalError, match="no perfect matching"):
+            max_weight_matching(n, weighted, feasible_start(n, weighted))
+        return
+    mate = max_weight_matching(n, weighted, feasible_start(n, weighted))
+    assert all(mate[p] == v for v, p in enumerate(mate))
     # each matched pair realizes some input edge's weight; the solver keeps
     # the max-weight copy among parallels, so compare totals via brute force
     assert mate_value(mate, [max(g, key=lambda t: t[2]) for _, g in
                              itertools.groupby(sorted(weighted), key=lambda t: t[:2])]
-                      ) == brute_max_matching_value(n, weighted)
+                      ) == best
 
 
 def test_min_perfect_golden():
@@ -204,7 +225,7 @@ def test_near_perfect_mode_reads_every_toggle_off_its_duals(half, data):
     def weight(a, b):
         return table[a][b]
 
-    state = DualState([-1] * n, [0] * n)
+    state = zero_duals(n)
     mate = max_weight_matching(n, [(a, b, -table[a][b]) for a in range(n)
                                    for b in range(a + 1, n)], state)
     # Dual feasibility and z >= 0, recomputed from the returned state alone.
@@ -222,6 +243,7 @@ def test_near_perfect_mode_reads_every_toggle_off_its_duals(half, data):
         costs[t] = (state.dual[t] - spent) // 2
         assert costs[t] == min_weight_perfect_matching_dp(
             [p for p in range(n) if p != t], weight)[0]
+    assert state.spans()  # as on every complete graph
     exposed = [v for v, p in enumerate(mate) if p == -1]
     assert len(exposed) == 1
     assert sum(table[a][b] for a, b in enumerate(mate) if a < b) == \
@@ -229,16 +251,17 @@ def test_near_perfect_mode_reads_every_toggle_off_its_duals(half, data):
 
 
 @pytest.mark.parametrize("n, edges", [
-    (3, [(0, 1, 0)]),
-    (5, [(0, 1, 0), (1, 2, 0), (0, 2, 0), (3, 4, 0)]),
+    (3, [(0, 1)]),
+    (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
 ])
 def test_near_perfect_mode_needs_a_spanning_blossom(n, edges):
     # A near-perfect matching exists, but no blossom can span the points, so
-    # the duals certify no toggle: the solve raises and leaves the state.
-    state = DualState([-1] * n, [0] * n)
-    with pytest.raises(InternalError, match="spanning blossom"):
-        max_weight_matching(n, edges, state)
-    assert state == DualState([-1] * n, [0] * n)
+    # the graph is not factor-critical and the duals certify no toggle.
+    assert is_factor_critical(Graph(n, edges)) is False
+    state = zero_duals(n)
+    max_weight_matching(n, [(u, v, 0) for u, v in edges], state)
+    assert state.mate.count(-1) == 1
+    assert not state.spans()
 
 
 # Weights of a maximum-weight perfect matching on 4 vertices, and a start
