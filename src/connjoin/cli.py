@@ -32,7 +32,7 @@ from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
                      TheoremViolationError)
 from .graph_core import Graph
 from .oracle import oracle_report
-from .tjoin import Graft, minimum_join, validate_graft
+from .tjoin import Graft, minimum_join, optimum_join, validate_graft
 
 __all__ = ["parse_graft", "format_graft", "main"]
 
@@ -187,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_distances(args: argparse.Namespace) -> int:
     graft = parse_graft(_read(args.file))
     root = _default_root(graft, args.root)
-    dm = f_distances(graft, minimum_join(graft), root)
+    dm = f_distances(graft, optimum_join(graft), root)
     if args.format == "json":
         _emit({"root": root, "distances": list(dm.dist)})
         return 0
@@ -207,7 +207,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     graft = parse_graft(_read(args.file))
     root = _default_root(graft, args.root)
-    join = minimum_join(graft)
+    join = optimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     report = verify_decomposition(graft, join, dd)
     if args.format == "json":

@@ -16,7 +16,7 @@ from typing import Iterable
 from .decomposition import DistanceDecomposition, distance_decomposition
 from .errors import InternalError, StructuralInputError
 from .graph_core import connected_components
-from .tjoin import Graft, is_join, minimum_join
+from .tjoin import Graft, is_join, optimum_join
 
 EMPTY_T = "EMPTY_T"
 T_OUTSIDE_INITIAL = "T_OUTSIDE_INITIAL"
@@ -199,7 +199,7 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
         root = min(terminals)
     elif root not in terminals:
         raise StructuralInputError(f"root {root} must be a terminal")
-    join = minimum_join(graft)
+    join = optimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     verdict = is_eligible(graft, join, root, dd)
     if not verdict.eligible:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .distances import f_distances
 from .errors import InternalError, StructuralInputError
 from .graph_core import Graph
-from .tjoin import Graft, minimum_join
+from .tjoin import Graft, optimum_join
 
 RAKE = "RAKE"
 PRIMAL = "PRIMAL"
@@ -469,6 +469,5 @@ def replay_witness(recipe: ConstructionRecipe) -> PrimalWitness:
 
 def is_primal(graft: Graft, r: int) -> bool:
     """True iff every vertex sits at distance ≤ 0 from ``r``."""
-    join = minimum_join(graft)
-    dm = f_distances(graft, join, r)
+    dm = f_distances(graft, optimum_join(graft), r)
     return all(d is not None and d <= 0 for d in dm.dist)

@@ -37,7 +37,7 @@ from .graph_core import Graph, connected_components
 from .distances import DistanceMap, f_distances
 from .matching import DualState, max_weight_matching
 from .tjoin import (Graft, SubGraft, contract_graft, induced_graft_from_join,
-                    is_join, minimum_join, nu)
+                    is_join, nu, optimum_join)
 
 __all__ = [
     "Component",
@@ -273,10 +273,9 @@ def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:
     if dominated != outside:
         return False
     try:
-        join = minimum_join(graft)
+        dm = f_distances(graft, optimum_join(graft), root)
     except NoJoinError:
         return False
-    dm = f_distances(graft, join, root)
     return all(
         dm[v] == (-1 if v in teeth else 0) for v in range(graph.n))
 

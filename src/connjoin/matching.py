@@ -17,10 +17,11 @@ start vertices share a dual parity (an odd S-S slack would make the halved
 delta round).  The subset-DP cross-check oracle lives in the tests.
 
 A minimum-cost perfect matching is solved once by ``perfect_optimum``, the
-solve from zero duals under weight -cost.  ``tight_pairing`` then finds the
-lexicographically smallest optimal pairing by a second solve on the edges
-tight under the optimum's duals, with a tie-break penalty encoded below the
-primary cost; it is the only pairing routine.
+solve from zero duals under weight -cost; ``tjoin.optimum_join`` pairs by its
+mate.  ``tight_pairing`` finds the lexicographically smallest optimal pairing
+for printed joins (``tjoin.minimum_join``, ``min_weight_perfect_matching``)
+by a second solve on the edges tight under the optimum's duals, with a
+tie-break penalty encoded below the primary cost.
 """
 
 from __future__ import annotations

@@ -2,14 +2,14 @@
 
 A graft pairs a multigraph with a terminal set that has even size in every
 connected component.  A join is an edge set whose degree is odd exactly at
-the terminals; ``minimum_join`` computes one of minimum cardinality by
-matching terminals along shortest hop paths and taking the symmetric
-difference of the realized paths.
+the terminals; a minimum one is the symmetric difference of shortest hop
+paths along a minimum-cost matching of the terminals.
 
-Each graft solves its terminal matching once, on first use (``Graft.solved``:
-per component the hop tables, the optimum under weight -hop with its duals,
-and ν).  ``nu``, ``minimum_join`` (a tie-break solve on the optimum's tight
-edges, paths from the stored tables) and ``f_distances`` all read it.
+Each graft solves that matching once, on first use (``Graft.solved``: per
+component the hop tables, the optimum under weight -hop with its duals, and
+ν).  ``optimum_join`` realizes the optimum's own pairing, for the decision,
+distances and verifiers, whose output is join-independent; ``minimum_join``
+adds a tie-break solve for the canonical join that commands print.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Contraction, Graph, connected_components, contract
@@ -29,6 +29,7 @@ __all__ = [
     "validate_graft",
     "is_join",
     "minimum_join",
+    "optimum_join",
     "nu",
     "induced_graft",
     "induced_graft_from_join",
@@ -150,16 +151,26 @@ def _shortest_path_edges(
 
 
 def minimum_join(graft: Graft) -> frozenset[int]:
-    """A minimum join of the graft, deterministic for fixed input.
+    """The canonical minimum join, which ``solve`` and ``decompose`` print:
+    per component the lexicographically smallest optimal terminal pairing
+    (``tight_pairing``, a second solve on tight edges), realized as paths."""
+    return _realize(graft, lambda s: tight_pairing(s.cost, s.optimum))
 
-    Per component: pair up the terminals by the canonical minimum-weight
-    perfect matching under hop distance, realize each pair as a canonical
-    shortest path, and XOR the paths, a join of size at most the matching
-    total; no join can be smaller, so the result is exactly minimum.
-    """
+
+def optimum_join(graft: Graft) -> frozenset[int]:
+    """A minimum join realizing each component's stored optimum's own pairing,
+    with no tie-break solve: fixed for a fixed input, but not under vertex or
+    edge reordering.  For callers whose output is the same for every join."""
+    return _realize(graft, lambda s: [
+        (i, j) for i, j in enumerate(s.optimum.mate) if i < j])
+
+
+def _realize(graft: Graft, pairing: Callable) -> frozenset[int]:
+    """XOR of the canonical shortest paths between the rank pairs of each
+    component's ``pairing(solve)``: a join of at most ν edges, so minimum."""
     result: set[int] = set()
     for s in graft.solved:
-        for i, j in tight_pairing(s.cost, s.optimum):
+        for i, j in pairing(s):
             a, b = s.terminals[i], s.terminals[j]
             result ^= _shortest_path_edges(graft.graph, s.hop[a], a, b)
     if len(result) != nu(graft) or not is_join(graft, result):

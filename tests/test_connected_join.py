@@ -10,11 +10,14 @@ from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      MULTIPLE_Q_COMPONENTS, T_OUTSIDE_INITIAL,
                                      EligibilityVerdict, connected_minimum_join,
                                      decide, head_set, is_eligible)
+from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import distance_decomposition
 from connjoin.errors import StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
-from connjoin.tjoin import is_join, minimum_join, validate_graft
+from connjoin.tjoin import is_join, minimum_join, nu, validate_graft
+
+from conftest import sparse_graft
 
 
 def spans_connected(graft, join):
@@ -197,3 +200,42 @@ def test_long_path_scale():
     elapsed = time.perf_counter() - start
     assert d.answer and len(d.join) == 10_000
     assert elapsed < 5.0, f"n = 10^4 path took {elapsed:.2f} s"
+
+
+def relabeled(graft, rng):
+    """An isomorphic copy under random vertex labels and a shuffled edge
+    list, and the vertex map."""
+    label = list(range(graft.graph.n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in graft.graph.edges]
+    rng.shuffle(edges)
+    return (validate_graft(Graph(graft.graph.n, edges),
+                           {label[t] for t in graft.terminals}), label)
+
+
+@pytest.mark.parametrize("family,seed", [
+    (family, seed) for family in ("primal", "tailed", "sparse")
+    for seed in (0, 1, 2)])
+def test_answer_survives_relabeling_and_root_change(family, seed):
+    # Above the oracle's reach.  The join decide holds realizes the base
+    # optimum's own pairing, which follows the input order, so the relabeled
+    # copy usually holds another minimum join: the answer, the stage and the
+    # coverable set must not notice, and no terminal root may change the
+    # answer.
+    if family == "primal":
+        graft = gen_primal(3, 3, seed=seed)[0].graft
+    elif family == "tailed":
+        graft = gen_tailed(2, 4, seed=seed)[0]
+    else:
+        graft = sparse_graft(300, 30, seed)
+    copy, label = relabeled(graft, random.Random(seed))
+    answers = set()
+    for root in sorted(graft.terminals):
+        d, c = decide(graft, root), decide(copy, label[root])
+        assert (c.answer, c.stage) == (d.answer, d.stage), f"root {root}"
+        if d.answer:
+            assert c.coverable == {label[v] for v in d.coverable}
+            assert len(c.join) == nu(copy) and is_join(copy, c.join)
+            assert spans_connected(copy, c.join)
+        answers.add(d.answer)
+    assert len(answers) == 1

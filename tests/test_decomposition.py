@@ -5,6 +5,7 @@ import random
 import pytest
 
 from connjoin import decomposition
+from connjoin.connected_join import head_set, is_eligible
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import (distance_decomposition, is_factor_critical,
                                     is_strong_comb, verify_decomposition)
@@ -13,7 +14,7 @@ from connjoin.errors import (InternalError, StructuralInputError,
                              TheoremViolationError)
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import shortest_path_weight_oracle
-from connjoin.tjoin import minimum_join, validate_graft
+from connjoin.tjoin import minimum_join, optimum_join, validate_graft
 
 from conftest import count_work
 from decomposition_oracle import matchable_deletions, oracle_components
@@ -169,6 +170,38 @@ def test_is_strong_comb():
     assert not is_strong_comb(star, 0, {1, 2})  # 3 not dominated by the teeth
     assert not is_strong_comb(C4, 0, {1, 3})  # dist(0,2) = -2, not 0
     assert not is_strong_comb(star, 1, {1, 2, 3})  # root inside the teeth
+
+
+def without_join_fields(dd):
+    """The decomposition's JSON without beams and join roots."""
+    doc = dd.to_json()
+    for comp in doc["components"]:
+        del comp["beam"], comp["f_root"]
+    return doc
+
+
+def test_outputs_are_the_same_for_every_minimum_join(corpus):
+    # Beams and join roots are the only fields that depend on the join held,
+    # so the decision and the verifier may hold the optimum's own join: the
+    # report, every other field, the verdict and the head sets agree.
+    pairs = 0
+    for case in corpus:
+        graft, own = case.graft, optimum_join(case.graft)
+        for root in sorted(graft.terminals):
+            ref = distance_decomposition(graft, own, root)
+            report = verify_decomposition(graft, own, ref)
+            assert report.ok, f"seed {case.seed} root {root}"
+            verdict = is_eligible(graft, own, root, ref)
+            heads = head_set(graft, ref, verdict) if verdict.eligible else None
+            for join in case.oracle.min_joins:
+                dd = distance_decomposition(graft, join, root)
+                assert verify_decomposition(graft, join, dd) == report
+                assert without_join_fields(dd) == without_join_fields(ref)
+                assert is_eligible(graft, join, root, dd) == verdict
+                if verdict.eligible:
+                    assert head_set(graft, dd, verdict) == heads
+                pairs += 1
+    assert pairs > 4000  # 4,338 join-root pairs
 
 
 def assert_matches_oracle(graft, root, dist=None):

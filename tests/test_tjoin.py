@@ -2,11 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connjoin import tjoin
+from connjoin.cli import format_graft, main
+from connjoin.connected_join import decide
+from connjoin.constructive import gen_primal, is_primal
+from connjoin.decomposition import is_strong_comb
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph
 from connjoin.oracle import all_joins
 from connjoin.tjoin import (Graft, contract_graft, induced_graft, is_join,
-                            minimum_join, nu, validate_graft)
+                            minimum_join, nu, optimum_join, validate_graft)
+
+from conftest import count_work, random_connected_graft
 
 
 @st.composite
@@ -63,15 +70,70 @@ def test_minimum_join_empty_terminals():
 @given(grafts())
 @settings(max_examples=120)
 def test_minimum_join_is_minimum(graft):
-    j = minimum_join(graft)
-    assert is_join(graft, j)
     sizes = [len(f) for f in all_joins(graft)]
-    assert len(j) == (min(sizes) if sizes else 0)
+    for j in (minimum_join(graft), optimum_join(graft)):
+        assert is_join(graft, j)
+        assert len(j) == (min(sizes) if sizes else 0)
 
 
 @given(grafts())
 def test_minimum_join_deterministic(graft):
     assert minimum_join(graft) == minimum_join(graft)
+    assert optimum_join(graft) == optimum_join(graft)
+
+
+class TieBreakReached(Exception):
+    pass
+
+
+def stable_dominating_teeth(graft, root):
+    """A stable set dominating every other vertex, the root included:
+    greedy over V - root, starting at the root's smallest neighbour."""
+    graph = graft.graph
+    teeth: set[int] = set()
+    first = min(u for u, _ in graph.incident(root))
+    for v in [first] + [v for v in range(graph.n) if v not in (root, first)]:
+        if not any(u in teeth for u, _ in graph.incident(v)):
+            teeth.add(v)
+    return teeth
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_connected_graft(74),  # n = 8, k = 6, YES
+    lambda: gen_primal(3, 3, seed=1)[0].graft,  # n = 35, k = 16, YES
+], ids=["corpus", "primal"])
+def test_tie_break_runs_only_where_a_join_is_printed(
+        make, monkeypatch, tmp_path, capsys):
+    # Nothing check, distances, verify, the comb test or the primal test
+    # report depends on which minimum join they hold, so they realize the
+    # stored optimum's own pairing; only the printed joins pay the
+    # tie-break solve.
+    def reached(*args):
+        raise TieBreakReached
+
+    monkeypatch.setattr(tjoin, "tight_pairing", reached)
+    graft = make()
+    path = tmp_path / "g.graft"
+    path.write_text(format_graft(graft))
+    root = min(graft.terminals)
+
+    assert decide(graft).answer
+    for command in ("check", "distances", "verify"):
+        for fmt in ("text", "json"):
+            assert main([command, str(path), "--format", fmt]) == 0
+            assert capsys.readouterr().err == ""
+    assert is_primal(graft, root) in (True, False)
+    fresh = validate_graft(graft.graph, graft.terminals)
+    calls = count_work(monkeypatch)
+    assert is_strong_comb(fresh, root, stable_dominating_teeth(fresh, root)) \
+        in (True, False)
+    assert calls["solves"] == 2  # got past the shape screens: base + search
+
+    with pytest.raises(TieBreakReached):
+        minimum_join(graft)
+    for command in ("solve", "decompose"):
+        with pytest.raises(TieBreakReached):
+            main([command, str(path)])
 
 
 def test_induced_graft_maps_round_trip():
