@@ -299,14 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoJoinError, NotMinimumJoinError, OracleScaleError,
-            StructuralInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, NoJoinError, NotMinimumJoinError, OracleScaleError,
+            StructuralInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, TheoremViolationError) as exc:

@@ -20,9 +20,12 @@ sorts, where storing every vertex set would cost n per level.
 minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
 contractions with tooth degree one — and reports violations instead of
-trusting the construction.  Each induced sub-graft solves its terminal
-matching once: where a layer component has a join root, the minimality of
-the restricted join is the one ``f_distances`` asserts on that solve.
+trusting the construction.  It reads the same merge forest: the build's
+climb gives every component's leaving join edges, a level contraction is
+built from the component's top level alone (its Q components meet only
+through edges inside that level) and a depth contraction from the top level
+plus one blob per depth child.  Only the minimality check induces a
+sub-graft, one per non-cap layer component, solved once.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
-                     StructuralInputError, TheoremViolationError)
+from .errors import (InternalError, NoJoinError, StructuralInputError,
+                     TheoremViolationError)
 from .graph_core import Graph, connected_components
 from .distances import DistanceMap, f_distances
 from .matching import DualState, max_weight_matching
-from .tjoin import (Graft, SubGraft, contract_graft, induced_graft_from_join,
-                    is_join, nu, optimum_join)
+from .tjoin import Graft, induced_graft_from_join, is_join, nu, optimum_join
 
 __all__ = [
     "Component",
@@ -133,15 +135,41 @@ def _find(parent: list[int], v: int) -> int:
 class _Node:
     """A component while the sweep builds it."""
 
-    __slots__ = ("id", "level", "kind", "rank", "top", "children", "parent",
-                 "smallest", "leaving", "is_cap")
+    __slots__ = ("id", "level", "kind", "top", "children", "parent",
+                 "smallest", "is_cap")
 
     def __init__(self, level: int, kind: str, top: list[int]) -> None:
         self.level, self.kind, self.top = level, kind, top  # top: the newcomers
-        self.rank = 2 * level + (kind == LAYER)  # snapshot order, Q first
         self.children: list[_Node] = []  # previous snapshot's nodes inside
-        self.leaving: list[tuple[int, int]] = []  # (join edge, inner end)
         self.parent, self.is_cap = None, False  # parent: a _Node once merged
+
+
+def _rank(comp: _Node | Component) -> int:
+    """Snapshot order, Q before layer: one more at each step up the forest."""
+    return 2 * comp.level + (comp.kind == LAYER)
+
+
+def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
+             parent: list[int | None], rank: list[int],
+             ) -> list[list[tuple[int, int]]]:
+    """The join edges leaving each component, by id, as (edge, inner end).
+
+    An edge leaves exactly the components below its ends' lowest common
+    one, so one climb from the ends' own-level Q components (``home``)
+    finds them all."""
+    leaving: list[list[tuple[int, int]]] = [[] for _ in parent]
+    for e in join:
+        u, v = graph.endpoints(e)
+        a, b = home.get(u), home.get(v)  # both None off the root's component
+        while a != b:
+            ra, rb = rank[a], rank[b]
+            if ra <= rb:
+                leaving[a].append((e, u))
+                a = parent[a]
+            if rb <= ra:
+                leaving[b].append((e, v))
+                b = parent[b]
+    return leaving
 
 
 def _snapshot(uf: list[int], level: int, kind: str, newcomers: Iterable[int],
@@ -181,7 +209,6 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
 
     uf = list(range(graph.n))
     nodes: list[_Node] = []
-    home: dict[int, _Node] = {}  # vertex -> the Q node of its own level
     layers: list[_Node] = []  # the previous level's layer nodes
     for i in interval:
         cross, inner = [], []  # edges into lower levels, edges inside level i
@@ -190,36 +217,26 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
                 if dm[u] is not None and dm[u] <= i:
                     (inner if dm[u] == i else cross).append((u, v))
         qs = _snapshot(uf, i, Q, levels[i], cross, layers)
-        home.update((v, q) for q in qs for v in q.top)
         layers = _snapshot(uf, i, LAYER, levels[i], inner, qs)
         nodes += qs + layers
     nodes.sort(key=lambda c: (c.level, c.smallest, c.kind != LAYER))
     for cid, node in enumerate(nodes):
         node.id = cid
+    parent = [None if c.parent is None else c.parent.id for c in nodes]
+    home = {v: q.id for q in nodes if q.kind == Q for v in q.top}
 
-    node = home[root]
-    while node is not None:  # the root's own nodes are the caps
-        node.is_cap, node = True, node.parent
-    for e in join:
-        u, v = graph.endpoints(e)
-        # e leaves each node below its ends' lowest common node
-        a, b = home.get(u), home.get(v)  # both None off the root's component
-        while a is not b:
-            ra, rb = a.rank, b.rank
-            if ra <= rb:
-                a.leaving.append((e, u))
-                a = a.parent
-            if rb <= ra:
-                b.leaving.append((e, v))
-                b = b.parent
+    cid = home[root]
+    while cid is not None:  # the root's own nodes are the caps
+        nodes[cid].is_cap, cid = True, parent[cid]
+    leaving = _leaving(graph, join, home, parent, [_rank(c) for c in nodes])
 
     components: list[Component] = []
     for node in nodes:
-        if not node.is_cap and len(node.leaving) != 1:
+        if not node.is_cap and len(leaving[node.id]) != 1:
             raise TheoremViolationError(
                 f"component at level {node.level} (smallest vertex {node.smallest})"
-                f" is left by {len(node.leaving)} join edges instead of 1")
-        beam, f_root = (None, None) if node.is_cap else node.leaving[0]
+                f" is left by {len(leaving[node.id])} join edges instead of 1")
+        beam, f_root = (None, None) if node.is_cap else leaving[node.id][0]
         if f_root is not None and dm[f_root] != node.level:
             raise TheoremViolationError(
                 f"join root {f_root} lies below the top level of its component")
@@ -232,12 +249,12 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
             id=node.id, level=node.level, kind=node.kind,
             a_set=frozenset(node.top), is_cap=node.is_cap, beam=beam,
             f_root=f_root, q_children=q_children, d_children=d_children,
-            parent=None if node.parent is None else node.parent.id,
+            parent=parent[node.id],
             _below=tuple(components[d] for d in d_children)))
 
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
-        components=tuple(components), initial_id=home[root].parent.id,
+        components=tuple(components), initial_id=parent[home[root]],
         detached=tuple(c for c in connected_components(graph) if root not in c))
 
 
@@ -314,127 +331,134 @@ def verify_decomposition(
 
     The decomposition is taken as given (its distance map is canonical), so
     feeding a corrupted join here reports violations rather than raising.
+    No check passes over the whole join or the whole graph per component.
     """
     join = frozenset(join)
     graph = graft.graph
+    comps = dd.components
+    home = {v: q.id for q in dd.q_components() for v in q.a_set}
+    leaving = _leaving(graph, join, home, [c.parent for c in comps],
+                       [_rank(c) for c in comps])
     out: list[Violation] = []
 
     def bad(cid: int | None, check: str, message: str) -> None:
         out.append(Violation(cid, check, message))
 
-    for comp in dd.components:
-        crossing = [e for e in join
-                    if (graph.endpoints(e)[0] in comp.vertices)
-                    != (graph.endpoints(e)[1] in comp.vertices)]
+    for comp in comps:
         want = 0 if comp.is_cap else 1
-        if len(crossing) != want:
-            bad(comp.id, "beam-count",
-                f"{len(crossing)} join edges leave the component, expected {want}")
+        if len(leaving[comp.id]) != want:
+            bad(comp.id, "beam-count", f"{len(leaving[comp.id])} join edges"
+                f" leave the component, expected {want}")
 
     for comp in dd.layer_components():
-        if comp.is_cap:
-            continue
-        sub = induced_graft_from_join(graft, join, comp.vertices)
-        inner_join = sub.map_edges(join)
-        minimality = f"restriction has {len(inner_join)} edges, minimum is "
-        if comp.f_root is None:
-            if len(inner_join) != nu(sub.graft):
-                bad(comp.id, "induced-join-minimality", f"{minimality}{nu(sub.graft)}")
-            continue
-        try:  # f_distances asserts that the restriction is minimum
-            inner_dm = f_distances(
-                sub.graft, inner_join, sub.to_sub_vertex[comp.f_root])
-        except NotMinimumJoinError:
-            bad(comp.id, "induced-join-minimality", f"{minimality}{nu(sub.graft)}")
-            continue
-        offset = dd.distance_map[comp.f_root]
-        for v in comp.vertices:
-            inner = inner_dm[sub.to_sub_vertex[v]]
-            if inner is None or dd.distance_map[v] != offset + inner:
-                bad(comp.id, "distance-projection",
-                    f"vertex {v}: outer {dd.distance_map[v]} != "
-                    f"{offset} + inner {inner}")
-                break
+        if not comp.is_cap:
+            _check_restriction(graft, join, dd, comp, bad)
 
     for comp in dd.layer_components():
         if not (comp.is_cap and comp.level != 0):
-            _check_level_contraction(graft, join, dd, comp, bad)
+            _check_level_contraction(graph, join, dd, comp, bad)
 
     for comp in dd.q_components():
-        if not comp.is_cap and comp.d_set:
-            _check_depth_contraction(graft, join, dd, comp, bad)
+        if not comp.is_cap and comp.d_children:
+            _check_depth_contraction(graph, join, dd, comp, home, leaving, bad)
 
-    return DecompositionReport(tuple(out), len(dd.components))
-
-
-def _blob_map(sub: SubGraft, dd: DistanceDecomposition,
-              child_ids: tuple[int, ...]):
-    """Contract the (sub-relabeled) children inside an induced sub-graft."""
-    parts = [sub.map_vertices(dd.component(c).vertices) for c in child_ids]
-    contracted, contraction = contract_graft(sub.graft, parts)
-    blobs = tuple(contraction.vertex_map[min(p)] for p in parts)
-    return contracted, contraction, blobs
+    return DecompositionReport(tuple(out), len(comps))
 
 
-def _check_level_contraction(graft, join, dd, comp, bad) -> None:
+def _check_restriction(graft, join, dd, comp, bad) -> None:
+    """The join restricted to a non-cap layer component must be a minimum
+    join of the induced sub-graft, whose distances from the join root are
+    the outer ones shifted by the root's level."""
+    sub = induced_graft_from_join(graft, join, comp.vertices)
+    inner_join = frozenset(i for e, i in sub.to_sub_edge.items() if e in join)
+    if len(inner_join) != nu(sub.graft):
+        bad(comp.id, "induced-join-minimality", f"restriction has"
+            f" {len(inner_join)} edges, minimum is {nu(sub.graft)}")
+        return
+    inner_dm = f_distances(sub.graft, inner_join, sub.to_sub_vertex[comp.f_root])
+    offset = dd.distance_map[comp.f_root]
+    for v in comp.vertices:
+        inner = inner_dm[sub.to_sub_vertex[v]]
+        if inner is None or dd.distance_map[v] != offset + inner:
+            bad(comp.id, "distance-projection",
+                f"vertex {v}: outer {dd.distance_map[v]} != "
+                f"{offset} + inner {inner}")
+            return
+
+
+def _contraction(graph: Graph, join: frozenset[int], top: Iterable[int],
+                 image: dict[int, int], n: int) -> tuple[Graft, dict[int, int]]:
+    """The graft on ``n`` blobs keeping, in edge order, each edge at ``top``
+    whose ends have distinct images; a blob is a terminal iff an odd number
+    of kept join edges meet it, the parity contraction preserves.  Also
+    returns the map from kept edges to their new ids."""
+    kept = sorted({e for v in top for u, e in graph.incident(v)
+                   if u in image and image[u] != image[v]})
+    edges = [(image[u], image[v]) for u, v in map(graph.endpoints, kept)]
+    odd: set[int] = set()
+    for e, ends in zip(kept, edges):
+        if e in join:
+            odd ^= set(ends)
+    return (Graft(Graph(n, edges), frozenset(odd)),
+            {e: i for i, e in enumerate(kept)})
+
+
+def _check_level_contraction(graph, join, dd, comp, bad) -> None:
     """Collapsing each same-level Q component of a layer component must give
     a factor-critical graft rooted at the join root's blob, on which the
-    join's top-level edges form a near-perfect matching."""
-    anchor = dd.root if comp.is_cap else comp.f_root
-    sub = induced_graft_from_join(graft, join, comp.vertices)
-    contracted, contraction, blobs = _blob_map(sub, dd, comp.q_children)
-    root_blob = contraction.vertex_map[sub.to_sub_vertex[anchor]]
+    join's top-level edges form a near-perfect matching.  Those Q components
+    meet only through edges inside the top level, so only these are read."""
+    blob = {v: i for i, q in enumerate(comp.q_children)
+            for v in dd.component(q).a_set}
+    contracted, new_id = _contraction(graph, join, comp.a_set, blob,
+                                      len(comp.q_children))
+    root_blob = blob[dd.root if comp.is_cap else comp.f_root]
+    others = frozenset(range(contracted.n)) - {root_blob}
     if not is_factor_critical(contracted.graph):
         bad(comp.id, "factor-critical-contraction",
             "level contraction is not factor-critical")
         return
-    if contracted.terminals != frozenset(range(contracted.graph.n)) - {root_blob}:
+    if contracted.terminals != others:
         bad(comp.id, "factor-critical-contraction",
             "level contraction terminals differ from all-but-root")
         return
-    top_edges = [e for e in join
-                 if graft.graph.endpoints(e)[0] in comp.a_set
-                 and graft.graph.endpoints(e)[1] in comp.a_set]
-    matched: set[int] = set()
-    ok = True
-    for e in top_edges:
-        se = sub.to_sub_edge[e]
-        ce = contraction.edge_map.get(se)
-        if ce is None:
-            ok = False  # edge vanished inside one blob
-            break
-        u, v = contracted.graph.endpoints(ce)
-        if u in matched or v in matched:
-            ok = False
-            break
-        matched.update((u, v))
-    if not (ok and matched == frozenset(range(contracted.graph.n)) - {root_blob}):
-        bad(comp.id, "near-perfect-matching",
-            "top-level join edges do not match all non-root blobs exactly once")
+    top_join = {e for v in comp.a_set for u, e in graph.incident(v)
+                if u in blob and e in join}
+    if top_join <= new_id.keys():  # else an edge vanished inside one blob
+        ends = [x for e in top_join for x in contracted.graph.endpoints(new_id[e])]
+        if len(ends) == len(others) and set(ends) == others:
+            return
+    bad(comp.id, "near-perfect-matching",
+        "top-level join edges do not match all non-root blobs exactly once")
 
 
-def _check_depth_contraction(graft, join, dd, comp, bad) -> None:
+def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
     """Collapsing each child of a non-cap Q component must give a strong comb
-    rooted at the join root, whose minimum join is the set of child beams,
-    with every tooth met exactly once."""
-    sub = induced_graft_from_join(graft, join, comp.vertices)
-    contracted, contraction, blobs = _blob_map(sub, dd, comp.d_children)
-    root_blob = contraction.vertex_map[sub.to_sub_vertex[comp.f_root]]
-    child_beams = [e for e in join
-                   if (graft.graph.endpoints(e)[0] in comp.d_set)
-                   != (graft.graph.endpoints(e)[1] in comp.d_set)]
-    if any(e not in sub.to_sub_edge for e in child_beams):
+    rooted at the join root, whose minimum join is the set of child beams
+    (the children's leaving edges), with every tooth met exactly once.  The
+    graft is read from the top level: a lower neighbour lies in the child
+    reached by climbing from its own-level Q component."""
+    top = sorted(comp.a_set)
+    image = {v: i for i, v in enumerate(top)}
+    teeth = {c: len(top) + i for i, c in enumerate(comp.d_children)}
+    for v in top:
+        for u, _ in graph.incident(v):
+            if dd.distance_map[u] < comp.level:
+                child = dd.component(home[u])
+                while _rank(child) < _rank(comp) - 1:
+                    child = dd.component(child.parent)
+                if child.parent == comp.id:
+                    image[u] = teeth[child.id]
+    contracted, new_id = _contraction(graph, join, top, image,
+                                      len(top) + len(teeth))
+    beams = [e for c in comp.d_children for e, _ in leaving[c]]
+    if any(e not in new_id for e in beams):
         bad(comp.id, "comb-join",
             "a join edge leaves the depth set without staying inside "
             "the component")
         return
-    mapped = frozenset(
-        contraction.edge_map[sub.to_sub_edge[e]] for e in child_beams
-        if sub.to_sub_edge[e] in contraction.edge_map)
-    if len(mapped) != len(child_beams):
-        bad(comp.id, "comb-join", "a child beam vanished under contraction")
-        return
-    if not is_strong_comb(contracted, root_blob, blobs):
+    mapped = frozenset(new_id[e] for e in beams)
+    if not is_strong_comb(contracted, image[comp.f_root], teeth.values()):
         bad(comp.id, "strong-comb",
             "depth contraction is not a strong comb")
         return
@@ -442,11 +466,6 @@ def _check_depth_contraction(graft, join, dd, comp, bad) -> None:
         bad(comp.id, "comb-join",
             "child beams are not a minimum join of the depth contraction")
         return
-    degree: dict[int, int] = {b: 0 for b in blobs}
-    for e in mapped:
-        for v in contracted.graph.endpoints(e):
-            if v in degree:
-                degree[v] += 1
-    if any(d != 1 for d in degree.values()):
+    if any(len(leaving[c]) != 1 for c in comp.d_children):
         bad(comp.id, "tooth-degree",
             "a tooth is met by a number of join edges other than one")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 class StructuralInputError(ValueError):
     """An argument violates a structural precondition (bad vertex id,
-    odd point count, overlapping contraction parts, and so on)."""
+    odd point count, and so on)."""
 
 
 class NoJoinError(ValueError):

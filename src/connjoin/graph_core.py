@@ -7,8 +7,7 @@ silently at construction; ``loops_stripped`` counts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import StructuralInputError
 
@@ -50,26 +49,12 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def endpoints(self, e: EdgeId) -> tuple[int, int]:
         return self.edges[e]
 
     def incident(self, v: VertexId) -> tuple[tuple[int, int], ...]:
         """Pairs ``(neighbor, edge_id)`` sorted by (neighbor, edge_id)."""
         return self._adj[v]
-
-    def degree(self, v: VertexId) -> int:
-        return len(self._adj[v])
-
-    def other_end(self, e: EdgeId, v: VertexId) -> VertexId:
-        u, w = self.edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise StructuralInputError(f"vertex {v} is not an end of edge {e}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)
@@ -91,7 +76,7 @@ def connected_components(
     vertices) after deleting ``removed_edges``, ordered by smallest member."""
     if vertex_set is None:
         inside = [True] * graph.n
-        verts: Iterable[int] = graph.vertices()
+        verts: Iterable[int] = range(graph.n)
     else:
         inside = [False] * graph.n
         verts = sorted(set(vertex_set))
@@ -117,71 +102,3 @@ def connected_components(
                     stack.append(w)
         out.append(frozenset(comp))
     return tuple(out)
-
-
-def cut(graph: Graph, vertex_set: Iterable[int]) -> frozenset[int]:
-    """Edge ids with exactly one endpoint in ``vertex_set``."""
-    xs = set(vertex_set)
-    for v in xs:
-        if not (0 <= v < graph.n):
-            raise StructuralInputError(f"vertex {v} out of range")
-    return frozenset(
-        e for e, (u, v) in enumerate(graph.edges) if (u in xs) != (v in xs))
-
-
-@dataclass(frozen=True)
-class Contraction:
-    """Result of contracting a family of vertex sets.
-
-    ``vertex_map`` sends every old vertex to its new id; ``edge_map`` sends
-    every surviving old edge id to its new id (edges inside a part vanish),
-    which lets callers translate joins and terminal sets.
-    """
-
-    graph: Graph
-    vertex_map: dict[int, int]
-    edge_map: dict[int, int]
-
-
-def contract(graph: Graph, family: Iterable[Iterable[int]]) -> Contraction:
-    """Collapse each member of ``family`` (disjoint vertex sets) to a single
-    new vertex.  Parallel edges between parts are retained; edges inside a
-    part disappear.  Untouched vertices come first in ascending order, then
-    one vertex per part in order of smallest member."""
-    parts = [sorted(set(p)) for p in family]
-    part_of = [-1] * graph.n
-    for i, p in enumerate(parts):
-        if not p:
-            raise StructuralInputError("cannot contract an empty part")
-        for v in p:
-            if not (0 <= v < graph.n):
-                raise StructuralInputError(f"vertex {v} out of range")
-            if part_of[v] != -1:
-                raise StructuralInputError(
-                    f"vertex {v} appears in two contraction parts")
-            part_of[v] = i
-    parts_order = sorted(range(len(parts)), key=lambda i: parts[i][0])
-    vertex_map: dict[int, int] = {}
-    nxt = 0
-    for v in range(graph.n):
-        if part_of[v] == -1:
-            vertex_map[v] = nxt
-            nxt += 1
-    for i in parts_order:
-        for v in parts[i]:
-            vertex_map[v] = nxt
-        nxt += 1
-    new_edges: list[tuple[int, int]] = []
-    edge_map: dict[int, int] = {}
-    for e, (u, v) in enumerate(graph.edges):
-        nu, nv = vertex_map[u], vertex_map[v]
-        if nu == nv:
-            continue
-        edge_map[e] = len(new_edges)
-        new_edges.append((nu, nv))
-    return Contraction(Graph(nxt, new_edges), vertex_map, edge_map)
-
-
-def iter_edge_set(graph: Graph, edge_ids: Iterable[int]) -> Iterator[tuple[int, int]]:
-    for e in edge_ids:
-        yield graph.edges[e]

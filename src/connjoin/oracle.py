@@ -3,8 +3,8 @@
 Every claim the fast pipeline makes is checkable here by brute force:
 ``oracle_report`` enumerates all joins of a graft (the set of joins is one
 base join XORed with the cycle space, so enumeration walks 2^dim cycle
-combinations instead of 2^m edge subsets whenever the dimension is small),
-finds the minimum size, and tests each minimum join for connectivity.
+combinations, never more than the 2^m edge subsets), finds the minimum
+size, and tests each minimum join for connectivity.
 
 Size guards raise rather than degrade: an oracle that silently samples
 would be worthless as a referee.
@@ -22,7 +22,6 @@ from .graph_core import Graph, connected_components
 from .tjoin import Graft, is_join
 
 MAX_ORACLE_EDGES = 20
-MAX_CYCLE_DIMENSION = 14
 MAX_ENUMERATION_VERTICES = 12
 
 __all__ = [
@@ -96,9 +95,8 @@ def _base_join(graft: Graft) -> frozenset[int]:
 def all_joins(graft: Graft) -> list[frozenset[int]]:
     """Every join of the graft, deterministically ordered.
 
-    Joins form a coset of the cycle space: if the fundamental-cycle dimension
-    m - n + c exceeds the guard we fall back to raw subset enumeration, and
-    either way m itself is hard-capped.
+    Joins form a coset of the cycle space, so the base join is XORed with
+    each combination of the m - n + c fundamental cycles; m is hard-capped.
     """
     graph = graft.graph
     m = graph.m
@@ -106,29 +104,22 @@ def all_joins(graft: Graft) -> list[frozenset[int]]:
         raise OracleScaleError(
             f"oracle handles at most {MAX_ORACLE_EDGES} edges, got {m}")
     dim = m - graph.n + len(connected_components(graph))
+    parent_edge, parent_vertex, non_tree = _spanning_forest(graph)
+    if len(non_tree) != dim:
+        raise InternalError("cycle-space dimension miscount")
+    cycles: list[frozenset[int]] = []
+    for e in non_tree:
+        u, v = graph.endpoints(e)
+        cycles.append(frozenset(
+            _tree_path(parent_edge, parent_vertex, u, v) ^ {e}))
+    base = _base_join(graft)
     out: list[frozenset[int]] = []
-    if 0 <= dim <= MAX_CYCLE_DIMENSION:
-        parent_edge, parent_vertex, non_tree = _spanning_forest(graph)
-        if len(non_tree) != dim:
-            raise InternalError("cycle-space dimension miscount")
-        cycles: list[frozenset[int]] = []
-        for e in non_tree:
-            u, v = graph.endpoints(e)
-            cycles.append(frozenset(
-                _tree_path(parent_edge, parent_vertex, u, v) ^ {e}))
-        base = _base_join(graft)
-        for mask in range(1 << dim):
-            j = set(base)
-            for i in range(dim):
-                if mask >> i & 1:
-                    j ^= cycles[i]
-            out.append(frozenset(j))
-    else:
-        edge_ids = list(range(m))
-        for mask in range(1 << m):
-            j = frozenset(e for e in edge_ids if mask >> e & 1)
-            if is_join(graft, j):
-                out.append(j)
+    for mask in range(1 << dim):
+        j = set(base)
+        for i in range(dim):
+            if mask >> i & 1:
+                j ^= cycles[i]
+        out.append(frozenset(j))
     for j in out:
         if not is_join(graft, j):
             raise InternalError("oracle produced a non-join")

@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
-from .graph_core import Contraction, Graph, connected_components, contract
+from .graph_core import Graph, connected_components
 from .matching import DualState, matched_total, perfect_optimum, tight_pairing
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "nu",
     "induced_graft",
     "induced_graft_from_join",
-    "contract_graft",
 ]
 
 
@@ -62,10 +61,8 @@ class Graft:
     def solved(self) -> tuple[TerminalSolve, ...]:
         """The solved terminal matching of each component holding terminals,
         built on first read; ``NoJoinError`` if a component's count is odd."""
-        validate_graft(self.graph, self.terminals)
-        parts = (sorted(self.terminals & c) for c in connected_components(self.graph))
         return tuple(TerminalSolve.of(p, {s: _hop_distances(self.graph, s) for s in p})
-                     for p in parts if p)
+                     for p in _terminal_parts(self.graph, self.terminals) if p)
 
 
 @dataclass(frozen=True)
@@ -95,12 +92,22 @@ def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:
     offending component is reported by its smallest vertex.
     """
     g = Graft(graph, frozenset(terminals))
+    _terminal_parts(graph, g.terminals)
+    return g
+
+
+def _terminal_parts(graph: Graph, terminals: frozenset[int]) -> list[list[int]]:
+    """The sorted terminals of each component, in ``connected_components``
+    order; ``NoJoinError`` at the first component holding an odd number."""
+    parts = []
     for comp in connected_components(graph):
-        if len(g.terminals & comp) % 2 != 0:
+        part = sorted(terminals & comp)
+        if len(part) % 2 != 0:
             raise NoJoinError(
                 f"component containing vertex {min(comp)} has an odd number "
-                f"of terminals ({len(g.terminals & comp)})")
-    return g
+                f"of terminals ({len(part)})")
+        parts.append(part)
+    return parts
 
 
 def is_join(graft: Graft, edges: Iterable[int]) -> bool:
@@ -193,9 +200,6 @@ class SubGraft:
     to_sub_edge: dict[int, int] = field(repr=False)
     to_parent_edge: tuple[int, ...] = field(repr=False)
 
-    def map_vertices(self, vertices: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.to_sub_vertex[v] for v in vertices)
-
     def map_edges(self, edges: Iterable[int]) -> frozenset[int]:
         """Parent edge ids → sub edge ids; edges not inside are dropped."""
         return frozenset(
@@ -226,35 +230,14 @@ def induced_graft(graft: Graft, vertices: Iterable[int]) -> SubGraft:
 
 
 def induced_graft_from_join(
-    graft: Graft, join: Iterable[int], vertices: Iterable[int],
+    graft: Graft, join: AbstractSet[int], vertices: Iterable[int],
 ) -> SubGraft:
     """Sub-graft on ``vertices`` whose terminals are the vertices with odd
     degree in the restriction of ``join`` — the terminal set under which the
-    restricted join has correct parity."""
+    restricted join has correct parity.  Reads only the edges inside."""
     g, vmap, vback, emap, eback = _induced(graft.graph, vertices)
     odd: set[int] = set()
-    for e in set(join):
-        if e in emap:
-            u, v = g.endpoints(emap[e])
-            odd ^= {u, v}
+    for e, i in emap.items():
+        if e in join:
+            odd ^= set(g.endpoints(i))
     return SubGraft(Graft(g, frozenset(odd)), vmap, vback, emap, eback)
-
-
-def contract_graft(
-    graft: Graft, family: Iterable[Iterable[int]],
-) -> tuple[Graft, Contraction]:
-    """Contract each family member; a contracted blob is a terminal iff it
-    swallowed an odd number of terminals (parity of joins is preserved)."""
-    parts = [frozenset(p) for p in family]
-    contraction = contract(graft.graph, parts)
-    swallowed: set[int] = set()
-    new_t: set[int] = set()
-    for part in parts:
-        blob = contraction.vertex_map[min(part)]
-        swallowed.update(part)
-        if len(graft.terminals & part) % 2 != 0:
-            new_t.add(blob)
-    for v in graft.terminals:
-        if v not in swallowed:
-            new_t.add(contraction.vertex_map[v])
-    return Graft(contraction.graph, frozenset(new_t)), contraction

@@ -1,6 +1,7 @@
 """Layered decomposition: frozen small goldens plus the self-check route."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from connjoin.distances import DistanceMap
 from connjoin.errors import (InternalError, StructuralInputError,
                              TheoremViolationError)
 from connjoin.graph_core import Graph, connected_components
-from connjoin.oracle import shortest_path_weight_oracle
+from connjoin.oracle import enumerate_circuits, shortest_path_weight_oracle
 from connjoin.tjoin import minimum_join, optimum_join, validate_graft
 
 from conftest import count_work
@@ -107,6 +108,46 @@ def test_verify_reports_non_minimum_restriction():
     assert [(v.component_id, v.message) for v in found] == [
         (4, "restriction has 3 edges, minimum is 2")]
     assert dd.component(4).f_root is not None
+
+
+def test_verify_golden_on_corrupted_joins(corpus):
+    # Each corpus graft at its default root, checked against its minimum
+    # join and against that join XOR each circuit (a join again, mostly not
+    # minimum): the totals are pinned, so a verifier rewrite that drops or
+    # adds a violation anywhere shows here.
+    reports, found = 0, Counter()
+    for case in corpus:
+        graft = case.graft
+        join = minimum_join(graft)
+        dd = distance_decomposition(graft, join, min(graft.terminals, default=0))
+        for circuit in [frozenset()] + enumerate_circuits(graft.graph):
+            report = verify_decomposition(graft, join ^ circuit, dd)
+            found.update(v.check for v in report.violations)
+            reports += 1
+    assert reports == 7576
+    assert found == {
+        "beam-count": 10860, "near-perfect-matching": 3314,
+        "induced-join-minimality": 853, "factor-critical-contraction": 729,
+        "distance-projection": 407, "strong-comb": 276, "comb-join": 108}
+
+
+@pytest.mark.parametrize("family", ["path", "primal"])
+def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
+    if family == "path":
+        graft = validate_graft(
+            Graph(300, [(v, v + 1) for v in range(299)]), {0, 299})
+        root = 0
+    else:
+        witness, _ = gen_primal(3, 3)
+        graft, root = witness.graft, witness.root
+    join = optimum_join(graft)
+    dd = distance_decomposition(graft, join, root)
+    calls = []
+    induce = decomposition.induced_graft_from_join
+    monkeypatch.setattr(decomposition, "induced_graft_from_join",
+                        lambda *args: calls.append(args) or induce(*args))
+    assert verify_decomposition(graft, join, dd).ok
+    assert len(calls) == sum(1 for c in dd.layer_components() if not c.is_cap)
 
 
 def test_beam_counts(corpus):

@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from connjoin.errors import StructuralInputError
-from connjoin.graph_core import (Graph, connected_components, contract, cut,
-                                 iter_edge_set)
+from connjoin.graph_core import Graph, connected_components
 
 
 @st.composite
@@ -20,9 +19,6 @@ def test_basic_accessors():
     g = Graph(4, [(0, 1), (1, 2), (1, 2), (3, 0)])
     assert g.n == 4 and g.m == 4
     assert g.endpoints(2) == (1, 2)
-    assert g.degree(1) == 3
-    assert g.other_end(3, 0) == 3
-    assert list(iter_edge_set(g, [3, 0])) == [(3, 0), (0, 1)]
     # incidence lists are sorted for deterministic traversal
     assert g.incident(1) == ((0, 0), (2, 1), (2, 2))
 
@@ -50,33 +46,6 @@ def test_components_with_restrictions():
         frozenset({0, 1}), frozenset({2}), frozenset({3, 4}), frozenset({5}))
 
 
-def test_cut_golden():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert cut(g, {0, 1}) == frozenset({1, 3, 4})
-    assert cut(g, {}) == frozenset()
-    assert cut(g, range(4)) == frozenset()
-
-
-def test_contract_golden():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
-    c = contract(g, [{1, 2}, {3, 4}])
-    # untouched vertex 0 first, then one vertex per part
-    assert c.vertex_map == {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}
-    assert c.graph.n == 3
-    # inner edges 1 and 3 vanish
-    assert sorted(c.edge_map) == [0, 2, 4, 5]
-    assert [c.graph.endpoints(c.edge_map[e]) for e in (0, 2, 4, 5)] == [
-        (0, 1), (1, 2), (2, 0), (1, 2)]
-
-
-def test_contract_rejects_overlap_and_empty():
-    g = Graph(3, [(0, 1)])
-    with pytest.raises(StructuralInputError):
-        contract(g, [{0, 1}, {1, 2}])
-    with pytest.raises(StructuralInputError):
-        contract(g, [set()])
-
-
 @given(graphs())
 def test_components_partition_vertices(g):
     comps = connected_components(g)
@@ -84,18 +53,3 @@ def test_components_partition_vertices(g):
     assert sorted(seen) == list(range(g.n))
     # ordered by smallest member
     assert [min(c) for c in comps] == sorted(min(c) for c in comps)
-
-
-@given(graphs(), st.sets(st.integers(0, 7)))
-def test_cut_edges_have_one_end_inside(g, xs):
-    xs = {v for v in xs if v < g.n}
-    for e in cut(g, xs):
-        u, v = g.endpoints(e)
-        assert (u in xs) != (v in xs)
-
-
-@given(graphs())
-def test_contract_all_vertices_to_one(g):
-    c = contract(g, [range(g.n)])
-    assert c.graph.n == 1 and c.graph.m == 0
-    assert c.edge_map == {}

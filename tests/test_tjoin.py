@@ -10,8 +10,8 @@ from connjoin.decomposition import is_strong_comb
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph
 from connjoin.oracle import all_joins
-from connjoin.tjoin import (Graft, contract_graft, induced_graft, is_join,
-                            minimum_join, nu, optimum_join, validate_graft)
+from connjoin.tjoin import (Graft, induced_graft, is_join, minimum_join, nu,
+                            optimum_join, validate_graft)
 
 from conftest import count_work, random_connected_graft
 
@@ -141,19 +141,9 @@ def test_induced_graft_maps_round_trip():
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]), {1, 3})
     sub = induced_graft(g, {1, 2, 3})
     assert sub.graft.graph.n == 3
-    assert sub.map_vertices({1, 3}) == sub.graft.terminals
+    assert {sub.to_sub_vertex[v] for v in (1, 3)} == sub.graft.terminals
     inner = sub.map_edges({1, 2, 4})
     assert sub.unmap_edges(inner) == frozenset({1, 2, 4})
     # edge 0 leaves the set and has no image
     assert sub.map_edges({0}) == frozenset()
 
-
-def test_contract_graft_parity():
-    # collapsing {1,2} with one terminal inside keeps the image terminal
-    g = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3)]), {1, 3})
-    contracted, c = contract_graft(g, [{1, 2}])
-    assert contracted.graph.n == 3
-    assert contracted.terminals == {c.vertex_map[1], c.vertex_map[3]}
-    # collapsing both terminals cancels the pair
-    both, _ = contract_graft(g, [{1, 3}])
-    assert both.terminals == frozenset()
