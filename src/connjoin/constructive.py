@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .distances import f_distances
 from .errors import InternalError, StructuralInputError
-from .graph_core import Graph
+from .graph_core import Graph, is_stable_dominating
 from .tjoin import Graft, optimum_join
 
 RAKE = "RAKE"
@@ -116,14 +116,7 @@ def is_rake(graft: Graft, r: int, teeth: Iterable[int]) -> bool:
         return False
     if r in teeth or r not in range(g.n):
         return False
-    outside = frozenset(range(g.n)) - teeth
-    neighbors_of_teeth: set[int] = set()
-    for b in teeth:
-        for u, _ in g.incident(b):
-            if u in teeth:  # stability
-                return False
-            neighbors_of_teeth.add(u)
-    if neighbors_of_teeth != outside:
+    if not is_stable_dominating(g, teeth):
         return False
     # Exactly one head edge per tooth: a parallel pair would give the tooth
     # even degree in the head star, so the star could not be the join that

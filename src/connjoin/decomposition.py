@@ -10,36 +10,36 @@ root*) sits on the component's top level.
 The components form a laminar merge forest, built by one upward union-find
 sweep: each is a node adopting the previous snapshot's components merged
 into it.  A node stores only its top level (``a_set``, at most 2n vertex
-references in all); ``vertices`` and ``d_set`` are built from the depth
-children on first read and cached.  A join edge leaves exactly the nodes
-below its endpoints' lowest common node, so beams take one pass over the
-join.  The build costs O(n + m) beside the union-find and the per-level
-sorts, where storing every vertex set would cost n per level.
+references in all); ``vertices`` and ``d_set`` walk the depth descendants on
+each read and are never stored.  A join edge leaves exactly the nodes below
+its endpoints' lowest common node, so beams take one pass over the join.
+The build costs O(n + m) beside the union-find and the per-level sorts,
+where storing every vertex set would cost n per level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
 contractions with tooth degree one — and reports violations instead of
 trusting the construction.  It reads the same merge forest: the build's
-climb gives every component's leaving join edges, a level contraction is
-built from the component's top level alone (its Q components meet only
-through edges inside that level) and a depth contraction from the top level
-plus one blob per depth child.  Only the minimality check induces a
-sub-graft, one per non-cap layer component, solved once.
+climb gives every component's leaving join edges.  Every graft it checks
+comes from one routine, ``_contraction``, under a vertex map: the induced
+sub-graft of a non-cap layer component under its rank map (one per such
+component, solved once), a level contraction from the component's top
+level alone (its Q components meet only through edges inside that level)
+and a depth contraction from the top level plus one blob per depth child.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
-from .graph_core import Graph, connected_components
+from .graph_core import Graph, connected_components, is_stable_dominating
 from .distances import DistanceMap, f_distances
 from .matching import DualState, max_weight_matching
-from .tjoin import Graft, induced_graft_from_join, is_join, nu, optimum_join
+from .tjoin import Graft, is_join, nu, optimum_join
 
 __all__ = [
     "Component",
@@ -70,21 +70,22 @@ class Component:
     parent: int | None  # the next snapshot's component holding this one
     _below: tuple[Component, ...] = field(repr=False, compare=False)  # d_children
 
-    @cached_property
+    @property
     def vertices(self) -> frozenset[int]:
-        """``a_set`` plus the depth children's vertices, built on first read.
-        Uncached descendants are filled deepest first, so no read recurses."""
-        todo = [self]
-        for comp in todo:
-            todo.extend(c for c in comp._below if "vertices" not in c.__dict__)
-        for comp in reversed(todo[1:]):
-            comp.vertices  # caches it from its children, cached already
-        return self.a_set.union(*(c.vertices for c in self._below))
+        """The component's vertices, walked on each read."""
+        return self.a_set | self.d_set
 
-    @cached_property
+    @property
     def d_set(self) -> frozenset[int]:
-        """Vertices strictly below ``level``."""
-        return self.vertices - self.a_set
+        """Vertices strictly below ``level``: the depth descendants' top
+        levels, walked on each read without recursion."""
+        below: set[int] = set()
+        todo = list(self._below)
+        while todo:
+            comp = todo.pop()
+            below |= comp.a_set
+            todo += comp._below
+        return frozenset(below)
 
     def to_json(self) -> dict:
         doc = {k: getattr(self, k)
@@ -278,16 +279,7 @@ def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:
             raise StructuralInputError(f"tooth {v} is not a vertex")
     if not (0 <= root < graph.n):
         raise StructuralInputError(f"root {root} is not a vertex")
-    if root in teeth or not teeth:
-        return False
-    outside = frozenset(range(graph.n)) - teeth
-    dominated: set[int] = set()
-    for b in teeth:
-        for u, _ in graph.incident(b):
-            if u in teeth:  # stability
-                return False
-            dominated.add(u)
-    if dominated != outside:
+    if root in teeth or not teeth or not is_stable_dominating(graph, teeth):
         return False
     try:
         dm = f_distances(graft, optimum_join(graft), root)
@@ -352,7 +344,7 @@ def verify_decomposition(
 
     for comp in dd.layer_components():
         if not comp.is_cap:
-            _check_restriction(graft, join, dd, comp, bad)
+            _check_restriction(graph, join, dd, comp, bad)
 
     for comp in dd.layer_components():
         if not (comp.is_cap and comp.level != 0):
@@ -365,20 +357,23 @@ def verify_decomposition(
     return DecompositionReport(tuple(out), len(comps))
 
 
-def _check_restriction(graft, join, dd, comp, bad) -> None:
+def _check_restriction(graph, join, dd, comp, bad) -> None:
     """The join restricted to a non-cap layer component must be a minimum
     join of the induced sub-graft, whose distances from the join root are
-    the outer ones shifted by the root's level."""
-    sub = induced_graft_from_join(graft, join, comp.vertices)
-    inner_join = frozenset(i for e, i in sub.to_sub_edge.items() if e in join)
-    if len(inner_join) != nu(sub.graft):
+    the outer ones shifted by the root's level.  Vertices are read in
+    order, so the smallest offending one is named."""
+    verts = sorted(comp.vertices)
+    image = {v: i for i, v in enumerate(verts)}
+    sub, new_id = _contraction(graph, join, verts, image, len(verts))
+    inner_join = frozenset(i for e, i in new_id.items() if e in join)
+    if len(inner_join) != nu(sub):
         bad(comp.id, "induced-join-minimality", f"restriction has"
-            f" {len(inner_join)} edges, minimum is {nu(sub.graft)}")
+            f" {len(inner_join)} edges, minimum is {nu(sub)}")
         return
-    inner_dm = f_distances(sub.graft, inner_join, sub.to_sub_vertex[comp.f_root])
+    inner_dm = f_distances(sub, inner_join, image[comp.f_root])
     offset = dd.distance_map[comp.f_root]
-    for v in comp.vertices:
-        inner = inner_dm[sub.to_sub_vertex[v]]
+    for v in verts:
+        inner = inner_dm[image[v]]
         if inner is None or dd.distance_map[v] != offset + inner:
             bad(comp.id, "distance-projection",
                 f"vertex {v}: outer {dd.distance_map[v]} != "
@@ -390,8 +385,10 @@ def _contraction(graph: Graph, join: frozenset[int], top: Iterable[int],
                  image: dict[int, int], n: int) -> tuple[Graft, dict[int, int]]:
     """The graft on ``n`` blobs keeping, in edge order, each edge at ``top``
     whose ends have distinct images; a blob is a terminal iff an odd number
-    of kept join edges meet it, the parity contraction preserves.  Also
-    returns the map from kept edges to their new ids."""
+    of kept join edges meet it, the parity contraction preserves.  Under an
+    injective image on ``top`` this is the sub-graft induced on ``top``,
+    terminals where the restricted join has odd degree.  Also returns the
+    map from kept edges to their new ids."""
     kept = sorted({e for v in top for u, e in graph.incident(v)
                    if u in image and image[u] != image[v]})
     edges = [(image[u], image[v]) for u, v in map(graph.endpoints, kept)]

@@ -102,3 +102,15 @@ def connected_components(
                     stack.append(w)
         out.append(frozenset(comp))
     return tuple(out)
+
+
+def is_stable_dominating(graph: Graph, teeth: frozenset[int]) -> bool:
+    """True iff no edge joins two of ``teeth`` (vertices of ``graph``) and
+    every other vertex has a neighbour among them."""
+    seen: set[int] = set()
+    for b in teeth:
+        for u, _ in graph.incident(b):
+            if u in teeth:
+                return False
+            seen.add(u)
+    return len(seen) == graph.n - len(teeth)

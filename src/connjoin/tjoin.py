@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable
+from typing import Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Graph, connected_components
@@ -25,14 +25,11 @@ from .matching import DualState, matched_total, perfect_optimum, tight_pairing
 
 __all__ = [
     "Graft",
-    "SubGraft",
     "validate_graft",
     "is_join",
     "minimum_join",
     "optimum_join",
     "nu",
-    "induced_graft",
-    "induced_graft_from_join",
 ]
 
 
@@ -188,56 +185,3 @@ def _realize(graft: Graft, pairing: Callable) -> frozenset[int]:
 def nu(graft: Graft) -> int:
     """Size of a minimum join."""
     return sum(s.nu for s in graft.solved)
-
-
-@dataclass(frozen=True)
-class SubGraft:
-    """An induced sub-graft together with the relabeling maps."""
-
-    graft: Graft
-    to_sub_vertex: dict[int, int] = field(repr=False)
-    to_parent_vertex: tuple[int, ...] = field(repr=False)
-    to_sub_edge: dict[int, int] = field(repr=False)
-    to_parent_edge: tuple[int, ...] = field(repr=False)
-
-    def map_edges(self, edges: Iterable[int]) -> frozenset[int]:
-        """Parent edge ids → sub edge ids; edges not inside are dropped."""
-        return frozenset(
-            self.to_sub_edge[e] for e in edges if e in self.to_sub_edge)
-
-    def unmap_edges(self, edges: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.to_parent_edge[e] for e in edges)
-
-
-def _induced(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, dict, tuple, dict, tuple]:
-    inside = sorted(set(vertices))
-    for v in inside:
-        if not (0 <= v < graph.n):
-            raise StructuralInputError(f"vertex {v} is not in the graph")
-    vmap = {v: i for i, v in enumerate(inside)}
-    eback = sorted({e for v in inside
-                    for u, e in graph.incident(v) if u in vmap})
-    emap = {e: i for i, e in enumerate(eback)}
-    sub_edges = [(vmap[u], vmap[v]) for u, v in map(graph.endpoints, eback)]
-    return Graph(len(inside), sub_edges), vmap, tuple(inside), emap, tuple(eback)
-
-
-def induced_graft(graft: Graft, vertices: Iterable[int]) -> SubGraft:
-    """Sub-graft on ``vertices`` keeping the terminals that fall inside."""
-    g, vmap, vback, emap, eback = _induced(graft.graph, vertices)
-    t = frozenset(vmap[v] for v in graft.terminals if v in vmap)
-    return SubGraft(Graft(g, t), vmap, vback, emap, eback)
-
-
-def induced_graft_from_join(
-    graft: Graft, join: AbstractSet[int], vertices: Iterable[int],
-) -> SubGraft:
-    """Sub-graft on ``vertices`` whose terminals are the vertices with odd
-    degree in the restriction of ``join`` — the terminal set under which the
-    restricted join has correct parity.  Reads only the edges inside."""
-    g, vmap, vback, emap, eback = _induced(graft.graph, vertices)
-    odd: set[int] = set()
-    for e, i in emap.items():
-        if e in join:
-            odd ^= set(g.endpoints(i))
-    return SubGraft(Graft(g, frozenset(odd)), vmap, vback, emap, eback)

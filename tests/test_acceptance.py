@@ -20,10 +20,10 @@ from connjoin.cli import format_graft, main
 from connjoin.decomposition import distance_decomposition, verify_decomposition
 from connjoin.distances import f_distances, f_weight
 from connjoin.graph_core import Graph, connected_components
-from connjoin.oracle import enumerate_circuits
 from connjoin.tjoin import is_join, validate_graft
 
 from conftest import CORPUS_SIZE
+from path_oracle import enumerate_circuits
 
 
 def report(capsys, name: str, ok: bool, detail: str) -> None:

@@ -14,11 +14,11 @@ from connjoin.distances import DistanceMap
 from connjoin.errors import (InternalError, StructuralInputError,
                              TheoremViolationError)
 from connjoin.graph_core import Graph, connected_components
-from connjoin.oracle import enumerate_circuits, shortest_path_weight_oracle
 from connjoin.tjoin import minimum_join, optimum_join, validate_graft
 
 from conftest import count_work
 from decomposition_oracle import matchable_deletions, oracle_components
+from path_oracle import enumerate_circuits, shortest_path_weight_oracle
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})
@@ -131,8 +131,9 @@ def test_verify_golden_on_corrupted_joins(corpus):
         "distance-projection": 407, "strong-comb": 276, "comb-join": 108}
 
 
-@pytest.mark.parametrize("family", ["path", "primal"])
-def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
+def path_or_primal(family):
+    """A 300-vertex path with its ends as terminals, or ``gen_primal(3, 3)``;
+    with the root and the decomposition under the optimum's own join."""
     if family == "path":
         graft = validate_graft(
             Graph(300, [(v, v + 1) for v in range(299)]), {0, 299})
@@ -141,13 +142,95 @@ def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
         witness, _ = gen_primal(3, 3)
         graft, root = witness.graft, witness.root
     join = optimum_join(graft)
-    dd = distance_decomposition(graft, join, root)
+    return graft, join, distance_decomposition(graft, join, root)
+
+
+@pytest.mark.parametrize("family", ["path", "primal"])
+def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
+    # One graft per check: the restriction of each non-cap layer component,
+    # each level contraction and each depth contraction.
+    graft, join, dd = path_or_primal(family)
     calls = []
-    induce = decomposition.induced_graft_from_join
-    monkeypatch.setattr(decomposition, "induced_graft_from_join",
-                        lambda *args: calls.append(args) or induce(*args))
+    contract = decomposition._contraction
+    monkeypatch.setattr(decomposition, "_contraction",
+                        lambda *args: calls.append(args) or contract(*args))
     assert verify_decomposition(graft, join, dd).ok
-    assert len(calls) == sum(1 for c in dd.layer_components() if not c.is_cap)
+    layers = list(dd.layer_components())
+    assert len(calls) == (
+        sum(1 for c in layers if not c.is_cap)
+        + sum(1 for c in layers if not (c.is_cap and c.level != 0))
+        + sum(1 for c in dd.q_components() if not c.is_cap and c.d_children))
+
+
+@pytest.mark.parametrize("family", ["path", "primal"])
+def test_vertex_sets_are_never_stored(family):
+    # Only the top levels are held (at most 2n references), also after the
+    # verifier and the JSON dump have read every vertex set.
+    graft, join, dd = path_or_primal(family)
+    assert verify_decomposition(graft, join, dd).ok
+    dd.to_json()
+    held = [x for c in dd.components for x in vars(c).values()
+            if isinstance(x, frozenset)]
+    assert held == [c.a_set for c in dd.components]
+    assert sum(map(len, held)) <= 2 * graft.n
+
+
+def induced(graph, join, verts):
+    """Brute force: the sub-graft induced on sorted ``verts`` (terminals where
+    the restricted join has odd degree), the kept parent edges in order, the
+    restricted join and the rank map."""
+    image = {v: i for i, v in enumerate(verts)}
+    inside = [e for e, (u, v) in enumerate(graph.edges)
+              if u in image and v in image]
+    degree = Counter(x for e in inside if e in join
+                     for x in graph.endpoints(e))
+    sub = Graph(len(verts),
+                [(image[u], image[v]) for u, v in map(graph.endpoints, inside)])
+    terminals = {image[v] for v in verts if degree[v] % 2}
+    inner_join = {i for i, e in enumerate(inside) if e in join}
+    return validate_graft(sub, terminals), inside, inner_join, image
+
+
+def test_contraction_under_rank_image_is_the_induced_sub_graft(corpus):
+    # The verifier's restriction check builds its sub-graft with the same
+    # routine as its contractions.
+    rng = random.Random(9)
+    for case in corpus[:150]:
+        graph, join = case.graft.graph, minimum_join(case.graft)
+        for _ in range(3):
+            verts = sorted(rng.sample(range(graph.n), rng.randint(1, graph.n)))
+            want, inside, _, image = induced(graph, join, verts)
+            sub, new_id = decomposition._contraction(graph, join, verts,
+                                                     image, len(verts))
+            assert sub == want
+            assert new_id == {e: i for i, e in enumerate(inside)}
+
+
+@pytest.mark.parametrize("seed,circuit,comp_id,named", [
+    (3, {7, 8, 9, 10, 13, 14}, 30, "vertex 7: outer -3 != -2 + inner 1"),
+    (0, {1, 4, 34, 37, 40, 42, 81, 82}, 44,
+     "vertex 23: outer -3 != -2 + inner 1"),
+], ids=["tailed-3", "tailed-0"])
+def test_distance_projection_names_the_smallest_offending_vertex(
+        seed, circuit, comp_id, named):
+    # Two vertices of the component break the projection under the optimum's
+    # own join XOR a circuit; the report names the smaller one, not the first
+    # in some set's iteration order.
+    graft, root, _ = gen_tailed(2, 4, seed=seed)
+    join = optimum_join(graft) ^ circuit
+    dd = distance_decomposition(graft, optimum_join(graft), root)
+    comp = dd.component(comp_id)
+    verts = sorted(comp.vertices)
+    sub, _, inner_join, image = induced(graft.graph, join, verts)
+    offset = dd.distance_map[comp.f_root]
+    offenders = [v for v in verts if dd.distance_map[v] != offset
+                 + shortest_path_weight_oracle(sub, inner_join,
+                                               image[comp.f_root], image[v])]
+    assert len(offenders) >= 2
+    found = [v for v in verify_decomposition(graft, join, dd).violations
+             if v.check == "distance-projection"]
+    assert [(v.component_id, v.message) for v in found] == [(comp_id, named)]
+    assert named.startswith(f"vertex {offenders[0]}:")
 
 
 def test_beam_counts(corpus):

@@ -15,11 +15,11 @@ from connjoin.distances import (UNREACHABLE, _toggled_sizes, f_distances,
 from connjoin.errors import NotMinimumJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.matching import min_weight_perfect_matching_value
-from connjoin.oracle import shortest_path_weight_oracle
 from connjoin.tjoin import (TerminalSolve, _hop_distances, minimum_join, nu,
                            validate_graft)
 
 from conftest import count_work, sparse_graft
+from path_oracle import shortest_path_weight_oracle
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from connjoin.errors import StructuralInputError
-from connjoin.graph_core import Graph, connected_components
+from connjoin.graph_core import Graph, connected_components, is_stable_dominating
 
 
 @st.composite
@@ -21,6 +21,20 @@ def test_basic_accessors():
     assert g.endpoints(2) == (1, 2)
     # incidence lists are sorted for deterministic traversal
     assert g.incident(1) == ((0, 0), (2, 1), (2, 2))
+
+
+def test_is_stable_dominating_golden():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert is_stable_dominating(star, frozenset({1, 2, 3}))
+    assert is_stable_dominating(star, frozenset({0}))
+    assert not is_stable_dominating(star, frozenset({0, 1}))  # edge 0-1
+    assert not is_stable_dominating(star, frozenset({1, 2}))  # 3 unseen
+    assert not is_stable_dominating(star, frozenset())
+    assert is_stable_dominating(Graph(0, []), frozenset())
+    multi = Graph(3, [(0, 1), (0, 1), (1, 2), (1, 2)])
+    assert is_stable_dominating(multi, frozenset({0, 2}))
+    assert not is_stable_dominating(multi, frozenset({0}))  # 2 unseen
+    assert not is_stable_dominating(multi, frozenset({0, 1}))
 
 
 def test_loops_are_stripped_and_counted():

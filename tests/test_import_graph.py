@@ -6,7 +6,8 @@ import sys
 
 import connjoin
 
-TEST_ONLY = ("matching_oracle", "decomposition_oracle", "pytest", "hypothesis")
+TEST_ONLY = ("matching_oracle", "decomposition_oracle", "path_oracle", "pytest",
+             "hypothesis")
 
 
 def test_import_loads_no_test_only_module():

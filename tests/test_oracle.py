@@ -2,9 +2,10 @@ import pytest
 
 from connjoin.errors import OracleScaleError
 from connjoin.graph_core import Graph
-from connjoin.oracle import (MAX_ORACLE_EDGES, all_joins, enumerate_circuits,
-                             enumerate_paths, oracle_report)
+from connjoin.oracle import MAX_ORACLE_EDGES, all_joins, oracle_report
 from connjoin.tjoin import is_join, validate_graft
+
+from path_oracle import enumerate_circuits, enumerate_paths
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
 C4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), {0, 2})

@@ -10,8 +10,8 @@ from connjoin.decomposition import is_strong_comb
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph
 from connjoin.oracle import all_joins
-from connjoin.tjoin import (Graft, induced_graft, is_join, minimum_join, nu,
-                            optimum_join, validate_graft)
+from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
+                            validate_graft)
 
 from conftest import count_work, random_connected_graft
 
@@ -134,16 +134,3 @@ def test_tie_break_runs_only_where_a_join_is_printed(
     for command in ("solve", "decompose"):
         with pytest.raises(TieBreakReached):
             main([command, str(path)])
-
-
-def test_induced_graft_maps_round_trip():
-    g = validate_graft(
-        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]), {1, 3})
-    sub = induced_graft(g, {1, 2, 3})
-    assert sub.graft.graph.n == 3
-    assert {sub.to_sub_vertex[v] for v in (1, 3)} == sub.graft.terminals
-    inner = sub.map_edges({1, 2, 4})
-    assert sub.unmap_edges(inner) == frozenset({1, 2, 4})
-    # edge 0 leaves the set and has no image
-    assert sub.map_edges({0}) == frozenset()
-
