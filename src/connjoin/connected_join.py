@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .decomposition import DistanceDecomposition, distance_decomposition
 from .errors import InternalError, StructuralInputError
-from .graph_core import connected_components
 from .tjoin import Graft, is_join, optimum_join
 
 EMPTY_T = "EMPTY_T"
@@ -188,12 +187,12 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
     The root defaults to the smallest terminal; any terminal gives the same
     answer.  The empty join does not count as connected, and terminals
     spread over several components can never be covered connectedly.
+    ``NoJoinError`` if a component holds an odd number of terminals.
     """
     terminals = graft.terminals
     if not terminals:
         return Decision(False, STAGE_EMPTY_T)
-    holding = [c for c in connected_components(graft.graph) if terminals & c]
-    if len(holding) > 1:
+    if len(graft.parts) > 1:
         return Decision(False, STAGE_SPLIT_T)
     if root is None:
         root = min(terminals)

@@ -417,8 +417,8 @@ def gen_tailed(
     witness, base_recipe = gen_primal(depth, width, seed)
     rng = random.Random((seed << 16) ^ 0x7A11)
     nh = rng.randint(1, 4) if tail_vertices is None else tail_vertices
-    if nh < 0:
-        raise StructuralInputError("tail size must be nonnegative")
+    if min(nh, tail_edges or 0, bridges or 0) < 0:
+        raise StructuralInputError("tail counts must be nonnegative")
     mh = rng.randint(0, 2 * nh) if tail_edges is None else tail_edges
     nb = (rng.randint(1, 3) if bridges is None else bridges) if nh else 0
     h_edges = [sorted(rng.sample(range(nh), 2)) for _ in range(mh)] if nh > 1 else []

@@ -36,10 +36,10 @@ from typing import Iterable, Iterator
 
 from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
-from .graph_core import Graph, connected_components, is_stable_dominating
+from .graph_core import Graph, is_stable_dominating
 from .distances import DistanceMap, f_distances
 from .matching import DualState, max_weight_matching
-from .tjoin import Graft, is_join, nu, optimum_join
+from .tjoin import Graft, _check_edge_ids, is_join, nu, optimum_join
 
 __all__ = [
     "Component",
@@ -90,8 +90,11 @@ class Component:
     def to_json(self) -> dict:
         doc = {k: getattr(self, k)
                for k in ("id", "level", "kind", "is_cap", "beam", "f_root")}
-        for k in ("vertices", "a_set", "d_set", "q_children", "d_children"):
-            doc[k] = sorted(getattr(self, k))
+        below = self.d_set  # one walk serves both vertex lists
+        for k, v in (("vertices", self.a_set | below), ("a_set", self.a_set),
+                     ("d_set", below), ("q_children", self.q_children),
+                     ("d_children", self.d_children)):
+            doc[k] = sorted(v)
         return doc
 
 
@@ -102,7 +105,6 @@ class DistanceDecomposition:
     interval: range
     components: tuple[Component, ...]
     initial_id: int
-    detached: tuple[frozenset[int], ...]  # components not holding the root
 
     def component(self, cid: int) -> Component:
         return self.components[cid]
@@ -255,8 +257,7 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
 
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
-        components=tuple(components), initial_id=parent[home[root]],
-        detached=tuple(c for c in connected_components(graph) if root not in c))
+        components=tuple(components), initial_id=parent[home[root]])
 
 
 def is_factor_critical(graph: Graph) -> bool:
@@ -326,6 +327,7 @@ def verify_decomposition(
     No check passes over the whole join or the whole graph per component.
     """
     join = frozenset(join)
+    _check_edge_ids(graft, join)
     graph = graft.graph
     comps = dd.components
     home = {v: q.id for q in dd.q_components() for v in q.a_set}

@@ -67,39 +67,20 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def connected_components(
-    graph: Graph,
-    vertex_set: Iterable[int] | None = None,
-    removed_edges: Iterable[int] | None = None,
-) -> tuple[frozenset[int], ...]:
-    """Components of the subgraph induced on ``vertex_set`` (default: all
-    vertices) after deleting ``removed_edges``, ordered by smallest member."""
-    if vertex_set is None:
-        inside = [True] * graph.n
-        verts: Iterable[int] = range(graph.n)
-    else:
-        inside = [False] * graph.n
-        verts = sorted(set(vertex_set))
-        for v in verts:
-            if not (0 <= v < graph.n):
-                raise StructuralInputError(f"vertex {v} out of range")
-            inside[v] = True
-    removed = frozenset(removed_edges) if removed_edges is not None else frozenset()
+def connected_components(graph: Graph) -> tuple[frozenset[int], ...]:
+    """The components of ``graph``, ordered by smallest member."""
     seen = [False] * graph.n
     out: list[frozenset[int]] = []
-    for s in verts:
-        if seen[s] or not inside[s]:
+    for s in range(graph.n):
+        if seen[s]:
             continue
-        stack = [s]
         seen[s] = True
         comp = [s]
-        while stack:
-            u = stack.pop()
-            for w, e in graph.incident(u):
-                if inside[w] and not seen[w] and e not in removed:
+        for u in comp:  # grows while it is read
+            for w, _ in graph.incident(u):
+                if not seen[w]:
                     seen[w] = True
                     comp.append(w)
-                    stack.append(w)
         out.append(frozenset(comp))
     return tuple(out)
 

@@ -5,11 +5,14 @@ connected component.  A join is an edge set whose degree is odd exactly at
 the terminals; a minimum one is the symmetric difference of shortest hop
 paths along a minimum-cost matching of the terminals.
 
-Each graft solves that matching once, on first use (``Graft.solved``: per
-component the hop tables, the optimum under weight -hop with its duals, and
-ν).  ``optimum_join`` realizes the optimum's own pairing, for the decision,
-distances and verifiers, whose output is join-independent; ``minimum_join``
-adds a tie-break solve for the canonical join that commands print.
+Each graft finds its components once and solves that matching once, each
+on first use.  ``Graft.parts`` holds the sorted terminals of each component
+holding any; validation, the solve and the decision's split-T test read it.
+``Graft.solved`` holds, per such component, the hop tables, the optimum
+under weight -hop with its duals, and ν.  ``optimum_join`` realizes the
+optimum's own pairing, for the decision, distances and verifiers, whose
+output is join-independent; ``minimum_join`` adds a tie-break solve for the
+canonical join that commands print.
 """
 
 from __future__ import annotations
@@ -55,11 +58,26 @@ class Graft:
         return self.graph.m
 
     @cached_property
+    def parts(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted terminals of each component holding any, ordered by
+        smallest vertex, from one component pass on first read;
+        ``NoJoinError`` at the first component holding an odd number."""
+        parts = []
+        for comp in connected_components(self.graph):
+            part = tuple(sorted(self.terminals & comp))
+            if len(part) % 2 != 0:
+                raise NoJoinError(
+                    f"component containing vertex {min(comp)} has an odd "
+                    f"number of terminals ({len(part)})")
+            if part:
+                parts.append(part)
+        return tuple(parts)
+
+    @cached_property
     def solved(self) -> tuple[TerminalSolve, ...]:
-        """The solved terminal matching of each component holding terminals,
-        built on first read; ``NoJoinError`` if a component's count is odd."""
+        """The solved terminal matching of each of ``parts``, on first read."""
         return tuple(TerminalSolve.of(p, {s: _hop_distances(self.graph, s) for s in p})
-                     for p in _terminal_parts(self.graph, self.terminals) if p)
+                     for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -89,28 +107,26 @@ def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:
     offending component is reported by its smallest vertex.
     """
     g = Graft(graph, frozenset(terminals))
-    _terminal_parts(graph, g.terminals)
+    g.parts  # the component pass, which raises on an odd component
     return g
 
 
-def _terminal_parts(graph: Graph, terminals: frozenset[int]) -> list[list[int]]:
-    """The sorted terminals of each component, in ``connected_components``
-    order; ``NoJoinError`` at the first component holding an odd number."""
-    parts = []
-    for comp in connected_components(graph):
-        part = sorted(terminals & comp)
-        if len(part) % 2 != 0:
-            raise NoJoinError(
-                f"component containing vertex {min(comp)} has an odd number "
-                f"of terminals ({len(part)})")
-        parts.append(part)
-    return parts
+def _check_edge_ids(graft: Graft, edges: Iterable[int]) -> None:
+    """``StructuralInputError`` naming the smallest id in ``edges`` that is
+    not an edge of the graft (a negative id would index from the end)."""
+    bad = min((e for e in edges if not 0 <= e < graft.m), default=None)
+    if bad is not None:
+        raise StructuralInputError(
+            f"edge id {bad} is out of range for {graft.m} edges")
 
 
 def is_join(graft: Graft, edges: Iterable[int]) -> bool:
-    """True iff ``edges`` has odd degree exactly at the terminal vertices."""
+    """True iff ``edges`` has odd degree exactly at the terminal vertices;
+    ``StructuralInputError`` if an id is not an edge of the graft."""
+    edges = set(edges)
+    _check_edge_ids(graft, edges)
     odd: set[int] = set()
-    for e in set(edges):
+    for e in edges:
         u, v = graft.graph.endpoints(e)
         odd ^= {u, v}
     return odd == set(graft.terminals)

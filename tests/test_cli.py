@@ -1,9 +1,11 @@
 """Command-line behavior: exact bytes, exit codes, and file-format strictness."""
 
 import json
+import sys
 
 import pytest
 
+from connjoin import graph_core
 from connjoin.cli import format_graft, main, parse_graft
 from connjoin.constructive import replay, ConstructionRecipe
 from connjoin.errors import ParseError
@@ -207,3 +209,24 @@ def test_check_explicit_root(tmp_path, capsys):
     code, _, err = run(capsys, ["check", write(tmp_path, P3_TEXT),
                                 "--root", "1"])
     assert code == 2 and "must be a terminal" in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "distances", "decompose"])
+def test_one_component_pass_per_command(tmp_path, capsys, monkeypatch, command):
+    # parse validation, the solve and the split-T test all read the graft's
+    # one pass; a terminal-free component rides along
+    calls = []
+    real = graph_core.connected_components
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "connjoin" or name.startswith("connjoin.")) and \
+                getattr(module, "connected_components", None) is real:
+            monkeypatch.setattr(module, "connected_components", counted)
+    text = "p graft 5 3\nt 0 2\ne 0 1\ne 1 2\ne 3 4\n"
+    code, _, err = run(capsys, [command, write(tmp_path, text)])
+    assert code == 0 and err == ""
+    assert len(calls) == 1

@@ -12,22 +12,23 @@ from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      decide, head_set, is_eligible)
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import distance_decomposition
-from connjoin.errors import StructuralInputError
+from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
-from connjoin.tjoin import is_join, minimum_join, nu, validate_graft
+from connjoin.tjoin import Graft, is_join, minimum_join, nu, validate_graft
 
 from conftest import sparse_graft
 
 
 def spans_connected(graft, join):
     """The induced subgraph of the join is connected and covers T."""
-    touched = {v for e in join for v in graft.graph.endpoints(e)}
-    if not join or not graft.terminals <= touched:
+    touched = sorted({v for e in join for v in graft.graph.endpoints(e)})
+    if not join or not graft.terminals <= set(touched):
         return False
-    comps = connected_components(graft.graph, vertex_set=touched,
-                                 removed_edges=set(range(graft.graph.m)) - set(join))
-    return len(comps) == 1
+    rank = {v: i for i, v in enumerate(touched)}
+    on_join = Graph(len(touched), [(rank[u], rank[v]) for u, v in
+                                   map(graft.graph.endpoints, join)])
+    return len(connected_components(on_join)) == 1
 
 
 def test_p3_yes():
@@ -68,6 +69,14 @@ def test_empty_terminals_no():
 def test_split_terminals_no():
     g = validate_graft(Graph(4, [(0, 1), (2, 3)]), {0, 1, 2, 3})
     assert decide(g).stage == "split-T"
+
+
+def test_odd_components_raise_before_split_t():
+    # unvalidated: the split-T test reads the same component pass that
+    # validation runs, so two odd components are not a split-T answer
+    g = Graft(Graph(4, [(0, 1), (2, 3)]), {0, 2})
+    with pytest.raises(NoJoinError, match="vertex 0 has an odd number"):
+        decide(g)
 
 
 def test_root_must_be_terminal():

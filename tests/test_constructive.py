@@ -288,6 +288,12 @@ def test_gen_tailed_roundtrip():
         assert 0 <= root < graft.graph.n
 
 
+def test_gen_tailed_rejects_negative_counts():
+    for knob in ("tail_vertices", "tail_edges", "bridges"):
+        with pytest.raises(StructuralInputError, match="nonnegative"):
+            gen_tailed(1, seed=3, **{knob: -1})
+
+
 def test_strong_comb_needs_rake_for_covered_root():
     # a strong comb whose root misses two teeth: no connected minimum join
     # can cover the root, exactly because it is not a rake

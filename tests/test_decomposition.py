@@ -67,10 +67,17 @@ def test_root_validation():
         distance_decomposition(P3, minimum_join(P3), 7)
 
 
-def test_detached_components_recorded():
-    g = validate_graft(Graph(5, [(0, 1), (2, 3), (3, 4)]), {0, 1})
-    dd = distance_decomposition(g, minimum_join(g), 0)
-    assert dd.detached == (frozenset({2, 3, 4}),)
+def test_build_rejects_join_ids_that_are_not_edges():
+    for join, bad in (([-1, 0], -1), ([1, 3], 3)):
+        with pytest.raises(StructuralInputError, match=f"edge id {bad} "):
+            distance_decomposition(P3, join, 0)
+
+
+def test_verify_rejects_join_ids_that_are_not_edges():
+    dd = distance_decomposition(P3, minimum_join(P3), 0)
+    for join, bad in (([-1, 0], -1), ([0, 1, 2, 9], 2)):
+        with pytest.raises(StructuralInputError, match=f"edge id {bad} "):
+            verify_decomposition(P3, join, dd)
 
 
 def test_verify_clean_on_corpus_slice(corpus):

@@ -60,6 +60,12 @@ def test_rejects_non_minimum_join():
         f_distances(C4, minimum_join(C4), 9)
 
 
+def test_rejects_join_ids_that_are_not_edges():
+    for join, bad in (([-1, 0], -1), ([0, 2], 2)):
+        with pytest.raises(StructuralInputError, match=f"edge id {bad} "):
+            f_distances(P3, join, 0)
+
+
 def test_matches_path_enumeration(corpus):
     for case in corpus[:120]:
         graft = case.graft

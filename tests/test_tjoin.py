@@ -52,6 +52,15 @@ def test_is_join_goldens():
     assert not is_join(empty, {0})
 
 
+@pytest.mark.parametrize("join,bad", [([-1, 0], -1), ([0, 7, 5], 5),
+                                      ([4, -3, -1, 2], -3)])
+def test_is_join_rejects_ids_that_are_not_edges(join, bad):
+    # -1 would index the last edge: [-1, 0] reads as {1, 0}, a join of P3
+    p3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
+    with pytest.raises(StructuralInputError, match=f"edge id {bad} is out of range"):
+        is_join(p3, join)
+
+
 def test_minimum_join_goldens():
     p3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
     assert minimum_join(p3) == frozenset({0, 1})
