@@ -65,7 +65,7 @@ def parse_graft(text: str) -> Graft:
     n = _int_token(head[2], 1, "vertex count")
     m = _int_token(head[3], 1, "edge count")
 
-    terminals: list[int] = []
+    terminals: set[int] = set()
     edges: list[tuple[int, int]] = []
     t_line: int | None = None
     for idx, line in enumerate(lines[1:], start=2):
@@ -89,7 +89,7 @@ def parse_graft(text: str) -> Graft:
                     raise ParseError(idx, f"terminal {v} is outside 0..{n - 1}")
                 if v in terminals:
                     raise ParseError(idx, f"terminal {v} repeated")
-                terminals.append(v)
+                terminals.add(v)
             continue
         if kind == "e":
             if t_line is None:
@@ -145,6 +145,8 @@ def _default_root(graft: Graft, flag: int | None) -> int:
         if not 0 <= flag < graft.graph.n:
             raise StructuralInputError(f"root {flag} is outside the graph")
         return flag
+    if not graft.graph.n:
+        raise StructuralInputError("the graph has no vertex to root at")
     return min(graft.terminals) if graft.terminals else 0
 
 

@@ -187,17 +187,18 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
     The root defaults to the smallest terminal; any terminal gives the same
     answer.  The empty join does not count as connected, and terminals
     spread over several components can never be covered connectedly.
-    ``NoJoinError`` if a component holds an odd number of terminals.
+    ``NoJoinError`` if a component holds an odd number of terminals, and
+    ``StructuralInputError`` on any graft if an explicit root is not a
+    terminal.
     """
     terminals = graft.terminals
+    if root is not None and root not in terminals:
+        raise StructuralInputError(f"root {root} must be a terminal")
     if not terminals:
         return Decision(False, STAGE_EMPTY_T)
     if len(graft.parts) > 1:
         return Decision(False, STAGE_SPLIT_T)
-    if root is None:
-        root = min(terminals)
-    elif root not in terminals:
-        raise StructuralInputError(f"root {root} must be a terminal")
+    root = min(terminals) if root is None else root
     join = optimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     verdict = is_eligible(graft, join, root, dd)

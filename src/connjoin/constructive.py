@@ -12,6 +12,7 @@ replaying a recipe rebuilds the identical graft.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -411,7 +412,8 @@ def gen_tailed(
 ) -> tuple[Graft, int, ConstructionRecipe]:
     """Random primal witness plus a random terminal-free tail; still YES.
 
-    Unset size knobs default to a small random tail.  Returns the composed
+    Unset size knobs default to a small random tail.  Explicit tail edges
+    need two tail vertices, explicit bridges one.  Returns the composed
     graft, its covered root, and a full replayable recipe.
     """
     witness, base_recipe = gen_primal(depth, width, seed)
@@ -419,6 +421,10 @@ def gen_tailed(
     nh = rng.randint(1, 4) if tail_vertices is None else tail_vertices
     if min(nh, tail_edges or 0, bridges or 0) < 0:
         raise StructuralInputError("tail counts must be nonnegative")
+    if nh < 2 and tail_edges:
+        raise StructuralInputError("tail edges need at least two tail vertices")
+    if not nh and bridges:
+        raise StructuralInputError("bridges need at least one tail vertex")
     mh = rng.randint(0, 2 * nh) if tail_edges is None else tail_edges
     nb = (rng.randint(1, 3) if bridges is None else bridges) if nh else 0
     h_edges = [sorted(rng.sample(range(nh), 2)) for _ in range(mh)] if nh > 1 else []
@@ -431,6 +437,21 @@ def gen_tailed(
     return graft, witness.root, ConstructionRecipe(TAILED, seed, steps)
 
 
+def _reads_steps(replayer):
+    """Report a recipe step ``replayer`` cannot read (a missing key, a wrong
+    type or shape) as ``StructuralInputError``, as ``from_json`` does."""
+    @functools.wraps(replayer)
+    def wrapped(recipe: ConstructionRecipe):
+        try:
+            return replayer(recipe)
+        except StructuralInputError:  # also a ValueError, and already says why
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise StructuralInputError(f"malformed recipe step: {exc}") from exc
+    return wrapped
+
+
+@_reads_steps
 def replay(recipe: ConstructionRecipe) -> Graft:
     """Rebuild the graft a recipe records, bit-identically."""
     if recipe.kind == RAKE:
@@ -452,6 +473,7 @@ def replay(recipe: ConstructionRecipe) -> Graft:
     raise StructuralInputError(f"unknown recipe kind {recipe.kind!r}")
 
 
+@_reads_steps
 def replay_witness(recipe: ConstructionRecipe) -> PrimalWitness:
     """Rebuild the primal witness behind a PRIMAL recipe."""
     if recipe.kind != PRIMAL:

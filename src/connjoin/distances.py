@@ -7,17 +7,17 @@ minimum — this distance is the same for every minimum join of the graft.
 
 Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
-the root and the target.  The root component's minimum-join size is the
-perfect matching of its terminals under hop distance that the graft solved
-once (``Graft.solved``), hop tables and optimal duals included; only a root
-outside T needs a hop table of its own.  The toggled sizes at the points
-of the odd set T ^ {root} are its near-perfect matchings, each leaving out
-one point, and one blossom search reads them all off its duals: started from that optimum (blossom duals folded into a copy of the
-vertex duals, the matched edges that stay tight kept), it augments until
-one point is exposed and then grows that point's tree until one blossom
-spans the set.  Any other target x must pair with one of the toggled
-terminals, and the rest match optimally, so its toggled size is a minimum
-over those.
+the root and the target.  The root component's size is the perfect
+matching of its terminals under hop distance that the graft solved once
+(``Graft.solved``), hop tables and duals included.  The toggled sizes at
+the points t of the odd set T ^ {root} are its near-perfect matchings, and
+one blossom search reads them all off its duals: started from that optimum
+(blossom duals folded into the vertex duals, the matched edges that stay
+tight kept), it augments until one point is exposed, then grows that
+point's tree until one blossom spans the set.  Any other x pairs with some
+t, so its size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
+hop (in the matching that exposes t, re-pair x's mate with t), so one
+breadth-first search seeded at every t, at its size, finds them all.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
 from .matching import DualState, max_weight_matching
-from .tjoin import Graft, TerminalSolve, _hop_distances, is_join, nu
+from .tjoin import Graft, TerminalSolve, is_join, nu
 
 UNREACHABLE = None
 
@@ -90,27 +90,27 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
             f"join has {len(join)} edges but the minimum is {minimum}")
     solve = next((s for s in graft.solved if s.hop[s.terminals[0]][root]
                   is not None), None)
-    hop = dict(solve.hop) if solve else {}
-    if root not in hop:
-        hop[root] = _hop_distances(graph, root)
-    toggled = _toggled_sizes(solve, root, hop) if solve else {root: 0}
+    toggled = _toggled_sizes(solve, root) if solve else {root: 0}
     base = solve.nu if solve else 0
-
+    seeds: dict[int, list[int]] = {}
+    for t, size in toggled.items():
+        seeds.setdefault(size - base, []).append(t)
     dist: list[int | None] = [None] * graph.n
-    for x, d in enumerate(hop[root]):  # x outside the toggled terminals
-        if d is not None:              # must pair with one of them
-            dist[x] = (toggled[x] if x in toggled else min(
-                hop[t][x] + size for t, size in toggled.items())) - base
-    dist[root] = 0
+    layer, level = [], min(seeds)
+    while layer or seeds:  # layer: the candidates for distance ``level``
+        nxt = []
+        for v in layer + seeds.pop(level, []):
+            if dist[v] is None:
+                dist[v] = level
+                nxt += [u for u, _ in graph.incident(v) if dist[u] is None]
+        layer, level = nxt, level + 1
     return DistanceMap(root, tuple(dist))
 
 
-def _toggled_sizes(
-    solve: TerminalSolve, root: int, hop: dict[int, list[int | None]],
-) -> dict[int, int]:
+def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
     """nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T are the
-    terminals of ``solve``, the root's component, and ``hop`` holds their
-    hop tables and the root's.
+    terminals of ``solve``, the root's component; the root's hop distances
+    are read off the terminals' tables (hop is symmetric).
 
     Matchings maximize weight -hop, so a slack is y_a + y_b + 2 hop(a, b).
     Each toggle is a near-perfect matching of the odd set T ^ {root}
@@ -118,7 +118,7 @@ def _toggled_sizes(
     under weight -2 hop from the doubled folded base duals: then every
     exposed start vertex has an even dual, as the solver needs.
     """
-    pts = solve.terminals
+    pts, hop = solve.terminals, solve.hop
     y = list(solve.optimum.dual)
     for leaves, z in solve.optimum.blossoms:
         for v in leaves:
@@ -128,12 +128,11 @@ def _toggled_sizes(
     points = [p for p in pts if p != root]  # root's mate starts exposed
     start = [2 * y[a] for a, p in enumerate(pts) if p != root]
     if root not in pts:
-        start.append(max(-4 * hop[root][p] - d for p, d in zip(points, start)))
-        points.append(root)
-    index = {p: i for i, p in enumerate(points)}
-    n, rows = len(points), [hop[p] for p in points]
+        start.append(max(-4 * hop[p][root] - d for p, d in zip(points, start)))
+        points.append(root)  # last, so every pair's first point has a table
+    index, n = {p: i for i, p in enumerate(points)}, len(points)
     state = DualState([index.get(tight.get(p), -1) for p in points], start)
-    max_weight_matching(n, [(i, j, -2 * rows[i][points[j]])
+    max_weight_matching(n, [(i, j, -2 * hop[points[i]][points[j]])
                             for i in range(n) for j in range(i + 1, n)], state)
     if not state.spans():
         raise InternalError("near-perfect solve left no spanning blossom")

@@ -8,6 +8,7 @@ computed once per session.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -42,7 +43,8 @@ def sparse_graft(n: int, k: int, seed: int) -> Graft:
 
 
 def count_work(monkeypatch):
-    """Count hop-table BFS runs and blossom solves from here on."""
+    """Count hop-table BFS runs and blossom solves from here on; the BFS in
+    every ``connjoin`` module that imports it, so none runs uncounted."""
     calls = {"bfs": 0, "solves": 0}
     bfs, solve = tjoin._hop_distances, matching.max_weight_matching
 
@@ -54,8 +56,10 @@ def count_work(monkeypatch):
         calls["solves"] += 1
         return solve(*args)
 
-    for module in (tjoin, distances):
-        monkeypatch.setattr(module, "_hop_distances", counted_bfs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "connjoin" and \
+                getattr(module, "_hop_distances", None) is bfs:
+            monkeypatch.setattr(module, "_hop_distances", counted_bfs)
     for module in (matching, distances, decomposition):
         monkeypatch.setattr(module, "max_weight_matching", counted_solve)
     return calls

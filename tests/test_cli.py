@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -66,6 +67,17 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_graft(text)
     assert err.value.line_no == line
     assert fragment in str(err.value)
+
+
+def test_parse_is_linear_in_terminals():
+    # a 50,000-vertex path, every vertex a terminal
+    n = 50_000
+    text = (f"p graft {n} {n - 1}\nt {' '.join(map(str, range(n)))}\n"
+            + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)))
+    start = time.perf_counter()
+    graft = parse_graft(text)
+    assert time.perf_counter() - start < 2
+    assert len(graft.terminals) == n
 
 
 def test_check_yes_text(tmp_path, capsys):
@@ -209,6 +221,21 @@ def test_check_explicit_root(tmp_path, capsys):
     code, _, err = run(capsys, ["check", write(tmp_path, P3_TEXT),
                                 "--root", "1"])
     assert code == 2 and "must be a terminal" in err
+
+
+@pytest.mark.parametrize("text", ["p graft 4 2\nt 0 1 2 3\ne 0 1\ne 2 3\n",
+                                  "p graft 2 1\nt\ne 0 1\n"],
+                         ids=["split-T", "empty-T"])
+def test_check_rejects_a_non_terminal_root_first(tmp_path, capsys, text):
+    code, out, err = run(capsys, ["check", write(tmp_path, text), "--root", "99"])
+    assert (code, out, err) == (2, "", "error: root 99 must be a terminal\n")
+
+
+@pytest.mark.parametrize("command", ["distances", "decompose", "verify"])
+def test_no_vertex_to_root_at(tmp_path, capsys, command):
+    code, out, err = run(capsys, [command, write(tmp_path, "p graft 0 0\nt\n")])
+    assert (code, out) == (2, "")
+    assert err == "error: the graph has no vertex to root at\n"
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "distances", "decompose"])

@@ -1,5 +1,6 @@
 """CLI output pinned by digest: exit status, stdout and stderr of every
-deciding and reporting command, in text and JSON, on a fixed input set.
+deciding and reporting command, in text and JSON, on a fixed input set;
+and of the rooted reports from each graft's smallest non-terminal vertex.
 
 A refactor that must leave the output byte-identical keeps these digests;
 a change that means to alter output updates them and says why.
@@ -40,6 +41,23 @@ DIGESTS = {
         "1cb59e6640c6d7c4a8488678b551a6b7cb776c71f6b035a4ca75f2b311ed7808",
 }
 
+ROOTED = ("distances", "decompose", "verify")
+
+NON_TERMINAL_ROOT_DIGESTS = {
+    ("distances", "text"):
+        "5b45c3b94272d58541ff1700d77c45bc2be7bb1b55097f30c4941003e9463874",
+    ("distances", "json"):
+        "b426234a779b4025005da54902319a444070ff623d8cf83a5efbf78098526ec3",
+    ("decompose", "text"):
+        "f41abf8b0eb93ada9d2a7b82515a8dc1a24e4fcd78f668ef2c5425ab22c4087f",
+    ("decompose", "json"):
+        "f41abf8b0eb93ada9d2a7b82515a8dc1a24e4fcd78f668ef2c5425ab22c4087f",
+    ("verify", "text"):
+        "3cbcad9f891846f4b60b5681fd84c463e378b115e70a59113a8e9d0b5a12b5ea",
+    ("verify", "json"):
+        "f827fd1a1db98aaea2208882eec5f215f77994ca939575ca18bc42837ce56dc4",
+}
+
 
 def pinned_grafts():
     """The first 100 corpus grafts, four primal and three tailed members."""
@@ -51,20 +69,21 @@ def pinned_grafts():
 
 @pytest.fixture(scope="module")
 def graft_files(tmp_path_factory):
+    """(path, graft) of each pinned graft, written to a file."""
     folder = tmp_path_factory.mktemp("pinned")
-    paths = []
+    files = []
     for i, graft in enumerate(pinned_grafts()):
         path = folder / f"{i}.graft"
         path.write_text(format_graft(graft))
-        paths.append(str(path))
-    return paths
+        files.append((str(path), graft))
+    return files
 
 
-def output_digest(paths, command, fmt, capsys):
-    """SHA-256 over (exit status, stdout, stderr) of each run, in order."""
+def output_digest(runs, capsys):
+    """SHA-256 over (exit status, stdout, stderr) of each argv, in order."""
     h = hashlib.sha256()
-    for path in paths:
-        code = main([command, path, "--format", fmt])
+    for argv in runs:
+        code = main(argv)
         captured = capsys.readouterr()
         h.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
     return h.hexdigest()
@@ -73,4 +92,17 @@ def output_digest(paths, command, fmt, capsys):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_output_is_pinned(graft_files, command, fmt, capsys):
-    assert output_digest(graft_files, command, fmt, capsys) == DIGESTS[command, fmt]
+    runs = [[command, path, "--format", fmt] for path, _ in graft_files]
+    assert output_digest(runs, capsys) == DIGESTS[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", ROOTED)
+def test_cli_output_from_a_non_terminal_root_is_pinned(
+        graft_files, command, fmt, capsys):
+    # Grafts whose every vertex is a terminal have no such root: 81 of 107 do.
+    runs = [[command, path, "--root", str(min(set(range(g.n)) - g.terminals)),
+             "--format", fmt]
+            for path, g in graft_files if len(g.terminals) < g.n]
+    assert len(runs) == 81
+    assert output_digest(runs, capsys) == NON_TERMINAL_ROOT_DIGESTS[command, fmt]

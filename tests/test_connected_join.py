@@ -85,6 +85,16 @@ def test_root_must_be_terminal():
         decide(g, root=1)
 
 
+def test_explicit_root_is_checked_before_empty_and_split_t():
+    split = validate_graft(Graph(4, [(0, 1), (2, 3)]), {0, 1, 2, 3})
+    empty = validate_graft(Graph(2, [(0, 1)]), set())
+    for graft, stage in ((split, "split-T"), (empty, "empty-T")):
+        assert decide(graft).stage == stage
+        with pytest.raises(StructuralInputError, match="must be a terminal"):
+            decide(graft, root=99)
+    assert decide(split, root=2).stage == "split-T"
+
+
 def test_head_set_gap_regression():
     # two terminals at the top level besides the hub candidate: the star
     # construction from any single top vertex cannot absorb them, so the

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from connjoin.constructive import (PRIMAL, RAKE, ConstructionRecipe,
+from connjoin.constructive import (PRIMAL, RAKE, TAILED, ConstructionRecipe,
                                    PrimalWitness, attach_tail, gen_primal,
                                    gen_rake, gen_tailed, gluing_sum, is_primal,
                                    is_rake, replay, replay_witness)
@@ -294,6 +294,18 @@ def test_gen_tailed_rejects_negative_counts():
             gen_tailed(1, seed=3, **{knob: -1})
 
 
+def test_gen_tailed_rejects_counts_it_cannot_honour():
+    with pytest.raises(StructuralInputError, match="two tail vertices"):
+        gen_tailed(1, seed=3, tail_vertices=1, tail_edges=3)
+    with pytest.raises(StructuralInputError, match="one tail vertex"):
+        gen_tailed(1, seed=3, tail_vertices=0, bridges=2)
+    # zero counts ask for nothing, so a bare tail vertex or none still draws
+    _, _, recipe = gen_tailed(1, seed=3, tail_vertices=1, tail_edges=0)
+    assert recipe.steps[-1]["edges"] == [] and len(recipe.steps[-1]["bridges"])
+    _, _, recipe = gen_tailed(1, seed=3, tail_vertices=0)
+    assert recipe.steps[-1]["bridges"] == []
+
+
 def test_strong_comb_needs_rake_for_covered_root():
     # a strong comb whose root misses two teeth: no connected minimum join
     # can cover the root, exactly because it is not a rake
@@ -316,6 +328,26 @@ def test_replay_kind_guards():
         replay_witness(recipe)
     with pytest.raises(StructuralInputError):
         ConstructionRecipe("SPANNER", 0, ())
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": RAKE, "seed": 0, "steps": [{"op": "star", "teeth": [1]}]},
+    {"kind": RAKE, "seed": 0, "steps": [1]},
+    {"kind": PRIMAL, "seed": 0, "steps": [{"op": "primal", "parts": [], "rake": [
+        {"op": "star", "root": "x", "teeth": [1]}]}]},
+    {"kind": PRIMAL, "seed": 0, "steps": []},
+    {"kind": TAILED, "seed": 0, "steps": [{"op": "tail"}]},
+    {"kind": RAKE, "seed": 0, "steps": [{"op": "star", "root": 0, "teeth": [1]},
+                                        {"op": "add_edges", "edges": [[0]]}]},
+], ids=["star-without-root", "step-not-a-mapping", "root-not-a-number",
+        "primal-without-steps", "tailed-without-primal", "side-edge-of-one-end"])
+def test_replay_reports_malformed_steps(doc):
+    recipe = ConstructionRecipe.from_json(doc)
+    with pytest.raises(StructuralInputError, match="malformed recipe step"):
+        replay(recipe)
+    if recipe.kind == PRIMAL:
+        with pytest.raises(StructuralInputError, match="malformed recipe step"):
+            replay_witness(recipe)
 
 
 def test_primal_witness_guard():

@@ -201,7 +201,7 @@ def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
         return table[a][b]
 
     solve = TerminalSolve.of(terminals, table)
-    base, sizes = solve.nu, _toggled_sizes(solve, root, table)
+    base, sizes = solve.nu, _toggled_sizes(solve, root)
     assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
     toggled = set(terminals) ^ {root}
     assert set(sizes) == toggled
