@@ -4,7 +4,7 @@ Reads grafts from a tiny line-oriented file format, runs the library, and
 prints text or JSON reports.  One file per invocation; exit status 0 means
 yes/clean, 1 means no/violations, 2 means a malformed input or a guard.
 
-File format (LF line endings, single spaces, ASCII decimals)::
+File format (ASCII only, LF line endings, single spaces, decimals)::
 
     p graft <n> <m>
     t <v> <v> ...
@@ -18,6 +18,7 @@ appear before the first edge line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -38,7 +39,7 @@ __all__ = ["parse_graft", "format_graft", "main"]
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:
-    if not token or not token.isascii() or not token.isdigit():
+    if not token.isdigit():  # the text is ASCII by now
         raise ParseError(line_no, f"{what} must be an ASCII decimal, got {token!r}")
     return int(token)
 
@@ -53,6 +54,10 @@ def parse_graft(text: str) -> Graft:
     if "\r" in text:
         raise ParseError(text[: text.index("\r")].count("\n") + 1,
                          "carriage returns are not allowed (LF endings only)")
+    if not text.isascii():
+        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError(text[:bad].count("\n") + 1,
+                         "non-ASCII characters are not allowed")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # single trailing newline
@@ -130,10 +135,15 @@ def format_graft(graft: Graft, comments: Iterable[str] = ()) -> str:
 
 
 def _read(path: str) -> str:
-    if path == "-":
+    """The file's text, or stdin's for ``-``: bytes outside ASCII become
+    surrogates, which ``parse_graft`` rejects, so decoding never raises."""
+    if path != "-":
+        with open(path, "r", encoding="ascii", errors="surrogateescape",
+                  newline="") as fh:
+            return fh.read()
+    if not hasattr(sys.stdin, "buffer"):  # a text stream, already decoded
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return fh.read()
+    return sys.stdin.buffer.read().decode("ascii", "surrogateescape")
 
 
 def _emit(doc: dict) -> None:
@@ -261,6 +271,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="connjoin",

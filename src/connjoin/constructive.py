@@ -413,12 +413,15 @@ def gen_tailed(
     """Random primal witness plus a random terminal-free tail; still YES.
 
     Unset size knobs default to a small random tail.  Explicit tail edges
-    need two tail vertices, explicit bridges one.  Returns the composed
+    need two tail vertices (a drawn vertex count is raised to two, an
+    explicit one must be), explicit bridges one.  Returns the composed
     graft, its covered root, and a full replayable recipe.
     """
     witness, base_recipe = gen_primal(depth, width, seed)
     rng = random.Random((seed << 16) ^ 0x7A11)
     nh = rng.randint(1, 4) if tail_vertices is None else tail_vertices
+    if tail_vertices is None and (tail_edges or 0) > 0:
+        nh = max(nh, 2)  # after the draw, so the random stream is unchanged
     if min(nh, tail_edges or 0, bridges or 0) < 0:
         raise StructuralInputError("tail counts must be nonnegative")
     if nh < 2 and tail_edges:

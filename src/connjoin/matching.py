@@ -115,7 +115,6 @@ def max_weight_matching(
     blossombase: dict = {v: v for v in range(n)}
     bestedge: dict = {}
     blossomdual: dict[_Blossom, int] = {}
-    allowedge: dict[tuple[int, int], bool] = {}
     queue: list[int] = []
 
     def slack(v: int, w: int) -> int:
@@ -253,20 +252,15 @@ def max_weight_matching(
                 jstep = -1
             v, w = labeledge[b]
             while j != 0:
-                if jstep == 1:
-                    p, q = b.edges[j]
-                else:
-                    q, p = b.edges[j - 1]
+                q = b.edges[j][1] if jstep == 1 else b.edges[j - 1][0]
                 label[w] = None
                 label[q] = None
                 assign_label(w, 2, v)
-                allowedge[(p, q)] = allowedge[(q, p)] = True
                 j += jstep
                 if jstep == 1:
                     v, w = b.edges[j]
                 else:
                     w, v = b.edges[j - 1]
-                allowedge[(v, w)] = allowedge[(w, v)] = True
                 j += jstep
             bw = b.childs[j]
             label[w] = label[bw] = 2
@@ -386,7 +380,6 @@ def max_weight_matching(
         bestedge.clear()
         for b in blossomdual:
             b.mybestedges = None
-        allowedge.clear()
         queue[:] = []
         for v in range(n):
             if (v not in mate) and label.get(inblossom[v]) is None:
@@ -402,11 +395,8 @@ def max_weight_matching(
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    if (v, w) not in allowedge:
-                        kslack = dv + dualvar[w] - wv[w]
-                        if kslack <= 0:
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
+                    kslack = dv + dualvar[w] - wv[w]
+                    if kslack <= 0:
                         if label.get(bw) is None:
                             assign_label(w, 2, v)
                         elif label.get(bw) == 1:
@@ -479,9 +469,7 @@ def max_weight_matching(
                         blossomdual[b] -= delta
 
             if deltatype in (2, 3):
-                (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
-                queue.append(v)
+                queue.append(deltaedge[0])
             else:
                 expand_blossom(deltablossom, False)
 

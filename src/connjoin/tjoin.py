@@ -17,7 +17,6 @@ canonical join that commands print.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
@@ -135,13 +134,13 @@ def is_join(graft: Graft, edges: Iterable[int]) -> bool:
 def _hop_distances(graph: Graph, source: int) -> list[int | None]:
     dist: list[int | None] = [None] * graph.n
     dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
+    order = [source]
+    for v in order:  # grows while it is read
+        d = dist[v] + 1
         for u, _ in graph.incident(v):
             if dist[u] is None:
-                dist[u] = dist[v] + 1
-                q.append(u)
+                dist[u] = d
+                order.append(u)
     return dist
 
 

@@ -1,11 +1,14 @@
 """Command-line behavior: exact bytes, exit codes, and file-format strictness."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import connjoin
 from connjoin import graph_core
 from connjoin.cli import format_graft, main, parse_graft
 from connjoin.constructive import replay, ConstructionRecipe
@@ -61,6 +64,8 @@ def test_format_preserves_edge_order():
     ("p graft 3 1\nt\nq 0 1\n", 3, "unknown directive"),
     ("p graft 3 0\nt 0\n", 2, "odd number of terminals"),
     ("p graft 2 1\nt\r\ne 0 1\n", 2, "carriage"),
+    ("p graft 2 1\nt\nc caf\u00e9\ne 0 1\n", 3, "non-ASCII"),
+    ("p graft 2 1\nt\ne 0 \u0661\n", 3, "non-ASCII"),  # an Arabic-Indic 1
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ParseError) as err:
@@ -211,6 +216,35 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(P3_TEXT))
     code, out, _ = run(capsys, ["check", "-"])
     assert code == 0 and out.startswith("yes\n")
+
+
+@pytest.mark.parametrize("comment", [b"caf\xc3\xa9", b"\xff"])
+def test_non_ascii_bytes_are_a_parse_error_from_file_and_stdin(tmp_path, comment):
+    # UTF-8 and undecodable bytes alike; stdin's decoder is pinned to strict,
+    # the least forgiving one a locale can give it
+    data = b"p graft 2 1\nt\nc " + comment + b"\ne 0 1\n"
+    path = tmp_path / "g.graft"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(connjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    for target, stdin in ((str(path), None), ("-", data)):
+        proc = subprocess.run([sys.executable, "-m", "connjoin.cli", "check", target],
+                              input=stdin, env=env, capture_output=True)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == b"error: line 3: non-ASCII characters are not allowed\n"
+
+
+def test_main_reuses_its_parser_like_a_fresh_one(tmp_path, capsys):
+    path = write(tmp_path, P3_TEXT)
+    code, out, _ = run(capsys, ["check", "--root", "2", "--format", "json", path])
+    assert code == 0 and json.loads(out)["root"] == 2
+    code, out, _ = run(capsys, ["check", "--format", "json", path])
+    assert code == 0 and json.loads(out)["root"] == 0  # the default is back
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--root", "x", path])
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    code, out, _ = run(capsys, ["check", path])
+    assert code == 0 and out == "yes\n0 1\n1 2\ncoverable 0\n"
 
 
 def test_check_explicit_root(tmp_path, capsys):

@@ -306,6 +306,17 @@ def test_gen_tailed_rejects_counts_it_cannot_honour():
     assert recipe.steps[-1]["bridges"] == []
 
 
+def test_gen_tailed_honours_explicit_tail_edges_on_every_seed():
+    # a drawn single tail vertex is raised to two, so no seed refuses
+    for seed in range(20):
+        graft, _, recipe = gen_tailed(1, seed=seed, tail_edges=3)
+        tail = recipe.steps[-1]
+        assert tail["vertices"] >= 2 and len(tail["edges"]) == 3
+        assert replay(recipe).graph.edges == graft.graph.edges
+        assert replay(recipe).terminals == graft.terminals
+        assert gen_tailed(1, seed=seed, tail_edges=3)[2] == recipe
+
+
 def test_strong_comb_needs_rake_for_covered_root():
     # a strong comb whose root misses two teeth: no connected minimum join
     # can cover the root, exactly because it is not a rake
