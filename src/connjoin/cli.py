@@ -77,9 +77,27 @@ def parse_graft(text: str) -> Graft:
         if line == "":
             raise ParseError(idx, "blank lines are not allowed")
         tokens = line.split(" ")
-        if any(tok == "" for tok in tokens):
+        if "" in tokens:
             raise ParseError(idx, "tokens must be separated by single spaces")
         kind = tokens[0]
+        if kind == "e":  # the most common line first
+            if t_line is None:
+                raise ParseError(idx, "edge line before the terminal line")
+            if len(tokens) != 3:
+                raise ParseError(idx, "edge lines must be 'e <u> <v>'")
+            a, b = tokens[1], tokens[2]
+            if not (a.isdigit() and b.isdigit()):
+                _int_token(a, idx, "endpoint")  # raises, naming the token
+                _int_token(b, idx, "endpoint")
+            u, v = int(a), int(b)
+            if u >= n or v >= n:
+                raise ParseError(idx, f"endpoint outside 0..{n - 1}")
+            if u == v:
+                raise ParseError(idx, "loop edges are not allowed")
+            if len(edges) == m:
+                raise ParseError(idx, f"more than {m} edge lines")
+            edges.append((u, v))
+            continue
         if kind == "c":
             continue
         if kind == "t":
@@ -95,21 +113,6 @@ def parse_graft(text: str) -> Graft:
                 if v in terminals:
                     raise ParseError(idx, f"terminal {v} repeated")
                 terminals.add(v)
-            continue
-        if kind == "e":
-            if t_line is None:
-                raise ParseError(idx, "edge line before the terminal line")
-            if len(tokens) != 3:
-                raise ParseError(idx, "edge lines must be 'e <u> <v>'")
-            u = _int_token(tokens[1], idx, "endpoint")
-            v = _int_token(tokens[2], idx, "endpoint")
-            if u >= n or v >= n:
-                raise ParseError(idx, f"endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ParseError(idx, "loop edges are not allowed")
-            if len(edges) == m:
-                raise ParseError(idx, f"more than {m} edge lines")
-            edges.append((u, v))
             continue
         raise ParseError(idx, f"unknown directive {kind!r}")
 

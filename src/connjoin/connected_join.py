@@ -122,8 +122,7 @@ def head_set(
             v for v in comp.a_set
             if top_terminals <= {v}
             and ((v in graft.terminals) + len(child_heads)) % 2 == want
-            and all(any(u in ch for u, _ in graph.incident(v))
-                    for ch in child_heads))
+            and all(not ch.isdisjoint(graph.nbrs[v]) for ch in child_heads))
     return heads
 
 
@@ -146,7 +145,8 @@ def construct_join(
         cid, anchor = stack.pop()
         for child_id in dd.component(cid).d_children:
             child_heads = heads[child_id]
-            for u, e in graph.incident(anchor):  # sorted: first hit is minimal
+            # sorted: the first hit is minimal
+            for u, e in zip(graph.nbrs[anchor], graph.eids[anchor]):
                 if u in child_heads:
                     out.add(e)
                     stack.append((child_id, u))

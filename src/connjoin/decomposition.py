@@ -213,12 +213,14 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
     uf = list(range(graph.n))
     nodes: list[_Node] = []
     layers: list[_Node] = []  # the previous level's layer nodes
+    dist, nbrs = dm.dist, graph.nbrs
     for i in interval:
         cross, inner = [], []  # edges into lower levels, edges inside level i
         for v in levels[i]:
-            for u, _ in graph.incident(v):
-                if dm[u] is not None and dm[u] <= i:
-                    (inner if dm[u] == i else cross).append((u, v))
+            for u in nbrs[v]:
+                du = dist[u]
+                if du is not None and du <= i:
+                    (inner if du == i else cross).append((u, v))
         qs = _snapshot(uf, i, Q, levels[i], cross, layers)
         layers = _snapshot(uf, i, LAYER, levels[i], inner, qs)
         nodes += qs + layers
@@ -391,7 +393,8 @@ def _contraction(graph: Graph, join: frozenset[int], top: Iterable[int],
     injective image on ``top`` this is the sub-graft induced on ``top``,
     terminals where the restricted join has odd degree.  Also returns the
     map from kept edges to their new ids."""
-    kept = sorted({e for v in top for u, e in graph.incident(v)
+    nbrs, eids = graph.nbrs, graph.eids
+    kept = sorted({e for v in top for u, e in zip(nbrs[v], eids[v])
                    if u in image and image[u] != image[v]})
     edges = [(image[u], image[v]) for u, v in map(graph.endpoints, kept)]
     odd: set[int] = set()
@@ -421,7 +424,8 @@ def _check_level_contraction(graph, join, dd, comp, bad) -> None:
         bad(comp.id, "factor-critical-contraction",
             "level contraction terminals differ from all-but-root")
         return
-    top_join = {e for v in comp.a_set for u, e in graph.incident(v)
+    nbrs, eids = graph.nbrs, graph.eids
+    top_join = {e for v in comp.a_set for u, e in zip(nbrs[v], eids[v])
                 if u in blob and e in join}
     if top_join <= new_id.keys():  # else an edge vanished inside one blob
         ends = [x for e in top_join for x in contracted.graph.endpoints(new_id[e])]
@@ -441,7 +445,7 @@ def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
     image = {v: i for i, v in enumerate(top)}
     teeth = {c: len(top) + i for i, c in enumerate(comp.d_children)}
     for v in top:
-        for u, _ in graph.incident(v):
+        for u in graph.nbrs[v]:
             if dd.distance_map[u] < comp.level:
                 child = dd.component(home[u])
                 while _rank(child) < _rank(comp) - 1:

@@ -96,13 +96,14 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     for t, size in toggled.items():
         seeds.setdefault(size - base, []).append(t)
     dist: list[int | None] = [None] * graph.n
+    nbrs = graph.nbrs
     layer, level = [], min(seeds)
     while layer or seeds:  # layer: the candidates for distance ``level``
         nxt = []
         for v in layer + seeds.pop(level, []):
             if dist[v] is None:
                 dist[v] = level
-                nxt += [u for u, _ in graph.incident(v) if dist[u] is None]
+                nxt += [u for u in nbrs[v] if dist[u] is None]
         layer, level = nxt, level + 1
     return DistanceMap(root, tuple(dist))
 
@@ -112,11 +113,13 @@ def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
     terminals of ``solve``, the root's component; the root's hop distances
     are read off the terminals' tables (hop is symmetric).
 
-    Matchings maximize weight -hop, so a slack is y_a + y_b + 2 hop(a, b).
-    Each toggle is a near-perfect matching of the odd set T ^ {root}
-    exposing t, read off the duals of one near-perfect solve (``DualState``)
-    under weight -2 hop from the doubled folded base duals: then every
-    exposed start vertex has an even dual, as the solver needs.
+    The base optimum is in doubled units (``perfect_optimum``): a slack is
+    y_a + y_b + 4 hop(a, b), and those duals may be odd.  Each toggle is a
+    near-perfect matching of the odd set T ^ {root} exposing t, read off the
+    duals of one near-perfect solve (``DualState``) under weight -4 hop
+    from twice the folded base duals: then every exposed start vertex has an
+    even dual, as the solver needs.  Twice a matching's weight is -8 times
+    its size, so each size is (dual[t] - spent) / 8.
     """
     pts, hop = solve.terminals, solve.hop
     y = list(solve.optimum.dual)
@@ -124,20 +127,20 @@ def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
         for v in leaves:
             y[v] += z
     tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, solve.optimum.mate))
-             if y[a] + y[b] + 2 * solve.cost[a][b] == 0}
+             if y[a] + y[b] + 4 * solve.cost[a][b] == 0}
     points = [p for p in pts if p != root]  # root's mate starts exposed
     start = [2 * y[a] for a, p in enumerate(pts) if p != root]
     if root not in pts:
-        start.append(max(-4 * hop[p][root] - d for p, d in zip(points, start)))
+        start.append(max(-8 * hop[p][root] - d for p, d in zip(points, start)))
         points.append(root)  # last, so every pair's first point has a table
     index, n = {p: i for i, p in enumerate(points)}, len(points)
     state = DualState([index.get(tight.get(p), -1) for p in points], start)
-    max_weight_matching(n, [(i, j, -2 * hop[points[i]][points[j]])
+    max_weight_matching(n, [(i, j, -4 * hop[points[i]][points[j]])
                             for i in range(n) for j in range(i + 1, n)], state)
     if not state.spans():
         raise InternalError("near-perfect solve left no spanning blossom")
     spent = sum(state.dual) + sum(z * (len(leaves) - 1)
                                   for leaves, z in state.blossoms)
-    if any((spent - d) % 4 for d in state.dual):
+    if any((spent - d) % 8 for d in state.dual):
         raise InternalError("a toggled size is not an integer")
-    return {t: (d - spent) // 4 for t, d in zip(points, state.dual)}
+    return {t: (d - spent) // 8 for t, d in zip(points, state.dual)}

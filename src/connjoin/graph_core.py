@@ -3,6 +3,11 @@
 Vertices are ``0 .. n-1``.  Edges are identified by their position in the
 edge sequence, so parallel edges are distinct objects.  Loops are stripped
 silently at construction; ``loops_stripped`` counts them.
+
+Each vertex's incidences are stored as two aligned flat tuples, sorted by
+(neighbour, edge id): ``nbrs[v]`` holds the neighbours, a parallel edge's
+repeated, and ``eids[v]`` the matching edge ids.  Traversals read them
+directly; ``incident`` pairs them up for callers that want pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ EdgeId = int
 class Graph:
     """An immutable undirected multigraph."""
 
-    __slots__ = ("n", "edges", "loops_stripped", "_adj")
+    __slots__ = ("n", "edges", "loops_stripped", "nbrs", "eids")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
@@ -36,14 +41,23 @@ class Graph:
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(kept)
         self.loops_stripped = loops
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edges):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
         # Sorted incidence lists make every traversal in the package
-        # deterministic without per-call sorting.
-        self._adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj)
+        # deterministic without per-call sorting.  A bucket pass sorts them
+        # all: listing each vertex v's incidences (u, e) in edge order and
+        # appending (v, e) to u's lists, v ascending, sorts u's lists by
+        # (neighbour, edge id).
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(self.edges):
+            inc[u].append((v, e))
+            inc[v].append((u, e))
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        eids: list[list[int]] = [[] for _ in range(n)]
+        for v, pairs in enumerate(inc):
+            for u, e in pairs:
+                nbrs[u].append(v)
+                eids[u].append(e)
+        self.nbrs: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
+        self.eids: tuple[tuple[int, ...], ...] = tuple(map(tuple, eids))
 
     @property
     def m(self) -> int:
@@ -54,7 +68,7 @@ class Graph:
 
     def incident(self, v: VertexId) -> tuple[tuple[int, int], ...]:
         """Pairs ``(neighbor, edge_id)`` sorted by (neighbor, edge_id)."""
-        return self._adj[v]
+        return tuple(zip(self.nbrs[v], self.eids[v]))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)
@@ -77,7 +91,7 @@ def connected_components(graph: Graph) -> tuple[frozenset[int], ...]:
         seen[s] = True
         comp = [s]
         for u in comp:  # grows while it is read
-            for w, _ in graph.incident(u):
+            for w in graph.nbrs[u]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -90,7 +104,7 @@ def is_stable_dominating(graph: Graph, teeth: frozenset[int]) -> bool:
     every other vertex has a neighbour among them."""
     seen: set[int] = set()
     for b in teeth:
-        for u, _ in graph.incident(b):
+        for u in graph.nbrs[b]:
             if u in teeth:
                 return False
             seen.add(u)

@@ -16,12 +16,14 @@ from the base optimum, doubling weights and start duals so that exposed
 start vertices share a dual parity (an odd S-S slack would make the halved
 delta round).  The subset-DP cross-check oracle lives in the tests.
 
-A minimum-cost perfect matching is solved once by ``perfect_optimum``, the
-solve from zero duals under weight -cost; ``tjoin.optimum_join`` pairs by its
-mate.  ``tight_pairing`` finds the lexicographically smallest optimal pairing
-for printed joins (``tjoin.minimum_join``, ``min_weight_perfect_matching``)
-by a second solve on the edges tight under the optimum's duals, with a
-tie-break penalty encoded below the primary cost.
+A minimum-cost perfect matching is solved once by ``perfect_optimum``, under
+weight -2 cost from Kolmogorov's greedy initialization (``greedy_start``:
+nearest-neighbour duals, mutual nearest pairs matched), so its duals are in
+doubled units; ``tjoin.optimum_join`` pairs by its mate.  ``tight_pairing``
+finds the lexicographically smallest optimal pairing for printed joins
+(``tjoin.minimum_join``, ``min_weight_perfect_matching``) by a second solve
+on the edges tight under the optimum's duals, with a tie-break penalty
+encoded below the primary cost.
 """
 
 from __future__ import annotations
@@ -493,12 +495,34 @@ def max_weight_matching(
 def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
     """An optimal state of the minimum-cost perfect matching on the ranks of
     the symmetric table ``cost``: the maximum-weight perfect matching under
-    weight -cost, solved from zero duals."""
+    weight -2 cost, so its duals are in doubled units (the slack of ij is
+    ``dual[i] + dual[j] + 4 cost[i][j]`` plus 2 z per blossom over both),
+    solved from ``greedy_start(cost)``."""
     k = len(cost)
-    state = DualState([-1] * k, [0] * k)
-    max_weight_matching(k, [(i, j, -cost[i][j])
+    state = greedy_start(cost)
+    max_weight_matching(k, [(i, j, -2 * cost[i][j])
                             for i in range(k) for j in range(i + 1, k)], state)
     return state
+
+
+def greedy_start(cost: Sequence[Sequence[int]]) -> DualState:
+    """Kolmogorov's Blossom V greedy initialization, under weight -2 cost.
+
+    With near(i) the least cost[i][j] over j != i, the duals -2 near(i) are
+    feasible, since 4 cost[i][j] >= 2 near(i) + 2 near(j), and a pair is
+    tight iff cost[i][j] == near(i) == near(j).  Such pairs are matched in
+    rank order while both ends are free.  Every dual is even, the exposed
+    ones included, as ``max_weight_matching`` needs."""
+    k = len(cost)
+    near = [min(c for j, c in enumerate(row) if j != i)
+            for i, row in enumerate(cost)]
+    mate = [-1] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            if (mate[i] == -1 and mate[j] == -1
+                    and cost[i][j] == near[i] == near[j]):
+                mate[i], mate[j] = j, i
+    return DualState(mate, [-2 * c for c in near])
 
 
 def matched_total(cost: Sequence[Sequence[int]], state: DualState) -> int:
@@ -512,13 +536,15 @@ def tight_pairing(
     sorted rank pairs, given ``optimum = perfect_optimum(cost)`` (read only).
 
     By complementary slackness every optimal matching uses only edges tight
-    under the optimal duals, blossom duals included, so the tie-break solves
-    on those alone.  It keeps the primary cost, since a perfect matching of
-    tight edges crossing a positive blossom three times is not optimal, and
-    adds a penalty B^(k-i) * j per pair (i < j the ranks, B > k^2) below one
-    unit of cost.  Summed penalties compare like sorted pair lists: matchings
-    agreeing on all pairs with smaller endpoint below rank i both match rank
-    i next, and the B^(k-i) term dominates every later position.
+    under the optimal duals, blossom duals included (in the optimum's
+    doubled units, y_i + y_j + 4 cost[i][j] plus 2 z per blossom over both
+    is zero), so the tie-break solves on those alone.  It keeps the primary
+    cost, since a perfect matching of tight edges crossing a positive
+    blossom three times is not optimal, and adds a penalty B^(k-i) * j per
+    pair (i < j the ranks, B > k^2) below one unit of cost.  Summed
+    penalties compare like sorted pair lists: matchings agreeing on all
+    pairs with smaller endpoint below rank i both match rank i next, and
+    the B^(k-i) term dominates every later position.
     """
     k = len(cost)
     inside = [[0] * k for _ in range(k)]  # twice the blossom duals over ij
@@ -533,7 +559,7 @@ def tight_pairing(
     mate = max_weight_matching(k, [
         (i, j, -(cost[i][j] * scale + pow_b[i] * j))
         for i in range(k) for j in range(i + 1, k)
-        if y[i] + y[j] + 2 * cost[i][j] + inside[i][j] == 0],
+        if y[i] + y[j] + 4 * cost[i][j] + inside[i][j] == 0],
         DualState([-1] * k, [0] * k))
     pairs = [(i, j) for i, j in enumerate(mate) if i < j]
     if sum(cost[i][j] for i, j in pairs) != matched_total(cost, optimum):

@@ -9,10 +9,10 @@ Each graft finds its components once and solves that matching once, each
 on first use.  ``Graft.parts`` holds the sorted terminals of each component
 holding any; validation, the solve and the decision's split-T test read it.
 ``Graft.solved`` holds, per such component, the hop tables, the optimum
-under weight -hop with its duals, and ν.  ``optimum_join`` realizes the
-optimum's own pairing, for the decision, distances and verifiers, whose
-output is join-independent; ``minimum_join`` adds a tie-break solve for the
-canonical join that commands print.
+under weight -2 hop with its duals (``perfect_optimum``), and ν.
+``optimum_join`` realizes the optimum's own pairing, for the decision,
+distances and verifiers, whose output is join-independent; ``minimum_join``
+adds a tie-break solve for the canonical join that commands print.
 """
 
 from __future__ import annotations
@@ -135,9 +135,10 @@ def _hop_distances(graph: Graph, source: int) -> list[int | None]:
     dist: list[int | None] = [None] * graph.n
     dist[source] = 0
     order = [source]
+    nbrs = graph.nbrs
     for v in order:  # grows while it is read
         d = dist[v] + 1
-        for u, _ in graph.incident(v):
+        for u in nbrs[v]:
             if dist[u] is None:
                 dist[u] = d
                 order.append(u)
@@ -159,7 +160,8 @@ def _shortest_path_edges(
     v = b
     while v != a:
         d = dist[v]
-        for u, e in graph.incident(v):  # sorted by (u, e): first hit is minimal
+        # sorted by (u, e): the first hit is minimal
+        for u, e in zip(graph.nbrs[v], graph.eids[v]):
             if dist[u] == d - 1:
                 path.add(e)
                 v = u

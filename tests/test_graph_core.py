@@ -21,6 +21,33 @@ def test_basic_accessors():
     assert g.endpoints(2) == (1, 2)
     # incidence lists are sorted for deterministic traversal
     assert g.incident(1) == ((0, 0), (2, 1), (2, 2))
+    assert g.nbrs[1] == (0, 2, 2) and g.eids[1] == (0, 1, 2)
+    assert g.nbrs[3] == (0,) and g.eids[3] == (3,)
+
+
+@st.composite
+def raw_multigraphs(draw):
+    """A vertex count and an edge list with loops and parallel edges likely,
+    isolated vertices too: few endpoints are drawn for many edges."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    if n == 0:
+        return 0, []
+    ends = st.integers(0, min(n - 1, draw(st.integers(0, n - 1))))
+    return n, draw(st.lists(st.tuples(ends, ends), max_size=20))
+
+
+@given(raw_multigraphs())
+def test_flat_adjacency_matches_brute_force_incidence(drawn):
+    n, raw = drawn
+    g = Graph(n, raw)
+    kept = [(u, v) for u, v in raw if u != v]
+    assert g.edges == tuple(kept) and g.loops_stripped == len(raw) - len(kept)
+    for v in range(n):
+        pairs = sorted((b if a == v else a, e)
+                       for e, (a, b) in enumerate(kept) if v in (a, b))
+        assert g.nbrs[v] == tuple(u for u, _ in pairs)
+        assert g.eids[v] == tuple(e for _, e in pairs)
+        assert g.incident(v) == tuple(pairs)
 
 
 def test_is_stable_dominating_golden():

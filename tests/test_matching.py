@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from connjoin.decomposition import is_factor_critical
 from connjoin.distances import _toggled_sizes
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
-from connjoin.matching import (DualState, matched_total, max_weight_matching,
+from connjoin.matching import (DualState, greedy_start, matched_total,
+                               max_weight_matching,
                                min_weight_perfect_matching,
                                min_weight_perfect_matching_value,
-                               perfect_optimum)
+                               perfect_optimum, tight_pairing)
 from connjoin.graph_core import Graph
 from connjoin.tjoin import (TerminalSolve, _hop_distances,
                             _shortest_path_edges, minimum_join)
@@ -146,21 +147,26 @@ def test_tight_tie_break_equals_reference(half, data):
         min_weight_perfect_matching_value(range(k), weight)
 
 
-# The base optimum of this table has the positive blossom {0, 2, 3}.  Its
-# tight edges hold the perfect matching 01 24 35, lexicographically first
-# but of cost 4 > 3 = nu: it crosses the blossom three times.  A tie-break
-# that dropped the primary cost would return it.
+# Solved from zero duals under weight -2 cost (the units of
+# ``perfect_optimum``), this table's optimum has the positive blossom
+# {0, 2, 3}.  Its tight edges hold the perfect matching 01 24 35,
+# lexicographically first but of cost 4 > 3 = nu: it crosses the blossom
+# three times.  A tie-break that dropped the primary cost would return it.
+# The warm start of ``perfect_optimum`` reaches an optimum without that
+# blossom, so the trap state is built by an explicit cold solve.
 BLOSSOM_TRAP = [[0, 2, 0, 1, 2, 3], [2, 0, 2, 3, 3, 0], [0, 2, 0, 1, 2, 3],
                 [1, 3, 1, 0, 3, 0], [2, 3, 2, 3, 0, 3], [3, 0, 3, 0, 3, 0]]
 
 
 def test_tie_break_keeps_primary_cost_across_positive_blossom():
-    optimum = perfect_optimum(BLOSSOM_TRAP)
-    assert ([0, 2, 3], 1) in [(sorted(b), z) for b, z in optimum.blossoms]
+    optimum = zero_duals(6)
+    max_weight_matching(6, [(i, j, -2 * BLOSSOM_TRAP[i][j])
+                            for i in range(6) for j in range(i + 1, 6)], optimum)
+    assert ([0, 2, 3], 2) in [(sorted(b), z) for b, z in optimum.blossoms]
     y, blossom = optimum.dual, {0, 2, 3}
     trap = [(0, 1), (2, 4), (3, 5)]
-    assert all(y[a] + y[b] + 2 * BLOSSOM_TRAP[a][b]
-               + 2 * ({a, b} <= blossom) == 0 for a, b in trap)
+    assert all(y[a] + y[b] + 4 * BLOSSOM_TRAP[a][b]
+               + 4 * ({a, b} <= blossom) == 0 for a, b in trap)
     assert sum(BLOSSOM_TRAP[a][b] for a, b in trap) == 4
     assert matched_total(BLOSSOM_TRAP, optimum) == 3
 
@@ -169,7 +175,50 @@ def test_tie_break_keeps_primary_cost_across_positive_blossom():
 
     total, pairs = min_weight_perfect_matching_dp(range(6), weight)
     assert total == 3
+    assert tight_pairing(BLOSSOM_TRAP, optimum) == pairs
     assert min_weight_perfect_matching(range(6), weight) == pairs
+
+
+def assert_base_solve_agrees_with_dp(cost):
+    optimum = perfect_optimum(cost)
+    total, pairs = min_weight_perfect_matching_dp(
+        range(len(cost)), lambda a, b: cost[a][b])
+    assert matched_total(cost, optimum) == total
+    assert tight_pairing(cost, optimum) == pairs
+
+
+def test_greedy_start_on_an_all_equal_table_matches_every_point():
+    cost = [[0 if i == j else 5 for j in range(8)] for i in range(8)]
+    start = greedy_start(cost)
+    assert start == DualState([1, 0, 3, 2, 5, 4, 7, 6], [-10] * 8)
+    assert perfect_optimum(cost) == start  # the solve only verifies
+    assert_base_solve_agrees_with_dp(cost)
+
+
+def test_greedy_start_on_a_nearest_neighbour_chain_matches_one_pair():
+    # Points on a line with halving gaps: each point's nearest neighbour is
+    # the next one, which is not mutual but for the closest pair (4, 5).
+    # Some pair is always matched: the cheapest of the table is mutual.
+    x = [0, 32, 48, 56, 60, 62]
+    cost = [[abs(a - b) for b in x] for a in x]
+    start = greedy_start(cost)
+    assert start == DualState([-1, -1, -1, -1, 5, 4],
+                              [-64, -32, -16, -8, -4, -4])
+    assert_base_solve_agrees_with_dp(cost)
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_warm_base_solve_agrees_with_dp_on_ties(half, data):
+    # Costs 0..2 leave many nearest neighbours tied, so the greedy pass
+    # chooses among them and the optimum among many optimal matchings.
+    k = 2 * half
+    cost = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            cost[a][b] = cost[b][a] = data.draw(st.integers(0, 2))
+    # the solver rejects an infeasible or non-tight start
+    assert_base_solve_agrees_with_dp(cost)
 
 
 def test_minimum_join_equals_reference_pairing_above_oracle_reach():
