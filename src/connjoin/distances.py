@@ -9,7 +9,8 @@ Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
 the root and the target.  The root component's size is the perfect
 matching of its terminals under hop distance that the graft solved once
-(``Graft.solved``), hop tables and duals included.  The toggled sizes at
+(``Graft.solved``), its k × k hop table and duals included; a root that is
+no terminal adds one search for its own column.  The toggled sizes at
 the points t of the odd set T ^ {root} are its near-perfect matchings, and
 one blossom search reads them all off its duals: started from that optimum
 (blossom duals folded into the vertex duals, the matched edges that stay
@@ -27,7 +28,7 @@ from typing import Iterable
 
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
 from .matching import DualState, max_weight_matching
-from .tjoin import Graft, TerminalSolve, is_join, nu
+from .tjoin import Graft, TerminalSolve, _hop_distances, is_join, nu
 
 UNREACHABLE = None
 
@@ -88,9 +89,14 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     if len(join) != minimum:
         raise NotMinimumJoinError(
             f"join has {len(join)} edges but the minimum is {minimum}")
-    solve = next((s for s in graft.solved if s.hop[s.terminals[0]][root]
-                  is not None), None)
-    toggled = _toggled_sizes(solve, root) if solve else {root: 0}
+    solve = next((s for s in graft.solved if root in s.terminals), None)
+    column = None
+    if solve is None and graft.terminals:  # one search finds the component
+        hop = _hop_distances(graph, root, graft.terminals)
+        solve = next((s for s in graft.solved
+                      if hop[s.terminals[0]] is not None), None)
+        column = solve and [hop[p] for p in solve.terminals]
+    toggled = _toggled_sizes(solve, root, column) if solve else {root: 0}
     base = solve.nu if solve else 0
     seeds: dict[int, list[int]] = {}
     for t, size in toggled.items():
@@ -108,10 +114,11 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     return DistanceMap(root, tuple(dist))
 
 
-def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
+def _toggled_sizes(solve: TerminalSolve, root: int,
+                   column: list[int] | None) -> dict[int, int]:
     """nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T are the
-    terminals of ``solve``, the root's component; the root's hop distances
-    are read off the terminals' tables (hop is symmetric).
+    terminals of ``solve``, the root's component; ``column`` holds the root's
+    hop distance to each terminal by rank, or is None for a terminal root.
 
     The base optimum is in doubled units (``perfect_optimum``): a slack is
     y_a + y_b + 4 hop(a, b), and those duals may be odd.  Each toggle is a
@@ -121,21 +128,23 @@ def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
     even dual, as the solver needs.  Twice a matching's weight is -8 times
     its size, so each size is (dual[t] - spent) / 8.
     """
-    pts, hop = solve.terminals, solve.hop
+    pts, k = solve.terminals, len(solve.terminals)
     y = list(solve.optimum.dual)
     for leaves, z in solve.optimum.blossoms:
         for v in leaves:
             y[v] += z
-    tight = {p: pts[b] for a, (p, b) in enumerate(zip(pts, solve.optimum.mate))
+    tight = {a: b for a, b in enumerate(solve.optimum.mate)
              if y[a] + y[b] + 4 * solve.cost[a][b] == 0}
-    points = [p for p in pts if p != root]  # root's mate starts exposed
-    start = [2 * y[a] for a, p in enumerate(pts) if p != root]
-    if root not in pts:
-        start.append(max(-8 * hop[p][root] - d for p, d in zip(points, start)))
-        points.append(root)  # last, so every pair's first point has a table
-    index, n = {p: i for i, p in enumerate(points)}, len(points)
-    state = DualState([index.get(tight.get(p), -1) for p in points], start)
-    max_weight_matching(n, [(i, j, -4 * hop[points[i]][points[j]])
+    rows = solve.cost  # by rank; the root, if no terminal, is rank k
+    points = [a for a in range(k) if pts[a] != root]  # root's mate starts exposed
+    start = [2 * y[a] for a in points]
+    if column is not None:
+        rows = [row + [c] for row, c in zip(rows, column)]
+        start.append(max(-8 * column[a] - d for a, d in zip(points, start)))
+        points.append(k)  # last, so every pair's first point has a row
+    index, n = {a: i for i, a in enumerate(points)}, len(points)
+    state = DualState([index.get(tight.get(a), -1) for a in points], start)
+    max_weight_matching(n, [(i, j, -4 * rows[points[i]][points[j]])
                             for i in range(n) for j in range(i + 1, n)], state)
     if not state.spans():
         raise InternalError("near-perfect solve left no spanning blossom")
@@ -143,4 +152,5 @@ def _toggled_sizes(solve: TerminalSolve, root: int) -> dict[int, int]:
                                   for leaves, z in state.blossoms)
     if any((spent - d) % 8 for d in state.dual):
         raise InternalError("a toggled size is not an integer")
-    return {t: (d - spent) // 8 for t, d in zip(points, state.dual)}
+    verts = [*pts, root]
+    return {verts[a]: (d - spent) // 8 for a, d in zip(points, state.dual)}

@@ -8,8 +8,9 @@ paths along a minimum-cost matching of the terminals.
 Each graft finds its components once and solves that matching once, each
 on first use.  ``Graft.parts`` holds the sorted terminals of each component
 holding any; validation, the solve and the decision's split-T test read it.
-``Graft.solved`` holds, per such component, the hop tables, the optimum
-under weight -2 hop with its duals (``perfect_optimum``), and ν.
+``Graft.solved`` holds, per such component, the k × k hop table of its
+terminals (from k - 1 stopped searches), the optimum under weight -2 hop
+with its duals (``perfect_optimum``), and ν.
 ``optimum_join`` realizes the optimum's own pairing, for the decision,
 distances and verifiers, whose output is join-independent; ``minimum_join``
 adds a tie-break solve for the canonical join that commands print.
@@ -75,28 +76,32 @@ class Graft:
     @cached_property
     def solved(self) -> tuple[TerminalSolve, ...]:
         """The solved terminal matching of each of ``parts``, on first read."""
-        return tuple(TerminalSolve.of(p, {s: _hop_distances(self.graph, s) for s in p})
-                     for p in self.parts)
+        out = []
+        for pts in self.parts:
+            cost = [[0] * len(pts) for _ in pts]
+            for i, a in enumerate(pts[:-1]):
+                hop = _hop_distances(self.graph, a, pts[i + 1:])
+                for j in range(i + 1, len(pts)):
+                    cost[i][j] = cost[j][i] = hop[pts[j]]
+            out.append(TerminalSolve.of(pts, cost))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
 class TerminalSolve:
-    """One component's terminal matching, solved (read only): its sorted
-    terminals, their hop tables, the hop table by terminal rank (``cost``),
-    its minimum-cost perfect matching with vertex and blossom duals, and ν."""
+    """One component's terminal matching, solved (read only): its terminals
+    in rank order, the hop table by rank (``cost``), its minimum-cost perfect
+    matching with vertex and blossom duals, and ν."""
 
     terminals: tuple[int, ...]
-    hop: dict[int, list[int | None]] = field(repr=False)
     cost: list[list[int]] = field(repr=False)
     optimum: DualState = field(repr=False)
     nu: int
 
     @classmethod
-    def of(cls, terminals: Iterable[int], hop: dict) -> TerminalSolve:
-        pts = tuple(sorted(terminals))
-        cost = [[hop[a][b] for b in pts] for a in pts]
+    def of(cls, terminals: Iterable[int], cost: list[list[int]]) -> TerminalSolve:
         optimum = perfect_optimum(cost)
-        return cls(pts, hop, cost, optimum, matched_total(cost, optimum))
+        return cls(tuple(terminals), cost, optimum, matched_total(cost, optimum))
 
 
 def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:
@@ -131,10 +136,15 @@ def is_join(graft: Graft, edges: Iterable[int]) -> bool:
     return odd == set(graft.terminals)
 
 
-def _hop_distances(graph: Graph, source: int) -> list[int | None]:
+def _hop_distances(graph: Graph, source: int,
+                   stop: Iterable[int] = ()) -> list[int | None]:
+    """Hop distances from ``source``, None off its component.  Given ``stop``,
+    it returns once all of ``stop`` is labelled: every vertex nearer than its
+    farthest one then has its final layer, so paths back stay canonical."""
     dist: list[int | None] = [None] * graph.n
     dist[source] = 0
     order = [source]
+    left = set(stop) - {source}
     nbrs = graph.nbrs
     for v in order:  # grows while it is read
         d = dist[v] + 1
@@ -142,6 +152,10 @@ def _hop_distances(graph: Graph, source: int) -> list[int | None]:
             if dist[u] is None:
                 dist[u] = d
                 order.append(u)
+                if u in left:
+                    left.remove(u)
+                    if not left:
+                        return dist
     return dist
 
 
@@ -193,7 +207,8 @@ def _realize(graft: Graft, pairing: Callable) -> frozenset[int]:
     for s in graft.solved:
         for i, j in pairing(s):
             a, b = s.terminals[i], s.terminals[j]
-            result ^= _shortest_path_edges(graft.graph, s.hop[a], a, b)
+            hop = _hop_distances(graft.graph, a, (b,))
+            result ^= _shortest_path_edges(graft.graph, hop, a, b)
     if len(result) != nu(graft) or not is_join(graft, result):
         raise InternalError("matching reduction produced a non-minimum join")
     return frozenset(result)

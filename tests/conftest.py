@@ -15,7 +15,7 @@ import pytest
 
 from connjoin import (Decision, Graft, OracleReport, decide, decomposition,
                       distances, matching, oracle_report, tjoin)
-from connjoin.graph_core import Graph
+from connjoin.graph_core import Graph, connected_components
 from connjoin.tjoin import validate_graft
 
 CORPUS_SIZE = 500
@@ -42,15 +42,37 @@ def sparse_graft(n: int, k: int, seed: int) -> Graft:
     return validate_graft(Graph(n, edges), rng.sample(range(n), k))
 
 
+def random_multigraft(seed: int) -> Graft:
+    """Multigraph of up to 14 vertices with parallel edges and usually several
+    components; per component the terminals are none, all of an even-sized
+    one (T = V there), or an even random subset."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    edges = []
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if u != v:
+            edges += [(u, v)] * rng.choice((1, 1, 2))
+    graph = Graph(n, edges)
+    terminals: set[int] = set()
+    for comp in connected_components(graph):
+        comp, mode = sorted(comp), rng.random()
+        if mode < 0.25 and len(comp) % 2 == 0:
+            terminals |= set(comp)
+        elif mode < 0.75:
+            terminals |= set(rng.sample(comp, 2 * rng.randint(0, len(comp) // 2)))
+    return validate_graft(graph, terminals)
+
+
 def count_work(monkeypatch):
     """Count hop-table BFS runs and blossom solves from here on; the BFS in
     every ``connjoin`` module that imports it, so none runs uncounted."""
     calls = {"bfs": 0, "solves": 0}
     bfs, solve = tjoin._hop_distances, matching.max_weight_matching
 
-    def counted_bfs(*args):
+    def counted_bfs(*args, **kwargs):
         calls["bfs"] += 1
-        return bfs(*args)
+        return bfs(*args, **kwargs)
 
     def counted_solve(*args):
         calls["solves"] += 1

@@ -18,7 +18,7 @@ from connjoin.matching import min_weight_perfect_matching_value
 from connjoin.tjoin import (TerminalSolve, _hop_distances, minimum_join, nu,
                            validate_graft)
 
-from conftest import count_work, sparse_graft
+from conftest import count_work, random_multigraft, sparse_graft
 from path_oracle import shortest_path_weight_oracle
 
 P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
@@ -159,34 +159,49 @@ def test_warm_toggles_match_cold_solves_above_oracle_reach():
         outside = min(set(range(graft.graph.n)) - graft.terminals)
         for root in (min(graft.terminals), outside):
             pts, hop, base, sizes, dist = cold_distances(graft, root)
-            solve = TerminalSolve.of(pts, hop)
-            assert (solve.nu, _toggled_sizes(solve, root)) == (base, sizes)
+            solve = TerminalSolve.of(pts, [[hop[a][b] for b in pts] for a in pts])
+            column = None if root in pts else [hop[root][p] for p in pts]
+            assert (solve.nu, _toggled_sizes(solve, root, column)) == \
+                (base, sizes)
             assert f_distances(graft, join, root).dist == dist
 
 
+def test_distances_match_full_rows_on_multigrafts():
+    # Parallel edges, several components, terminal-free ones and T = V: the
+    # table-and-column route agrees with full hop rows and cold solves from
+    # every root, terminal or not.
+    for seed in range(150):
+        graft = random_multigraft(seed)
+        join = minimum_join(graft)
+        for root in range(graft.graph.n):
+            assert f_distances(graft, join, root).dist == \
+                cold_distances(graft, root)[-1]
+
+
 def test_decide_bfs_count_is_linear_in_terminals(monkeypatch):
-    # The graft builds each terminal's hop table once, and the join and the
-    # distances from a terminal root both read them.  The join realizes the
-    # base optimum's own pairing, so the decision solves only the base
-    # matching and the near-perfect distance search: no tie-break solve.
+    # The graft builds its k x k hop table once, by k - 1 stopped searches;
+    # the join adds one search per matched pair, and the distances from a
+    # terminal root read the table.  The join realizes the base optimum's
+    # own pairing, so the decision solves only the base matching and the
+    # near-perfect distance search: no tie-break solve.
     graft = sparse_graft(300, 20, 5)
     calls = count_work(monkeypatch)
     decide(graft)
-    assert calls == {"bfs": 20, "solves": 2}
+    assert calls == {"bfs": 19 + 10, "solves": 2}
 
 
 def test_graft_solves_its_matching_once(monkeypatch):
     graft = sparse_graft(300, 20, 5)
     calls = count_work(monkeypatch)
-    join = minimum_join(graft)  # k hop tables; the base and tie-break solves
-    assert calls == {"bfs": 20, "solves": 2}
+    join = minimum_join(graft)  # the base and tie-break solves
+    assert calls == {"bfs": 19 + 10, "solves": 2}  # k - 1 table, k / 2 pairs
     assert nu(graft) == len(join)
-    assert calls == {"bfs": 20, "solves": 2}
+    assert calls == {"bfs": 19 + 10, "solves": 2}
     f_distances(graft, join, min(graft.terminals))  # one near-perfect solve
-    assert calls == {"bfs": 20, "solves": 2 + 1}
+    assert calls == {"bfs": 19 + 10, "solves": 2 + 1}
     outside = min(set(range(graft.graph.n)) - graft.terminals)
-    f_distances(graft, join, outside)  # one solve, no hop table of its own
-    assert calls == {"bfs": 20, "solves": 2 + 1 + 1}
+    f_distances(graft, join, outside)  # one solve, one search for its column
+    assert calls == {"bfs": 19 + 10 + 1, "solves": 2 + 1 + 1}
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(

@@ -249,8 +249,9 @@ def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
     def weight(a, b):
         return table[a][b]
 
-    solve = TerminalSolve.of(terminals, table)
-    base, sizes = solve.nu, _toggled_sizes(solve, root)
+    solve = TerminalSolve.of(terminals, [row[:k] for row in table[:k]])
+    column = None if root_is_terminal else table[k][:k]
+    base, sizes = solve.nu, _toggled_sizes(solve, root, column)
     assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
     toggled = set(terminals) ^ {root}
     assert set(sizes) == toggled

@@ -10,10 +10,13 @@ from connjoin.decomposition import is_strong_comb
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph
 from connjoin.oracle import all_joins
-from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
+from connjoin.matching import tight_pairing
+from connjoin.tjoin import (Graft, _hop_distances, _shortest_path_edges,
+                            is_join, minimum_join, nu, optimum_join,
                             validate_graft)
 
-from conftest import count_work, random_connected_graft
+from conftest import (count_work, random_connected_graft, random_multigraft,
+                      sparse_graft)
 
 
 @st.composite
@@ -143,3 +146,64 @@ def test_tie_break_runs_only_where_a_join_is_printed(
     for command in ("solve", "decompose"):
         with pytest.raises(TieBreakReached):
             main([command, str(path)])
+
+
+def test_stopped_searches_match_full_rows():
+    # The k x k table and each realized path come from searches that stop
+    # early; full rows must give the same table and the same joins.
+    for seed in range(300):
+        graft = random_multigraft(seed)
+        graph = graft.graph
+        full = [_hop_distances(graph, v) for v in range(graph.n)]
+        optimum, canonical = set(), set()
+        for s in graft.solved:
+            pts = s.terminals
+            assert s.cost == [[full[a][b] for b in pts] for a in pts]
+            for join, pairs in (
+                    (optimum, [(i, j) for i, j in enumerate(s.optimum.mate)
+                               if i < j]),
+                    (canonical, tight_pairing(s.cost, s.optimum))):
+                for i, j in pairs:
+                    a, b = pts[i], pts[j]
+                    join ^= _shortest_path_edges(graph, full[a], a, b)
+        assert optimum_join(graft) == optimum
+        assert minimum_join(graft) == canonical
+
+
+def test_stopped_search_labels_its_stop_set_and_all_nearer_vertices():
+    for seed in range(40):
+        graft = random_multigraft(seed)
+        graph = graft.graph
+        for source in range(graph.n):
+            full = _hop_distances(graph, source)
+            stop = [v for v in range(graph.n) if (v * 7 + seed) % 3 == 0]
+            row = _hop_distances(graph, source, stop)
+            far = max((full[v] for v in stop if full[v] is not None),
+                      default=0)
+            for v, d in enumerate(row):
+                assert d is None or d == full[v]
+                if full[v] is not None and (full[v] < far or v in stop):
+                    assert d == full[v]
+            if all(full[v] is None for v in stop):
+                assert row == full  # nothing to stop at: a full row
+
+
+def test_stored_solve_keeps_no_row_of_length_n():
+    # Memory per component is k^2, not k * n: the searches' rows of length
+    # n are dropped once the table is filled.
+    graft = sparse_graft(500, 48, 1)
+    nu(graft)
+    (s,) = graft.solved
+    k = len(s.terminals)
+    assert k == 48
+    assert len(s.cost) == k and all(len(row) == k for row in s.cost)
+    assert len(s.optimum.mate) == len(s.optimum.dual) == k
+
+    def lengths(x):
+        if isinstance(x, (list, tuple, dict)):
+            yield len(x)
+            for y in (x.values() if isinstance(x, dict) else x):
+                yield from lengths(y)
+    fields = [getattr(s, f) for f in vars(s)]
+    fields += [s.optimum.mate, s.optimum.dual, s.optimum.blossoms]
+    assert max(n for x in fields for n in lengths(x)) <= k
