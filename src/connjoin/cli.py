@@ -41,7 +41,10 @@ __all__ = ["parse_graft", "format_graft", "main"]
 def _int_token(token: str, line_no: int, what: str) -> int:
     if not token.isdigit():  # the text is ASCII by now
         raise ParseError(line_no, f"{what} must be an ASCII decimal, got {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(line_no, f"{what} is too long ({len(token)} digits)") from None
 
 
 def parse_graft(text: str) -> Graft:
@@ -86,10 +89,10 @@ def parse_graft(text: str) -> Graft:
             if len(tokens) != 3:
                 raise ParseError(idx, "edge lines must be 'e <u> <v>'")
             a, b = tokens[1], tokens[2]
-            if not (a.isdigit() and b.isdigit()):
-                _int_token(a, idx, "endpoint")  # raises, naming the token
-                _int_token(b, idx, "endpoint")
-            u, v = int(a), int(b)
+            if a.isdigit() and b.isdigit() and len(a) + len(b) < 40:
+                u, v = int(a), int(b)  # the fast path, for short decimals
+            else:  # _int_token raises on a token int() cannot take, naming it
+                u, v = _int_token(a, idx, "endpoint"), _int_token(b, idx, "endpoint")
             if u >= n or v >= n:
                 raise ParseError(idx, f"endpoint outside 0..{n - 1}")
             if u == v:

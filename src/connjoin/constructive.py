@@ -270,9 +270,7 @@ def gluing_sum(
     edges: list[tuple[int, int]] = []
     for eid in range(g0.m):
         u, v = g0.endpoints(eid)
-        su, sv = u in site_set, v in site_set
-        if su and sv:  # unreachable given stability, kept as a guard
-            raise InternalError("edge joins two gluing sites")
+        su, sv = u in site_set, v in site_set  # not both: the sites are stable
         if not su and not sv:
             edges.append((base_map[u], base_map[v]))
             continue
@@ -463,17 +461,15 @@ def replay(recipe: ConstructionRecipe) -> Graft:
     if recipe.kind == PRIMAL:
         (step,) = recipe.steps
         return _primal_from_step(step).graft
-    if recipe.kind == TAILED:
-        *primal_steps, tail_step = recipe.steps
-        (step,) = primal_steps
-        witness = _primal_from_step(step)
-        if tail_step.get("op") != "tail":
-            raise StructuralInputError("tailed recipe must end with a tail step")
-        tail = Graph(int(tail_step["vertices"]),
-                     [tuple(int(x) for x in e) for e in tail_step["edges"]])
-        bridge_list = [tuple(int(x) for x in b) for b in tail_step["bridges"]]
-        return attach_tail(witness, tail, bridge_list)
-    raise StructuralInputError(f"unknown recipe kind {recipe.kind!r}")
+    *primal_steps, tail_step = recipe.steps  # TAILED, the one kind left
+    (step,) = primal_steps
+    witness = _primal_from_step(step)
+    if tail_step.get("op") != "tail":
+        raise StructuralInputError("tailed recipe must end with a tail step")
+    tail = Graph(int(tail_step["vertices"]),
+                 [tuple(int(x) for x in e) for e in tail_step["edges"]])
+    bridge_list = [tuple(int(x) for x in b) for b in tail_step["bridges"]]
+    return attach_tail(witness, tail, bridge_list)
 
 
 @_reads_steps

@@ -38,7 +38,7 @@ from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
 from .graph_core import Graph, is_stable_dominating
 from .distances import DistanceMap, f_distances
-from .matching import DualState, max_weight_matching
+from .matching import is_factor_critical
 from .tjoin import Graft, _check_edge_ids, is_join, nu, optimum_join
 
 __all__ = [
@@ -260,17 +260,6 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
         components=tuple(components), initial_id=parent[home[root]])
-
-
-def is_factor_critical(graph: Graph) -> bool:
-    """True iff deleting any single vertex leaves a perfectly matchable graph,
-    decided by one near-perfect search (Gallai's lemma; see ``matching``)."""
-    n = graph.n
-    if n % 2 == 0:
-        return n == 0
-    state = DualState([-1] * n, [0] * n)
-    max_weight_matching(n, [(u, v, 0) for u, v in graph.edges], state)
-    return state.spans()
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:

@@ -12,11 +12,9 @@ matching of its terminals under hop distance that the graft solved once
 (``Graft.solved``), its k × k hop table and duals included; a root that is
 no terminal adds one search for its own column.  The toggled sizes at
 the points t of the odd set T ^ {root} are its near-perfect matchings, and
-one blossom search reads them all off its duals: started from that optimum
-(blossom duals folded into the vertex duals, the matched edges that stay
-tight kept), it augments until one point is exposed, then grows that
-point's tree until one blossom spans the set.  Any other x pairs with some
-t, so its size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
+``matching.toggled_sizes`` reads them all off the duals of one blossom
+search started from that optimum.  Any other x pairs with some t, so its
+size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
 hop (in the matching that exposes t, re-pair x's mate with t), so one
 breadth-first search seeded at every t, at its size, finds them all.
 """
@@ -27,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalError, NotMinimumJoinError, StructuralInputError
-from .matching import DualState, max_weight_matching
-from .tjoin import Graft, TerminalSolve, _hop_distances, is_join, nu
+from .matching import toggled_sizes
+from .tjoin import Graft, _hop_distances, is_join, nu
 
 UNREACHABLE = None
 
@@ -96,7 +94,8 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
         solve = next((s for s in graft.solved
                       if hop[s.terminals[0]] is not None), None)
         column = solve and [hop[p] for p in solve.terminals]
-    toggled = _toggled_sizes(solve, root, column) if solve else {root: 0}
+    toggled = toggled_sizes(solve.terminals, solve.cost, solve.optimum, root,
+                            column) if solve else {root: 0}
     base = solve.nu if solve else 0
     seeds: dict[int, list[int]] = {}
     for t, size in toggled.items():
@@ -112,45 +111,3 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
                 nxt += [u for u in nbrs[v] if dist[u] is None]
         layer, level = nxt, level + 1
     return DistanceMap(root, tuple(dist))
-
-
-def _toggled_sizes(solve: TerminalSolve, root: int,
-                   column: list[int] | None) -> dict[int, int]:
-    """nu((T ^ {root}) - {t}) for each t in T ^ {root}, where T are the
-    terminals of ``solve``, the root's component; ``column`` holds the root's
-    hop distance to each terminal by rank, or is None for a terminal root.
-
-    The base optimum is in doubled units (``perfect_optimum``): a slack is
-    y_a + y_b + 4 hop(a, b), and those duals may be odd.  Each toggle is a
-    near-perfect matching of the odd set T ^ {root} exposing t, read off the
-    duals of one near-perfect solve (``DualState``) under weight -4 hop
-    from twice the folded base duals: then every exposed start vertex has an
-    even dual, as the solver needs.  Twice a matching's weight is -8 times
-    its size, so each size is (dual[t] - spent) / 8.
-    """
-    pts, k = solve.terminals, len(solve.terminals)
-    y = list(solve.optimum.dual)
-    for leaves, z in solve.optimum.blossoms:
-        for v in leaves:
-            y[v] += z
-    tight = {a: b for a, b in enumerate(solve.optimum.mate)
-             if y[a] + y[b] + 4 * solve.cost[a][b] == 0}
-    rows = solve.cost  # by rank; the root, if no terminal, is rank k
-    points = [a for a in range(k) if pts[a] != root]  # root's mate starts exposed
-    start = [2 * y[a] for a in points]
-    if column is not None:
-        rows = [row + [c] for row, c in zip(rows, column)]
-        start.append(max(-8 * column[a] - d for a, d in zip(points, start)))
-        points.append(k)  # last, so every pair's first point has a row
-    index, n = {a: i for i, a in enumerate(points)}, len(points)
-    state = DualState([index.get(tight.get(a), -1) for a in points], start)
-    max_weight_matching(n, [(i, j, -4 * rows[points[i]][points[j]])
-                            for i in range(n) for j in range(i + 1, n)], state)
-    if not state.spans():
-        raise InternalError("near-perfect solve left no spanning blossom")
-    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
-                                  for leaves, z in state.blossoms)
-    if any((spent - d) % 8 for d in state.dual):
-        raise InternalError("a toggled size is not an integer")
-    verts = [*pts, root]
-    return {verts[a]: (d - spent) // 8 for a, d in zip(points, state.dual)}

@@ -1,8 +1,9 @@
 """Multigraph core: immutable graphs with dense integer vertex and edge ids.
 
 Vertices are ``0 .. n-1``.  Edges are identified by their position in the
-edge sequence, so parallel edges are distinct objects.  Loops are stripped
-silently at construction; ``loops_stripped`` counts them.
+edge sequence, so parallel edges are distinct objects.  A loop is a
+``StructuralInputError``: it is never part of a join, and dropping it would
+renumber every later edge.
 
 Each vertex's incidences are stored as two aligned flat tuples, sorted by
 (neighbour, edge id): ``nbrs[v]`` holds the neighbours, a parallel edge's
@@ -23,24 +24,21 @@ EdgeId = int
 class Graph:
     """An immutable undirected multigraph."""
 
-    __slots__ = ("n", "edges", "loops_stripped", "nbrs", "eids")
+    __slots__ = ("n", "edges", "nbrs", "eids")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise StructuralInputError(f"vertex count must be >= 0, got {n}")
         kept: list[tuple[int, int]] = []
-        loops = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise StructuralInputError(
                     f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
-                loops += 1
-                continue
+                raise StructuralInputError(f"edge {len(kept)} ({u}, {v}) is a loop")
             kept.append((u, v))
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(kept)
-        self.loops_stripped = loops
         # Sorted incidence lists make every traversal in the package
         # deterministic without per-call sorting.  A bucket pass sorts them
         # all: listing each vertex v's incidences (u, e) in edge order and

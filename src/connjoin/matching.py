@@ -10,20 +10,19 @@ On an odd vertex count it is near-perfect: it augments until one vertex is
 exposed, then grows that vertex's tree until no delta is left.  By Gallai's
 lemma the graph is factor-critical iff that search ends in one blossom
 spanning every vertex (``DualState.spans``), as it always does on a complete
-graph.  Those duals bound the near-perfect matchings exposing each vertex t
-tightly, so ``distances`` reads every terminal toggle off one such solve
-from the base optimum, doubling weights and start duals so that exposed
-start vertices share a dual parity (an odd S-S slack would make the halved
-delta round).  The subset-DP cross-check oracle lives in the tests.
+graph; ``is_factor_critical`` is one such search.  Those duals bound the
+near-perfect matchings exposing each vertex t tightly, so ``toggled_sizes``
+reads every terminal toggle off one such solve started from the base
+optimum as it is.  The subset-DP cross-check oracle lives in the tests.
 
 A minimum-cost perfect matching is solved once by ``perfect_optimum``, under
-weight -2 cost from Kolmogorov's greedy initialization (``greedy_start``:
-nearest-neighbour duals, mutual nearest pairs matched), so its duals are in
-doubled units; ``tjoin.optimum_join`` pairs by its mate.  ``tight_pairing``
-finds the lexicographically smallest optimal pairing for printed joins
-(``tjoin.minimum_join``, ``min_weight_perfect_matching``) by a second solve
-on the edges tight under the optimum's duals, with a tie-break penalty
-encoded below the primary cost.
+weight -4 cost from Kolmogorov's greedy initialization (``greedy_start``:
+nearest-neighbour duals, mutual nearest pairs matched), so its duals are
+even with blossom duals folded in; ``tjoin.optimum_join`` pairs by its mate.
+``tight_pairing`` finds the lexicographically smallest optimal pairing for
+printed joins (``tjoin.minimum_join``, ``min_weight_perfect_matching``) by a
+second solve on the edges tight under the optimum's duals, with a tie-break
+penalty encoded below the primary cost.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import InternalError, StructuralInputError
+from .graph_core import Graph
 
 WeightFn = Callable[[int, int], int]
 
@@ -495,24 +495,26 @@ def max_weight_matching(
 def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
     """An optimal state of the minimum-cost perfect matching on the ranks of
     the symmetric table ``cost``: the maximum-weight perfect matching under
-    weight -2 cost, so its duals are in doubled units (the slack of ij is
-    ``dual[i] + dual[j] + 4 cost[i][j]`` plus 2 z per blossom over both),
-    solved from ``greedy_start(cost)``."""
+    weight -4 cost (the slack of ij is ``dual[i] + dual[j] + 8 cost[i][j]``
+    plus 2 z per blossom over both), solved from ``greedy_start(cost)``.
+    That is the run under weight -2 cost with every dual doubled, so the
+    duals stay even with each blossom's z added to its leaves': the state
+    starts ``toggled_sizes`` as it is."""
     k = len(cost)
     state = greedy_start(cost)
-    max_weight_matching(k, [(i, j, -2 * cost[i][j])
+    max_weight_matching(k, [(i, j, -4 * cost[i][j])
                             for i in range(k) for j in range(i + 1, k)], state)
     return state
 
 
 def greedy_start(cost: Sequence[Sequence[int]]) -> DualState:
-    """Kolmogorov's Blossom V greedy initialization, under weight -2 cost.
+    """Kolmogorov's Blossom V greedy initialization, under weight -4 cost.
 
-    With near(i) the least cost[i][j] over j != i, the duals -2 near(i) are
-    feasible, since 4 cost[i][j] >= 2 near(i) + 2 near(j), and a pair is
+    With near(i) the least cost[i][j] over j != i, the duals -4 near(i) are
+    feasible, since 8 cost[i][j] >= 4 near(i) + 4 near(j), and a pair is
     tight iff cost[i][j] == near(i) == near(j).  Such pairs are matched in
-    rank order while both ends are free.  Every dual is even, the exposed
-    ones included, as ``max_weight_matching`` needs."""
+    rank order while both ends are free.  Every dual is a multiple of 4, the
+    exposed ones included, as ``max_weight_matching`` needs one parity."""
     k = len(cost)
     near = [min(c for j, c in enumerate(row) if j != i)
             for i, row in enumerate(cost)]
@@ -522,7 +524,7 @@ def greedy_start(cost: Sequence[Sequence[int]]) -> DualState:
             if (mate[i] == -1 and mate[j] == -1
                     and cost[i][j] == near[i] == near[j]):
                 mate[i], mate[j] = j, i
-    return DualState(mate, [-2 * c for c in near])
+    return DualState(mate, [-4 * c for c in near])
 
 
 def matched_total(cost: Sequence[Sequence[int]], state: DualState) -> int:
@@ -536,11 +538,11 @@ def tight_pairing(
     sorted rank pairs, given ``optimum = perfect_optimum(cost)`` (read only).
 
     By complementary slackness every optimal matching uses only edges tight
-    under the optimal duals, blossom duals included (in the optimum's
-    doubled units, y_i + y_j + 4 cost[i][j] plus 2 z per blossom over both
-    is zero), so the tie-break solves on those alone.  It keeps the primary
-    cost, since a perfect matching of tight edges crossing a positive
-    blossom three times is not optimal, and adds a penalty B^(k-i) * j per
+    under the optimal duals, blossom duals included (in the optimum's units,
+    y_i + y_j + 8 cost[i][j] plus 2 z per blossom over both is zero), so the
+    tie-break solves on those alone.  It keeps the primary cost, since a
+    perfect matching of tight edges crossing a positive blossom three times
+    is not optimal, and adds a penalty B^(k-i) * j per
     pair (i < j the ranks, B > k^2) below one unit of cost.  Summed
     penalties compare like sorted pair lists: matchings agreeing on all
     pairs with smaller endpoint below rank i both match rank i next, and
@@ -559,12 +561,65 @@ def tight_pairing(
     mate = max_weight_matching(k, [
         (i, j, -(cost[i][j] * scale + pow_b[i] * j))
         for i in range(k) for j in range(i + 1, k)
-        if y[i] + y[j] + 4 * cost[i][j] + inside[i][j] == 0],
+        if y[i] + y[j] + 8 * cost[i][j] + inside[i][j] == 0],
         DualState([-1] * k, [0] * k))
     pairs = [(i, j) for i, j in enumerate(mate) if i < j]
     if sum(cost[i][j] for i, j in pairs) != matched_total(cost, optimum):
         raise InternalError("tie-break pairing is not a minimum-cost matching")
     return pairs
+
+
+def toggled_sizes(terminals: Sequence[int], cost: Sequence[Sequence[int]],
+                  optimum: DualState, root: int,
+                  column: Sequence[int] | None) -> dict[int, int]:
+    """nu((T ^ {root}) - {t}) for each t in T ^ {root}: T are the
+    ``terminals`` by rank, ``cost`` their hop table, ``optimum =
+    perfect_optimum(cost)`` (read only), and ``column`` the root's hops to
+    them by rank, or None for a terminal root.
+
+    One near-perfect solve under weight -4 hop reads every toggle off its
+    duals.  It starts from the optimum's duals, each blossom's z added to
+    its leaves' (feasible, all even), and the optimum's mates that stay
+    tight, the root's mate exposed.  Twice a matching's weight is -8 times
+    its size, so each size is (dual[t] - spent) / 8.
+    """
+    k = len(terminals)
+    y = list(optimum.dual)
+    for leaves, z in optimum.blossoms:
+        for v in leaves:
+            y[v] += z
+    tight = {a: b for a, b in enumerate(optimum.mate)
+             if y[a] + y[b] + 8 * cost[a][b] == 0}
+    rows = cost  # by rank; the root, if no terminal, is rank k
+    points = [a for a in range(k) if terminals[a] != root]
+    start = [y[a] for a in points]
+    if column is not None:
+        rows = [[*row, c] for row, c in zip(rows, column)]
+        start.append(max(-8 * column[a] - d for a, d in zip(points, start)))
+        points.append(k)  # last, so every pair's first point has a row
+    index, n = {a: i for i, a in enumerate(points)}, len(points)
+    state = DualState([index.get(tight.get(a), -1) for a in points], start)
+    max_weight_matching(n, [(i, j, -4 * rows[points[i]][points[j]])
+                            for i in range(n) for j in range(i + 1, n)], state)
+    if not state.spans():
+        raise InternalError("near-perfect solve left no spanning blossom")
+    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
+                                  for leaves, z in state.blossoms)
+    if any((spent - d) % 8 for d in state.dual):
+        raise InternalError("a toggled size is not an integer")
+    verts = [*terminals, root]
+    return {verts[a]: (d - spent) // 8 for a, d in zip(points, state.dual)}
+
+
+def is_factor_critical(graph: Graph) -> bool:
+    """True iff deleting any single vertex leaves a perfectly matchable graph,
+    decided by one near-perfect search (Gallai's lemma)."""
+    n = graph.n
+    if n % 2 == 0:
+        return n == 0
+    state = DualState([-1] * n, [0] * n)
+    max_weight_matching(n, [(u, v, 0) for u, v in graph.edges], state)
+    return state.spans()
 
 
 def _cost_table(

@@ -9,7 +9,7 @@ Each graft finds its components once and solves that matching once, each
 on first use.  ``Graft.parts`` holds the sorted terminals of each component
 holding any; validation, the solve and the decision's split-T test read it.
 ``Graft.solved`` holds, per such component, the k × k hop table of its
-terminals (from k - 1 stopped searches), the optimum under weight -2 hop
+terminals (from k - 1 stopped searches), the optimum under weight -4 hop
 with its duals (``perfect_optimum``), and ν.
 ``optimum_join`` realizes the optimum's own pairing, for the decision,
 distances and verifiers, whose output is join-independent; ``minimum_join``
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Graph, connected_components
-from .matching import DualState, matched_total, perfect_optimum, tight_pairing
+from .matching import matched_total, perfect_optimum, tight_pairing
 
 __all__ = [
     "Graft",
@@ -91,11 +91,11 @@ class Graft:
 class TerminalSolve:
     """One component's terminal matching, solved (read only): its terminals
     in rank order, the hop table by rank (``cost``), its minimum-cost perfect
-    matching with vertex and blossom duals, and ν."""
+    matching with vertex and blossom duals (``perfect_optimum``), and ν."""
 
     terminals: tuple[int, ...]
     cost: list[list[int]] = field(repr=False)
-    optimum: DualState = field(repr=False)
+    optimum: Any = field(repr=False)
     nu: int
 
     @classmethod

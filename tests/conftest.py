@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from connjoin import (Decision, Graft, OracleReport, decide, decomposition,
-                      distances, matching, oracle_report, tjoin)
+from connjoin import (Decision, Graft, OracleReport, decide, matching,
+                      oracle_report, tjoin)
 from connjoin.graph_core import Graph, connected_components
 from connjoin.tjoin import validate_graft
 
@@ -82,8 +82,7 @@ def count_work(monkeypatch):
         if name.split(".")[0] == "connjoin" and \
                 getattr(module, "_hop_distances", None) is bfs:
             monkeypatch.setattr(module, "_hop_distances", counted_bfs)
-    for module in (matching, distances, decomposition):
-        monkeypatch.setattr(module, "max_weight_matching", counted_solve)
+    monkeypatch.setattr(matching, "max_weight_matching", counted_solve)
     return calls
 
 

@@ -234,6 +234,29 @@ def test_non_ascii_bytes_are_a_parse_error_from_file_and_stdin(tmp_path, comment
         assert proc.stderr == b"error: line 3: non-ASCII characters are not allowed\n"
 
 
+OVERLONG = "1" * 5000  # past the default limit of int() on a decimal string
+
+
+@pytest.mark.parametrize("text, line, what", [
+    (f"p graft {OVERLONG} 1\nt\n", 1, "vertex count"),
+    (f"p graft 2 {OVERLONG}\nt\n", 1, "edge count"),
+    (f"p graft 2 0\nt {OVERLONG}\n", 2, "terminal"),
+    (f"p graft 2 1\nt\ne 0 {OVERLONG}\n", 3, "endpoint"),
+])
+def test_overlong_numbers_are_a_parse_error_from_file_and_stdin(
+        tmp_path, text, line, what):
+    path = tmp_path / "g.graft"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(connjoin.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="4300")
+    for target, stdin in ((str(path), None), ("-", text.encode())):
+        proc = subprocess.run([sys.executable, "-m", "connjoin.cli", "check", target],
+                              input=stdin, env=env, capture_output=True)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == (f"error: line {line}: {what} is too long "
+                               f"(5000 digits)\n").encode()
+
+
 def test_main_reuses_its_parser_like_a_fresh_one(tmp_path, capsys):
     path = write(tmp_path, P3_TEXT)
     code, out, _ = run(capsys, ["check", "--root", "2", "--format", "json", path])

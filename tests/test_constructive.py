@@ -73,6 +73,8 @@ def test_is_rake_spec_examples():
     assert is_rake(p3, 1, {0, 2})
     p4 = validate_graft(Graph(4, [(0, 1), (1, 2), (2, 3)]), {0, 3})
     assert not is_rake(p4, 1, {0, 3})  # head does not see tooth 3
+    assert not is_rake(star, 1, {1, 2, 3})  # the head is a tooth
+    assert not is_rake(star, 4, {1, 2, 3})  # the head is no vertex
 
 
 def test_is_rake_multiplicity_rules():
@@ -365,3 +367,98 @@ def test_primal_witness_guard():
     g = validate_graft(Graph(2, [(0, 1)]), {0, 1})
     with pytest.raises(StructuralInputError):
         PrimalWitness(g, 0, frozenset({1}))
+
+
+def _set(*path_and_value):
+    """A mutation of the recipe document setting one field by its path."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+    return mutate
+
+
+def _add_part_vertex(doc):
+    # the glued part gets top set {0, 2}, so edge 0 can land off its root
+    part = doc["steps"][0]["parts"][0]
+    part["part"]["rake"].append({"op": "add_vertex", "vertex": 2, "teeth": [1]})
+    part["f"][0] = [0, 2]
+
+
+RAKE_STEPS = ("steps", 0, "rake")
+PART = ("steps", 0, "parts", 0)
+
+
+# Each case mutates one field of the seed-3 depth-1 primal recipe, whose base
+# rake is the star 0-1 (edge 0), vertices 2 and 3 on tooth 1 (edges 1 and
+# 2) and the side edges 0-3 and 2-3; the part glued at tooth 1 is a bare
+# star with top set {0}.
+@pytest.mark.parametrize("mutate, message", [
+    (_set(*RAKE_STEPS, 0, "op", "ring"), "rake steps must start with a star"),
+    (_set(*RAKE_STEPS, 0, "teeth", [0]),
+     "star labels must be distinct and nonnegative"),
+    (_set(*RAKE_STEPS, 1, "vertex", 1), "added vertex 1 must be new"),
+    (_set(*RAKE_STEPS, 1, "teeth", []), "added vertex needs edges into the teeth"),
+    (_set(*RAKE_STEPS, 3, "edges", [[0, 1]]),
+     "side edges must join two distinct non-tooth vertices"),
+    (_set(*RAKE_STEPS, 3, "edges", [[0, 7]]), "side edge (0, 7) out of range"),
+    (_set(*RAKE_STEPS, 3, "op", "grow"), "unknown rake step 'grow'"),
+    (_set(*RAKE_STEPS, 3, {"op": "add_vertex", "vertex": 5, "teeth": [1]}),
+     "labels must form a contiguous block 0..n-1"),
+    (_set("steps", 0, "op", "rake"), "primal steps must carry op=primal"),
+    (_set(*PART, "tooth", 2), "every tooth needs a glued part"),
+    (_set(*PART, "f", [[0, 0], [1, 0]]),
+     "redirect map at site 1 misses its incident edge 2"),
+    (_set(*PART, "f", [[0, 0], [1, 1], [2, 0]]),
+     "edge 1 redirected outside the top set of site 1"),
+    (_add_part_vertex, "the chosen edge at site 1 must land on the part root"),
+    (_set(*PART, "chosen", 7), "chosen edge 7 is not incident to site 1"),
+], ids=["no-star", "star-label-repeated", "added-vertex-old",
+        "added-vertex-no-teeth", "side-edge-at-tooth", "side-edge-out-of-range",
+        "unknown-rake-step", "labels-not-contiguous", "primal-op",
+        "part-at-no-tooth", "redirect-missing", "redirect-off-top-set",
+        "chosen-off-root", "chosen-not-incident"])
+def test_replay_names_each_invalid_recipe_step(mutate, message):
+    doc = gen_primal(1, 2, seed=3)[1].to_json()
+    replay(ConstructionRecipe.from_json(doc))  # the unmutated recipe replays
+    mutate(doc)
+    recipe = ConstructionRecipe.from_json(doc)
+    for replayer in (replay, replay_witness):
+        with pytest.raises(StructuralInputError) as err:
+            replayer(recipe)
+        assert str(err.value) == message
+
+
+def test_replay_names_an_invalid_tail_step():
+    doc = gen_primal(1, 2, seed=3)[1].to_json()
+    doc["kind"] = TAILED
+    doc["steps"].append({"op": "tail", "vertices": 2, "edges": [[1, 1]],
+                         "bridges": [[0, 0]]})
+    with pytest.raises(StructuralInputError) as err:
+        replay(ConstructionRecipe.from_json(doc))
+    assert str(err.value) == "edge 0 (1, 1) is a loop"
+    doc["steps"][-1]["op"] = "head"
+    with pytest.raises(StructuralInputError) as err:
+        replay(ConstructionRecipe.from_json(doc))
+    assert str(err.value) == "tailed recipe must end with a tail step"
+
+
+def test_from_json_names_a_missing_field():
+    with pytest.raises(StructuralInputError) as err:
+        ConstructionRecipe.from_json({"kind": RAKE, "steps": []})
+    assert str(err.value) == "malformed recipe document: 'seed'"
+
+
+def test_gluing_sum_names_each_invalid_part():
+    base = validate_graft(Graph(2, [(0, 1)]), {0, 1})
+    part = validate_graft(Graph(2, [(0, 1)]), {0, 1})
+    for parts, message in [
+        ({}, "site 1 lacks a part, redirect map, or choice"),
+        ({1: (part, {0, 2}, 0)}, "top set of the part at 1 is out of range"),
+        ({1: (part, {1}, 0)}, "part root at 1 must lie in its top set"),
+    ]:
+        with pytest.raises(StructuralInputError) as err:
+            gluing_sum(base, [1], {1: 0}, parts, {1: {0: 0}})
+        assert str(err.value) == message

@@ -117,6 +117,27 @@ def test_verify_reports_non_minimum_restriction():
     assert dd.component(4).f_root is not None
 
 
+def test_verify_reports_a_level_contraction_that_is_not_factor_critical():
+    # Rooted at 0, level 0 of graft A splits into the Q components {0, 1},
+    # {2} and {4}; edges 1 = 1-2, 3 and 6 = 2-4 and 7 = 1-4 contract them to
+    # a triangle.  Graft B moves edge 1's end 2 into {0, 1}, keeping every
+    # edge id, so the contraction is the path {0, 1} - {4} - {2}.  The level
+    # contraction reads only the join and A's decomposition, not B's own.
+    edges = [(0, 1), (1, 2), (1, 3), (2, 4), (0, 1), (0, 3), (2, 4), (1, 4)]
+    a = validate_graft(Graph(5, edges), {0, 2, 3, 4})
+    join = minimum_join(a)
+    dd = distance_decomposition(a, join, 0)
+    assert [sorted(dd.component(q).a_set) for q in dd.component(2).q_children] \
+        == [[0, 1], [2], [4]]
+    assert verify_decomposition(a, join, dd).ok
+    edges[1] = (1, 0)
+    b = validate_graft(Graph(5, edges), a.terminals)
+    assert verify_decomposition(b, join, dd).to_json() == {
+        "ok": False, "components_checked": 6, "violations": [{
+            "component_id": 2, "check": "factor-critical-contraction",
+            "message": "level contraction is not factor-critical"}]}
+
+
 def test_verify_golden_on_corrupted_joins(corpus):
     # Each corpus graft at its default root, checked against its minimum
     # join and against that join XOR each circuit (a join again, mostly not

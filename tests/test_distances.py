@@ -10,11 +10,10 @@ import pytest
 
 from connjoin.connected_join import decide
 from connjoin.constructive import gen_primal, gen_tailed
-from connjoin.distances import (UNREACHABLE, _toggled_sizes, f_distances,
-                                f_weight)
+from connjoin.distances import UNREACHABLE, f_distances, f_weight
 from connjoin.errors import NotMinimumJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
-from connjoin.matching import min_weight_perfect_matching_value
+from connjoin.matching import min_weight_perfect_matching_value, toggled_sizes
 from connjoin.tjoin import (TerminalSolve, _hop_distances, minimum_join, nu,
                            validate_graft)
 
@@ -161,8 +160,9 @@ def test_warm_toggles_match_cold_solves_above_oracle_reach():
             pts, hop, base, sizes, dist = cold_distances(graft, root)
             solve = TerminalSolve.of(pts, [[hop[a][b] for b in pts] for a in pts])
             column = None if root in pts else [hop[root][p] for p in pts]
-            assert (solve.nu, _toggled_sizes(solve, root, column)) == \
-                (base, sizes)
+            assert solve.nu == base
+            assert toggled_sizes(pts, solve.cost, solve.optimum, root,
+                                 column) == sizes
             assert f_distances(graft, join, root).dist == dist
 
 

@@ -39,9 +39,12 @@ def raw_multigraphs(draw):
 @given(raw_multigraphs())
 def test_flat_adjacency_matches_brute_force_incidence(drawn):
     n, raw = drawn
-    g = Graph(n, raw)
     kept = [(u, v) for u, v in raw if u != v]
-    assert g.edges == tuple(kept) and g.loops_stripped == len(raw) - len(kept)
+    if kept != raw:
+        with pytest.raises(StructuralInputError, match="is a loop"):
+            Graph(n, raw)
+    g = Graph(n, kept)
+    assert g.edges == tuple(kept)
     for v in range(n):
         pairs = sorted((b if a == v else a, e)
                        for e, (a, b) in enumerate(kept) if v in (a, b))
@@ -64,10 +67,11 @@ def test_is_stable_dominating_golden():
     assert not is_stable_dominating(multi, frozenset({0, 1}))
 
 
-def test_loops_are_stripped_and_counted():
-    g = Graph(2, [(0, 0), (0, 1), (1, 1)])
-    assert g.m == 1
-    assert g.loops_stripped == 2
+def test_loops_are_rejected_not_renumbered_away():
+    # Stripping the loop would make edge 1 of the caller's list the graph's
+    # edge (1, 2), so a join's ids would name the wrong edges.
+    with pytest.raises(StructuralInputError, match=r"edge 1 \(1, 1\) is a loop"):
+        Graph(3, [(0, 1), (1, 1), (1, 2)])
 
 
 def test_out_of_range_edge_rejected():

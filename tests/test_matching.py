@@ -2,19 +2,18 @@
 cold and warm-started, perfect and near-perfect."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connjoin.decomposition import is_factor_critical
-from connjoin.distances import _toggled_sizes
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
-from connjoin.matching import (DualState, greedy_start, matched_total,
-                               max_weight_matching,
+from connjoin.matching import (DualState, greedy_start, is_factor_critical,
+                               matched_total, max_weight_matching,
                                min_weight_perfect_matching,
                                min_weight_perfect_matching_value,
-                               perfect_optimum, tight_pairing)
+                               perfect_optimum, tight_pairing, toggled_sizes)
 from connjoin.graph_core import Graph
 from connjoin.tjoin import (TerminalSolve, _hop_distances,
                             _shortest_path_edges, minimum_join)
@@ -147,7 +146,7 @@ def test_tight_tie_break_equals_reference(half, data):
         min_weight_perfect_matching_value(range(k), weight)
 
 
-# Solved from zero duals under weight -2 cost (the units of
+# Solved from zero duals under weight -4 cost (the units of
 # ``perfect_optimum``), this table's optimum has the positive blossom
 # {0, 2, 3}.  Its tight edges hold the perfect matching 01 24 35,
 # lexicographically first but of cost 4 > 3 = nu: it crosses the blossom
@@ -160,13 +159,13 @@ BLOSSOM_TRAP = [[0, 2, 0, 1, 2, 3], [2, 0, 2, 3, 3, 0], [0, 2, 0, 1, 2, 3],
 
 def test_tie_break_keeps_primary_cost_across_positive_blossom():
     optimum = zero_duals(6)
-    max_weight_matching(6, [(i, j, -2 * BLOSSOM_TRAP[i][j])
+    max_weight_matching(6, [(i, j, -4 * BLOSSOM_TRAP[i][j])
                             for i in range(6) for j in range(i + 1, 6)], optimum)
-    assert ([0, 2, 3], 2) in [(sorted(b), z) for b, z in optimum.blossoms]
+    assert ([0, 2, 3], 4) in [(sorted(b), z) for b, z in optimum.blossoms]
     y, blossom = optimum.dual, {0, 2, 3}
     trap = [(0, 1), (2, 4), (3, 5)]
-    assert all(y[a] + y[b] + 4 * BLOSSOM_TRAP[a][b]
-               + 4 * ({a, b} <= blossom) == 0 for a, b in trap)
+    assert all(y[a] + y[b] + 8 * BLOSSOM_TRAP[a][b]
+               + 8 * ({a, b} <= blossom) == 0 for a, b in trap)
     assert sum(BLOSSOM_TRAP[a][b] for a, b in trap) == 4
     assert matched_total(BLOSSOM_TRAP, optimum) == 3
 
@@ -190,7 +189,7 @@ def assert_base_solve_agrees_with_dp(cost):
 def test_greedy_start_on_an_all_equal_table_matches_every_point():
     cost = [[0 if i == j else 5 for j in range(8)] for i in range(8)]
     start = greedy_start(cost)
-    assert start == DualState([1, 0, 3, 2, 5, 4, 7, 6], [-10] * 8)
+    assert start == DualState([1, 0, 3, 2, 5, 4, 7, 6], [-20] * 8)
     assert perfect_optimum(cost) == start  # the solve only verifies
     assert_base_solve_agrees_with_dp(cost)
 
@@ -203,7 +202,7 @@ def test_greedy_start_on_a_nearest_neighbour_chain_matches_one_pair():
     cost = [[abs(a - b) for b in x] for a in x]
     start = greedy_start(cost)
     assert start == DualState([-1, -1, -1, -1, 5, 4],
-                              [-64, -32, -16, -8, -4, -4])
+                              [-128, -64, -32, -16, -8, -8])
     assert_base_solve_agrees_with_dp(cost)
 
 
@@ -251,13 +250,43 @@ def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
 
     solve = TerminalSolve.of(terminals, [row[:k] for row in table[:k]])
     column = None if root_is_terminal else table[k][:k]
-    base, sizes = solve.nu, _toggled_sizes(solve, root, column)
+    base = solve.nu
+    sizes = toggled_sizes(terminals, solve.cost, solve.optimum, root, column)
     assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
     toggled = set(terminals) ^ {root}
     assert set(sizes) == toggled
     for t, size in sizes.items():
         assert size == min_weight_perfect_matching_dp(
             sorted(toggled - {t}), weight)[0]
+
+
+def test_stored_optimum_starts_the_toggle_search_as_it_is():
+    # Costs 0..3 build positive blossoms in many base optima.  Folded into
+    # the vertex duals they leave every dual even, so the optimum is a
+    # near-perfect start with exposed duals of one parity, unchanged.
+    rng = random.Random(15)
+    blossoms = 0
+    for _ in range(200):
+        k = 2 * rng.randint(1, 5)
+        table = [[0] * (k + 1) for _ in range(k + 1)]
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                table[a][b] = table[b][a] = rng.randint(0, 3)
+        cost = [row[:k] for row in table[:k]]
+        optimum = perfect_optimum(cost)
+        blossoms += any(z for _, z in optimum.blossoms)
+        folded = list(optimum.dual)
+        for leaves, z in optimum.blossoms:
+            for v in leaves:
+                folded[v] += z
+        assert all(d % 2 == 0 for d in folded)
+        for root, column in ((0, None), (k, table[k][:k])):
+            toggled = set(range(k)) ^ {root}
+            sizes = toggled_sizes(range(k), cost, optimum, root, column)
+            assert sizes == {t: min_weight_perfect_matching_dp(
+                sorted(toggled - {t}), lambda a, b: table[a][b])[0]
+                for t in toggled}
+    assert blossoms > 0
 
 
 @given(st.integers(0, 6), st.data())
