@@ -4,7 +4,12 @@ The workhorse is a maximum-weight perfect matching solver using Edmonds'
 blossom method in the classic primal-dual formulation (Galil's survey
 describes the exact scheme implemented here), started from a given
 ``DualState``.  Integer weights only, so all dual variables stay integral
-and the optimum is certified exactly at the end of every solve.
+and the optimum is certified exactly at the end of every solve.  The start
+is checked while the weight rows are built; the certificate
+(``verify_optimum``, complementary slackness) checks each pair once, at its
+lowest common blossom, from one layout of the final blossom forest, with no
+per-vertex chains of blossoms.  Nothing in the solver recurses per nesting
+level.
 
 On an odd vertex count it is near-perfect: it augments until one vertex is
 exposed, then grows that vertex's tree until no delta is left.  By Gallai's
@@ -93,17 +98,30 @@ def max_weight_matching(
     matching raises ``InternalError``.  For odd n the search ends
     near-perfect where it can, with the open blossoms left as they are,
     each an odd cycle of tight edges; ``state.spans()`` tells whether one
-    vertex is exposed and one blossom spans every vertex.
+    vertex is exposed and one blossom spans every vertex.  The start is
+    checked while the weight rows are built, and the end state is certified
+    by ``verify_optimum``: each pair once, at its lowest common blossom.
     """
-    # w2[v][w]: twice the heaviest weight among the parallel v-w edges.
+    if len(state.mate) != n or len(state.dual) != n or state.blossoms:
+        raise InternalError("a start needs n mates, n duals, no blossoms")
+    # Vertex duals are premultiplied by two so integer arithmetic survives
+    # the half-integral updates.
+    dualvar = list(state.dual)
+    # w2[v][w]: twice the heaviest weight among the parallel v-w edges.  The
+    # start's feasibility is checked on each new heaviest edge as the rows
+    # are built, and reported after the mate check.
     w2: list[dict[int, int]] = [{} for _ in range(n)]
+    feasible = True
     for i, j, w in weighted_edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise StructuralInputError(f"bad matching edge ({i}, {j})")
         if int(w) != w:
             raise StructuralInputError("matching weights must be integers")
-        if j not in w2[i] or 2 * w > w2[i][j]:
-            w2[i][j] = w2[j][i] = 2 * w
+        row = w2[i]
+        if j not in row or 2 * w > row[j]:
+            row[j] = w2[j][i] = 2 * w
+            if dualvar[i] + dualvar[j] < 2 * w:
+                feasible = False
     nbr = [sorted(row) for row in w2]
     odd = n % 2 == 1  # the near-perfect search
 
@@ -122,17 +140,11 @@ def max_weight_matching(
     def slack(v: int, w: int) -> int:
         return dualvar[v] + dualvar[w] - w2[v][w]
 
-    # Vertex duals are premultiplied by two so integer arithmetic survives
-    # the half-integral updates.
-    if len(state.mate) != n or len(state.dual) != n or state.blossoms:
-        raise InternalError("a start needs n mates, n duals, no blossoms")
-    dualvar = list(state.dual)
     mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
     if any(mate.get(w) != v or w not in w2[v] or slack(v, w)
            for v, w in mate.items()):
         raise InternalError("start matching is not a set of tight edges")
-    if any(dualvar[i] + dualvar[j] < w
-           for i in range(n) for j, w in w2[i].items()):
+    if not feasible:
         raise InternalError("start duals are not feasible")
     if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
         raise InternalError("start's exposed duals differ in parity")
@@ -207,41 +219,50 @@ def max_weight_matching(
             if label[inblossom[v]] == 2:
                 queue.append(v)
             inblossom[v] = b
-        # Merge the sub-blossoms' least-slack edge tables.
+        # Merge the sub-blossoms' least-slack edge tables: bestedgeto[bj] is
+        # (slack, edge), the least-slack edge to S-blossom bj seen so far.
         bestedgeto: dict = {}
         for bv in path:
-            if isinstance(bv, _Blossom):
-                if bv.mybestedges is not None:
-                    nblist = bv.mybestedges
-                    bv.mybestedges = None
-                else:
-                    nblist = [(u, x) for u in bv.leaves() for x in nbr[u]]
-            else:
-                nblist = [(bv, x) for x in nbr[bv]]
-            for k in nblist:
-                (i, j) = k
-                if inblossom[j] == b:
-                    i, j = j, i
-                bj = inblossom[j]
-                if (bj != b and label.get(bj) == 1
-                        and (bj not in bestedgeto
-                             or slack(i, j) < slack(*bestedgeto[bj]))):
-                    bestedgeto[bj] = k
+            if isinstance(bv, _Blossom) and bv.mybestedges is not None:
+                for k in bv.mybestedges:
+                    (i, j) = k
+                    if inblossom[j] == b:
+                        i, j = j, i
+                    bj = inblossom[j]
+                    if bj != b and label.get(bj) == 1:
+                        s = slack(i, j)
+                        if bj not in bestedgeto or s < bestedgeto[bj][0]:
+                            bestedgeto[bj] = (s, k)
+                bv.mybestedges = None
+            else:  # read the leaves' rows as they are
+                for u in bv.leaves() if isinstance(bv, _Blossom) else (bv,):
+                    du, row = dualvar[u], w2[u]
+                    for x in nbr[u]:
+                        bj = inblossom[x]
+                        if bj != b and label.get(bj) == 1:
+                            s = du + dualvar[x] - row[x]
+                            if bj not in bestedgeto or s < bestedgeto[bj][0]:
+                                bestedgeto[bj] = (s, (u, x))
             bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
-        bestedge[b] = min(b.mybestedges, key=lambda k: slack(*k), default=None)
+        b.mybestedges = [k for _, k in bestedgeto.values()]
+        best = min(bestedgeto.values(), key=lambda sk: sk[0], default=None)
+        bestedge[b] = None if best is None else best[1]
 
     def expand_blossom(b: _Blossom, endstage: bool) -> None:
-        for s in b.childs:
-            blossomparent[s] = None
-            if isinstance(s, _Blossom):
-                if endstage and blossomdual[s] == 0:
-                    expand_blossom(s, endstage)
+        # At the end of a stage, zero-dual sub-blossoms go too; appending to
+        # ``gone`` while reading it reaches every depth without recursion.
+        gone = [b]
+        for e in gone:
+            for s in e.childs:
+                blossomparent[s] = None
+                if isinstance(s, _Blossom):
+                    if endstage and blossomdual[s] == 0:
+                        gone.append(s)
+                    else:
+                        for v in s.leaves():
+                            inblossom[v] = s
                 else:
-                    for v in s.leaves():
-                        inblossom[v] = s
-            else:
-                inblossom[s] = s
+                    inblossom[s] = s
         if (not endstage) and label.get(b) == 2:
             # Relabel the sub-blossoms along the alternating path from the
             # entry child to the base; the remaining ones become free.
@@ -285,43 +306,50 @@ def max_weight_matching(
                     label[mate[blossombase[bv]]] = None
                     assign_label(v, 2, labeledge[v][0])
                 j += jstep
-        label.pop(b, None)
-        labeledge.pop(b, None)
-        bestedge.pop(b, None)
-        del blossomparent[b]
-        del blossombase[b]
-        del blossomdual[b]
+        for e in gone:
+            label.pop(e, None)
+            labeledge.pop(e, None)
+            bestedge.pop(e, None)
+            del blossomparent[e]
+            del blossombase[e]
+            del blossomdual[e]
 
     def augment_blossom(b: _Blossom, v: int) -> None:
-        t = v
-        while blossomparent[t] != b:
-            t = blossomparent[t]
-        if isinstance(t, _Blossom):
-            augment_blossom(t, v)
-        i = j = b.childs.index(t)
-        if i & 1:
-            j -= len(b.childs)
-            jstep = 1
-        else:
-            jstep = -1
-        while j != 0:
-            j += jstep
-            t = b.childs[j]
-            if jstep == 1:
-                w, x = b.edges[j]
-            else:
-                x, w = b.edges[j - 1]
-            if isinstance(t, _Blossom):
-                augment_blossom(t, w)
-            j += jstep
-            t = b.childs[j]
-            if isinstance(t, _Blossom):
-                augment_blossom(t, x)
-            mate[w] = x
-            mate[x] = w
-        b.childs = b.childs[i:] + b.childs[:i]
-        b.edges = b.edges[i:] + b.edges[:i]
-        blossombase[b] = blossombase[b.childs[0]]
+        """Swap the matched and unmatched edges along the even path from v
+        to the base in each blossom around v, so v becomes the base.  Each
+        sub-blossom's swap touches only its own leaves, so they run off one
+        stack in any order; the blossoms on v's own chain all take v."""
+        stack = [(b, v)]
+        while stack:
+            top, v = stack.pop()
+            t = v
+            while t != top:
+                b = blossomparent[t]
+                i = j = b.childs.index(t)
+                if i & 1:
+                    j -= len(b.childs)
+                    jstep = 1
+                else:
+                    jstep = -1
+                while j != 0:
+                    j += jstep
+                    s = b.childs[j]
+                    if jstep == 1:
+                        w, x = b.edges[j]
+                    else:
+                        x, w = b.edges[j - 1]
+                    if isinstance(s, _Blossom):
+                        stack.append((s, w))
+                    j += jstep
+                    s = b.childs[j]
+                    if isinstance(s, _Blossom):
+                        stack.append((s, x))
+                    mate[w] = x
+                    mate[x] = w
+                b.childs = b.childs[i:] + b.childs[:i]
+                b.edges = b.edges[i:] + b.edges[:i]
+                blossombase[b] = v
+                t = b
 
     def augment_matching(v: int, w: int) -> None:
         for s, j in ((v, w), (w, v)):
@@ -338,42 +366,6 @@ def max_weight_matching(
                 if isinstance(bt, _Blossom):
                     augment_blossom(bt, j)
                 mate[j] = s
-
-    def verify_optimum() -> None:
-        """Certify the final matching via complementary slackness."""
-        if blossomdual and min(blossomdual.values()) < 0:
-            raise InternalError("blossom dual went negative")
-        chain = {}  # each vertex's enclosing blossoms, outermost first
-        for v in range(n):
-            c = [v]
-            while blossomparent[c[-1]] is not None:
-                c.append(blossomparent[c[-1]])
-            c.reverse()
-            chain[v] = c
-
-        def full_slack(i: int, j: int) -> int:  # blossom duals included
-            s = slack(i, j)
-            for bi, bj in zip(chain[i], chain[j]):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-            return s
-
-        for i, j in ((i, j) for i in range(n) for j in w2[i] if i < j):
-            s = full_slack(i, j)
-            if s < 0:
-                raise InternalError("matching edge with negative slack")
-            if (mate.get(i) == j or mate.get(j) == i) and s != 0:
-                raise InternalError("matched edge with nonzero slack")
-        for b, zb in blossomdual.items():
-            if (zb > 0 or odd) and len(b.edges) % 2 != 1:
-                raise InternalError("odd blossom with even edge count")
-            if odd and any(full_slack(i, j) for i, j in b.edges):
-                raise InternalError("blossom cycle edge with nonzero slack")
-            if zb > 0:
-                for i, j in b.edges[1::2]:
-                    if mate[i] != j or mate[j] != i:
-                        raise InternalError("positive blossom not full")
 
     while len(mate) < n:
         # One stage per augmentation.
@@ -483,13 +475,92 @@ def max_weight_matching(
                     and label.get(b) == 1 and blossomdual[b] == 0):
                 expand_blossom(b, True)
 
-    verify_optimum()
+    verify_optimum(w2, dualvar, mate, blossomparent, blossomdual, odd)
 
     out = [mate.get(v, -1) for v in range(n)]
     state.mate = list(out)
     state.dual = dualvar
     state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
     return out
+
+
+def verify_optimum(w2: list[dict[int, int]], dual: list[int],
+                   mate: dict[int, int], blossomparent: dict,
+                   blossomdual: dict[_Blossom, int], odd: bool) -> None:
+    """Certify a finished solve by complementary slackness, or raise
+    ``InternalError``.  ``w2`` holds twice the weights, ``dual`` the doubled
+    vertex duals, and ``blossomparent`` / ``blossomdual`` the blossom forest
+    with each blossom's z, listed children first as the solver makes them.
+
+    Every edge's slack, 2 z per blossom over both ends included, must be
+    nonnegative, and zero on matched edges and, in the near-perfect search,
+    on every blossom's cycle; a blossom with positive z must be full.  Each
+    pair is checked once, at the blossom where its ends part.  The leaves
+    are laid out so that each blossom is one run, its largest child last,
+    and a leaf a of any other child meets the pairs parting there in the
+    later children's run: the shorter of a's row, filtered by position, and
+    that run, looked up in the row, is read.  Pairs in different top-level
+    nodes part outside every blossom, at plain slack.
+    """
+    if blossomdual and min(blossomdual.values()) < 0:
+        raise InternalError("blossom dual went negative")
+    n = len(w2)
+    size: dict = {}  # leaves per blossom, children first
+    for b in blossomdual:
+        size[b] = sum(size.get(c, 1) for c in b.childs)
+    order, pos = [0] * n, [0] * n
+    first: dict = {}  # where each blossom's run starts
+    zsum: dict = {}  # 2 z over each blossom and its ancestors
+    cuts = []  # (p, q, end, z2): order[p:q] meets order[q:end] at z2
+
+    def place(nodes, p: int, end: int, z2: int) -> None:
+        for c in nodes:
+            if isinstance(c, _Blossom):
+                first[c], q = p, p + size[c]
+            else:
+                order[p], pos[c], q = c, p, p + 1
+            if q < end:
+                cuts.append((p, q, end, z2))
+            p = q
+
+    place([x for x, up in blossomparent.items() if up is None], 0, n, 0)
+    for b in reversed(blossomdual):  # parents first
+        up = blossomparent[b]
+        z2 = zsum[b] = 2 * blossomdual[b] + (0 if up is None else zsum[up])
+        kids = b.childs
+        big = max(range(len(kids)), key=lambda i: size.get(kids[i], 1))
+        place(kids[:big] + kids[big + 1:] + [kids[big]],
+              first[b], first[b] + size[b], z2)
+
+    for p, q, end, z2 in cuts:
+        run = None
+        for a in order[p:q]:
+            row, ya = w2[a], dual[a] + z2
+            if len(row) <= end - q:
+                for x, w in row.items():
+                    if q <= pos[x] < end and ya + dual[x] < w:
+                        raise InternalError("matching edge with negative slack")
+            else:
+                if run is None:
+                    run = order[q:end]
+                for x in run:
+                    if x in row and ya + dual[x] < row[x]:
+                        raise InternalError("matching edge with negative slack")
+            m = mate.get(a)
+            if (m is not None and q <= pos[m] < end and m in row
+                    and ya + dual[m] != row[m]):
+                raise InternalError("matched edge with nonzero slack")
+    for b, zb in blossomdual.items():
+        if (zb > 0 or odd) and len(b.edges) % 2 != 1:
+            raise InternalError("odd blossom with even edge count")
+        # each cycle edge joins two children, so its ends part at b
+        if odd and any(dual[i] + dual[j] - w2[i][j] + zsum[b]
+                       for i, j in b.edges):
+            raise InternalError("blossom cycle edge with nonzero slack")
+        if zb > 0:
+            for i, j in b.edges[1::2]:
+                if mate.get(i) != j or mate.get(j) != i:
+                    raise InternalError("positive blossom not full")
 
 
 def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:

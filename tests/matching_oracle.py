@@ -6,6 +6,9 @@ matching tests can cross-check the solver's values and tie-breaks against it.
 ``min_weight_perfect_matching_encoded`` is the reference pairing above the
 DP's reach: one blossom solve on the complete graph under the encoded
 lexicographic weights, without the library's tight-edge restriction.
+``verify_optimum_by_chains`` is the solver's end-of-solve certificate as a
+per-edge walk down both ends' chains of enclosing blossoms, the reference
+for ``connjoin.matching.verify_optimum``.
 """
 
 from __future__ import annotations
@@ -94,3 +97,43 @@ def min_weight_perfect_matching_encoded(
     mate = max_weight_matching(k, [(i, j, -w) for (i, j), w in encoded.items()],
                                DualState([-1] * k, [0] * k))
     return [(pts[i], pts[j]) for i, j in enumerate(mate) if i < j]
+
+
+def verify_optimum_by_chains(w2, dual, mate, blossomparent, blossomdual,
+                             odd) -> None:
+    """``verify_optimum`` on the same arguments, each edge's blossom duals
+    summed down the common prefix of its ends' chains of blossoms."""
+    n = len(w2)
+    if blossomdual and min(blossomdual.values()) < 0:
+        raise InternalError("blossom dual went negative")
+    chain = {}  # each vertex's enclosing blossoms, outermost first
+    for v in range(n):
+        c = [v]
+        while blossomparent[c[-1]] is not None:
+            c.append(blossomparent[c[-1]])
+        c.reverse()
+        chain[v] = c
+
+    def full_slack(i: int, j: int) -> int:  # blossom duals included
+        s = dual[i] + dual[j] - w2[i][j]
+        for bi, bj in zip(chain[i], chain[j]):
+            if bi != bj:
+                break
+            s += 2 * blossomdual[bi]
+        return s
+
+    for i, j in ((i, j) for i in range(n) for j in w2[i] if i < j):
+        s = full_slack(i, j)
+        if s < 0:
+            raise InternalError("matching edge with negative slack")
+        if (mate.get(i) == j or mate.get(j) == i) and s != 0:
+            raise InternalError("matched edge with nonzero slack")
+    for b, zb in blossomdual.items():
+        if (zb > 0 or odd) and len(b.edges) % 2 != 1:
+            raise InternalError("odd blossom with even edge count")
+        if odd and any(full_slack(i, j) for i, j in b.edges):
+            raise InternalError("blossom cycle edge with nonzero slack")
+        if zb > 0:
+            for i, j in b.edges[1::2]:
+                if mate.get(i) != j or mate.get(j) != i:
+                    raise InternalError("positive blossom not full")

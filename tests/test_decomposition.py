@@ -138,6 +138,30 @@ def test_verify_reports_a_level_contraction_that_is_not_factor_critical():
             "message": "level contraction is not factor-critical"}]}
 
 
+def test_verify_reports_child_beams_that_are_not_a_minimum_join():
+    # Rooted at 3, the Q component 3 has the top {0, 2} and the one child
+    # {1}.  The join 1-2, 0-3, 0-2 is the minimum join 1-0-3 XOR the
+    # triangle 0-1-2; it leaves {1} by the beam 1-2 alone.  Contracting {1}
+    # to a tooth t gives the triangle 0, 2, t with terminals {0, t}, a
+    # strong comb rooted at 0, whose joins all meet 0: the beam t-2 is none.
+    graft = validate_graft(Graph(4, [(0, 1), (1, 2), (0, 3), (0, 2)]), {1, 3})
+    join = minimum_join(graft)
+    assert join == {0, 2}
+    dd = distance_decomposition(graft, join, 3)
+    assert (dd.component(3).a_set, dd.component(3).d_children) == ({0, 2}, (0,))
+    assert dd.component(0).a_set == {1}
+    assert verify_decomposition(graft, {1, 2, 3}, dd).to_json() == {
+        "ok": False, "components_checked": 6, "violations": [
+            {"component_id": 2, "check": "induced-join-minimality",
+             "message": "restriction has 2 edges, minimum is 1"},
+            {"component_id": 2, "check": "near-perfect-matching",
+             "message": "top-level join edges do not match all non-root "
+                        "blobs exactly once"},
+            {"component_id": 3, "check": "comb-join",
+             "message": "child beams are not a minimum join of the depth "
+                        "contraction"}]}
+
+
 def test_verify_golden_on_corrupted_joins(corpus):
     # Each corpus graft at its default root, checked against its minimum
     # join and against that join XOR each circuit (a join again, mostly not
@@ -322,6 +346,10 @@ def test_is_strong_comb():
     assert not is_strong_comb(star, 0, {1, 2})  # 3 not dominated by the teeth
     assert not is_strong_comb(C4, 0, {1, 3})  # dist(0,2) = -2, not 0
     assert not is_strong_comb(star, 1, {1, 2, 3})  # root inside the teeth
+    with pytest.raises(StructuralInputError, match="^tooth 4 is not a vertex$"):
+        is_strong_comb(star, 0, {1, 2, 4})
+    with pytest.raises(StructuralInputError, match="^root -1 is not a vertex$"):
+        is_strong_comb(star, -1, {1, 2, 3})
 
 
 def without_join_fields(dd):

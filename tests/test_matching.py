@@ -1,26 +1,31 @@
 """Matching layer: the blossom solver against brute force and the subset DP,
 cold and warm-started, perfect and near-perfect."""
 
+import copy
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connjoin import decide, matching
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
 from connjoin.matching import (DualState, greedy_start, is_factor_critical,
                                matched_total, max_weight_matching,
                                min_weight_perfect_matching,
                                min_weight_perfect_matching_value,
-                               perfect_optimum, tight_pairing, toggled_sizes)
+                               perfect_optimum, tight_pairing, toggled_sizes,
+                               verify_optimum)
 from connjoin.graph_core import Graph
 from connjoin.tjoin import (TerminalSolve, _hop_distances,
-                            _shortest_path_edges, minimum_join)
+                            _shortest_path_edges, minimum_join, validate_graft)
 
 from conftest import sparse_graft
 from matching_oracle import (min_weight_perfect_matching_dp,
-                             min_weight_perfect_matching_encoded)
+                             min_weight_perfect_matching_encoded,
+                             verify_optimum_by_chains)
 
 
 def brute_max_perfect_matching_value(n, weighted_edges):
@@ -380,3 +385,93 @@ def test_warm_start_rejects_bad_starts():
     for start, reason in bad:
         with pytest.raises(InternalError, match=reason):
             max_weight_matching(4, edges, start)
+
+
+def finished_states(monkeypatch, rng):
+    """Copies of the arguments of every end-of-solve certificate run by the
+    base solves, toggle searches, tie-breaks and factor-criticality
+    searches on random 0-3 tables and sparse graphs."""
+    states = []
+
+    def capture(*args):
+        states.append(copy.deepcopy(args))
+        return verify_optimum(*args)
+
+    monkeypatch.setattr(matching, "verify_optimum", capture)
+    for _ in range(60):
+        k = 2 * rng.randint(1, 7)
+        table = [[0] * (k + 1) for _ in range(k + 1)]
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                table[a][b] = table[b][a] = rng.randint(0, 3)
+        cost = [row[:k] for row in table[:k]]
+        optimum = perfect_optimum(cost)
+        tight_pairing(cost, optimum)
+        toggled_sizes(range(k), cost, optimum, 0, None)
+        toggled_sizes(range(k), cost, optimum, k, table[k][:k])
+        n = 2 * rng.randint(1, 7) + 1
+        is_factor_critical(Graph(n, [tuple(rng.sample(range(n), 2))
+                                     for _ in range(2 * n)]))
+    monkeypatch.undo()
+    return states
+
+
+def verdict(certificate, state):
+    try:
+        certificate(*state)
+    except InternalError as exc:
+        return str(exc)
+    return None
+
+
+def test_certificate_agrees_with_the_chain_walk_on_mutated_states(monkeypatch):
+    # Mutations: one vertex dual lowered by one, one blossom dual raised by
+    # one, the partners of two matched pairs swapped.  The certificate that
+    # checks each pair at its lowest common blossom must give the chain
+    # walk's verdict on each; each kind must be caught somewhere.
+    rng = random.Random(16)
+    states = finished_states(monkeypatch, rng)
+    assert any(len(blossomdual) > 2 for _, _, _, _, blossomdual, _ in states)
+    caught = {"dual": 0, "blossom": 0, "swap": 0}
+    for state in states:
+        assert verdict(verify_optimum, state) is None
+        assert verdict(verify_optimum_by_chains, state) is None
+        for kind in caught:
+            bad = copy.deepcopy(state)
+            _, dual, mate, _, blossomdual, _ = bad
+            if kind == "dual":
+                dual[rng.randrange(len(dual))] -= 1
+            elif kind == "blossom" and blossomdual:
+                blossomdual[rng.choice(list(blossomdual))] += 1
+            elif kind == "swap" and len(mate) >= 4:
+                a, c = rng.sample(sorted(mate), 2)
+                b, d = mate[a], mate[c]
+                if c == b:
+                    continue
+                mate[a], mate[d], mate[c], mate[b] = d, a, b, c
+            else:
+                continue
+            seen = verdict(verify_optimum, bad)
+            assert seen == verdict(verify_optimum_by_chains, bad)
+            caught[kind] += seen is not None
+    assert all(caught.values()), caught
+
+
+def test_deep_blossoms_need_no_recursion():
+    # A spanning tree plus 3n random edges with T = V: the toggle search
+    # augments through blossoms nested about 120 deep, so a solver that
+    # recursed once per nesting level would exhaust this limit.
+    n, rng = 400, random.Random(1)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)]
+    graft = validate_graft(Graph(n, edges), range(n))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        decision = decide(graft)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert decision.answer is False
