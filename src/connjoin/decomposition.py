@@ -8,13 +8,14 @@ one join edge (its *beam*), whose inner endpoint (the component's *join
 root*) sits on the component's top level.
 
 The components form a laminar merge forest, built by one upward union-find
-sweep: each is a node adopting the previous snapshot's components merged
-into it.  A node stores only its top level (``a_set``, at most 2n vertex
+sweep into flat lists by build index (rank, top level, children, smallest
+vertex, parent); one sort assigns the ids, then one record per component is
+made.  A component stores only its top level (``a_set``, at most 2n vertex
 references in all); ``vertices`` and ``d_set`` walk the depth descendants on
-each read and are never stored.  A join edge leaves exactly the nodes below
-its endpoints' lowest common node, so beams take one pass over the join.
-The build costs O(n + m) beside the union-find and the per-level sorts,
-where storing every vertex set would cost n per level.
+each read and are never stored.  A join edge leaves exactly the components
+below its ends' lowest common one, so beams take one pass over the join.
+The build costs O(n + m) beside the union-find and the sorts, where storing
+every vertex set would cost n per level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
@@ -56,7 +57,7 @@ LAYER = "layer"
 Q = "q"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen init takes 5x as long
 class Component:
     id: int
     level: int
@@ -67,8 +68,8 @@ class Component:
     f_root: int | None  # the beam's endpoint inside the component
     q_children: tuple[int, ...]  # same-level Q components (LAYER kind only)
     d_children: tuple[int, ...]  # layer components one level down
-    parent: int | None  # the next snapshot's component holding this one
-    _below: tuple[Component, ...] = field(repr=False, compare=False)  # d_children
+    parent: int | None  # the component one step up the sweep holding this one
+    _below: list[Component] = field(repr=False, compare=False)  # d_children
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -135,27 +136,16 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-class _Node:
-    """A component while the sweep builds it."""
-
-    __slots__ = ("id", "level", "kind", "top", "children", "parent",
-                 "smallest", "is_cap")
-
-    def __init__(self, level: int, kind: str, top: list[int]) -> None:
-        self.level, self.kind, self.top = level, kind, top  # top: the newcomers
-        self.children: list[_Node] = []  # previous snapshot's nodes inside
-        self.parent, self.is_cap = None, False  # parent: a _Node once merged
-
-
-def _rank(comp: _Node | Component) -> int:
-    """Snapshot order, Q before layer: one more at each step up the forest."""
+def _rank(comp: Component) -> int:
+    """Sweep order, Q before layer: one more at each step up the forest."""
     return 2 * comp.level + (comp.kind == LAYER)
 
 
 def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
              parent: list[int | None], rank: list[int],
              ) -> list[list[tuple[int, int]]]:
-    """The join edges leaving each component, by id, as (edge, inner end).
+    """The join edges leaving each component, as (edge, inner end), indexed
+    like ``parent`` and ``rank`` (by id, or by build index in the sweep).
 
     An edge leaves exactly the components below its ends' lowest common
     one, so one climb from the ends' own-level Q components (``home``)
@@ -175,91 +165,99 @@ def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
     return leaving
 
 
-def _snapshot(uf: list[int], level: int, kind: str, newcomers: Iterable[int],
-              merges: list[tuple[int, int]], below: list[_Node]) -> list[_Node]:
-    """Apply ``merges``, then make one node per union-find group of the
-    level's newcomers, adopting the previous snapshot's nodes merged into it.
-    Every group holds a newcomer, so a node of ``below`` left out is a bug."""
-    for u, v in merges:
-        uf[_find(uf, u)] = _find(uf, v)
-    groups: dict[int, list[int]] = {}
-    for v in newcomers:
-        groups.setdefault(_find(uf, v), []).append(v)
-    nodes = {root: _Node(level, kind, top) for root, top in groups.items()}
-    for child in below:
-        node = nodes.get(_find(uf, child.smallest))
-        if node is None:
-            raise InternalError("every component meets its own level")
-        node.children.append(child)
-        child.parent = node
-    for node in nodes.values():
-        node.smallest = min(node.top + [c.smallest for c in node.children])
-    return list(nodes.values())
-
-
 def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
     """Build the decomposition of the root's component under a minimum join.
 
     Levels are swept upward with an incremental union-find: cross edges into
-    level i are merged first (snapshot: Q components), the edges internal to
-    level i after (snapshot: layer components).  Ids follow (level, smallest
-    vertex, layer before Q)."""
+    level i are merged as they are found (groups: Q components), the edges
+    inside level i after (groups: layer components).  Ids follow (level,
+    smallest vertex, layer before Q)."""
     join = frozenset(join)
     dm = f_distances(graft, join, root)  # also asserts the join is minimum
-    graph = graft.graph
-    interval = dm.interval()
-    levels = dm.level_sets()
+    graph, dist = graft.graph, dm.dist
+    interval, levels = dm.interval(), dm.level_sets()
 
+    # Components by build index: rank (see ``_rank``), top-level vertices,
+    # children (the groups merged into it), smallest vertex and parent.
+    rank, top, kids, low, up = [], [], [], [], []
     uf = list(range(graph.n))
-    nodes: list[_Node] = []
-    layers: list[_Node] = []  # the previous level's layer nodes
-    dist, nbrs = dm.dist, graph.nbrs
-    for i in interval:
-        cross, inner = [], []  # edges into lower levels, edges inside level i
-        for v in levels[i]:
-            for u in nbrs[v]:
-                du = dist[u]
-                if du is not None and du <= i:
-                    (inner if du == i else cross).append((u, v))
-        qs = _snapshot(uf, i, Q, levels[i], cross, layers)
-        layers = _snapshot(uf, i, LAYER, levels[i], inner, qs)
-        nodes += qs + layers
-    nodes.sort(key=lambda c: (c.level, c.smallest, c.kind != LAYER))
-    for cid, node in enumerate(nodes):
-        node.id = cid
-    parent = [None if c.parent is None else c.parent.id for c in nodes]
-    home = {v: q.id for q in nodes if q.kind == Q for v in q.top}
 
-    cid = home[root]
-    while cid is not None:  # the root's own nodes are the caps
-        nodes[cid].is_cap, cid = True, parent[cid]
-    leaving = _leaving(graph, join, home, parent, [_rank(c) for c in nodes])
+    def group(r: int, below: list[int]) -> list[int]:
+        """One component of rank r per union-find group of its level,
+        adopting those of ``below`` merged into it.  Every group holds a
+        vertex of the level, so a component of ``below`` left out is a bug."""
+        made: dict[int, int] = {}
+        for v in levels[r >> 1]:
+            x = made.setdefault(_find(uf, v), len(top))
+            if x < len(top):
+                top[x].append(v)
+                low[x] = min(low[x], v)
+                continue
+            rank.append(r)
+            top.append([v])
+            kids.append([])
+            low.append(v)
+            up.append(None)
+        for c in below:
+            x = made.get(_find(uf, low[c]))
+            if x is None:
+                raise InternalError("every component meets its own level")
+            kids[x].append(c)
+            up[c], low[x] = x, min(low[x], low[c])
+        return list(made.values())
+
+    layers: list[int] = []  # the previous level's layer components
+    for i in interval:
+        inner = []  # edges inside level i, merged after the Q grouping
+        for v in levels[i]:
+            for u in graph.nbrs[v]:
+                du = dist[u]
+                if du is not None and du < i:  # a cross edge
+                    uf[_find(uf, u)] = _find(uf, v)
+                elif du == i:
+                    inner.append((u, v))
+        qs = group(2 * i, layers)
+        for u, v in inner:
+            uf[_find(uf, u)] = _find(uf, v)
+        layers = group(2 * i + 1, qs)
+
+    order = sorted(range(len(top)), key=lambda x: (rank[x] >> 1, low[x], -rank[x]))
+    pos = [0] * len(order)  # build index -> id
+    home: dict[int, int] = {}  # each vertex's own-level Q component
+    for cid, x in enumerate(order):
+        pos[x] = cid
+        if not rank[x] & 1:
+            for v in top[x]:
+                home[v] = x
+    caps, x = set(), home[root]
+    while x is not None:  # the root's own components are the caps
+        caps.add(x)
+        x = up[x]
+    leaving = _leaving(graph, join, home, up, rank)
 
     components: list[Component] = []
-    for node in nodes:
-        if not node.is_cap and len(leaving[node.id]) != 1:
-            raise TheoremViolationError(
-                f"component at level {node.level} (smallest vertex {node.smallest})"
-                f" is left by {len(leaving[node.id])} join edges instead of 1")
-        beam, f_root = (None, None) if node.is_cap else leaving[node.id][0]
-        if f_root is not None and dm[f_root] != node.level:
-            raise TheoremViolationError(
-                f"join root {f_root} lies below the top level of its component")
-        depth, q_children = node.children, ()
-        if node.kind == LAYER:
-            q_children = tuple(sorted(q.id for q in node.children))
-            depth = [d for q in node.children for d in q.children]
-        d_children = tuple(sorted(d.id for d in depth))
-        components.append(Component(
-            id=node.id, level=node.level, kind=node.kind,
-            a_set=frozenset(node.top), is_cap=node.is_cap, beam=beam,
-            f_root=f_root, q_children=q_children, d_children=d_children,
-            parent=parent[node.id],
-            _below=tuple(components[d] for d in d_children)))
+    for cid, x in enumerate(order):
+        i, is_layer, beam, f_root = rank[x] >> 1, rank[x] & 1, None, None
+        if x not in caps:
+            if len(leaving[x]) != 1:
+                raise TheoremViolationError(
+                    f"component at level {i} (smallest vertex {low[x]})"
+                    f" is left by {len(leaving[x])} join edges instead of 1")
+            (beam, f_root), = leaving[x]
+            if dist[f_root] != i:
+                raise TheoremViolationError(
+                    f"join root {f_root} lies below the top level of its component")
+        children = sorted([pos[c] for c in kids[x]])
+        depth = (sorted([pos[d] for q in kids[x] for d in kids[q]])
+                 if is_layer else children)
+        components.append(Component(  # positional: keywords triple the init
+            cid, i, LAYER if is_layer else Q, frozenset(top[x]), x in caps,
+            beam, f_root, tuple(children) if is_layer else (), tuple(depth),
+            None if up[x] is None else pos[up[x]], [components[d] for d in depth]))
 
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
-        components=tuple(components), initial_id=parent[home[root]])
+        components=tuple(components), initial_id=pos[up[home[root]]])
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
@@ -118,7 +119,8 @@ def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:
 def _check_edge_ids(graft: Graft, edges: Iterable[int]) -> None:
     """``StructuralInputError`` naming the smallest id in ``edges`` that is
     not an edge of the graft (a negative id would index from the end)."""
-    bad = min((e for e in edges if not 0 <= e < graft.m), default=None)
+    m = graft.m
+    bad = min((e for e in edges if not 0 <= e < m), default=None)
     if bad is not None:
         raise StructuralInputError(
             f"edge id {bad} is out of range for {graft.m} edges")
@@ -129,11 +131,11 @@ def is_join(graft: Graft, edges: Iterable[int]) -> bool:
     ``StructuralInputError`` if an id is not an edge of the graft."""
     edges = set(edges)
     _check_edge_ids(graft, edges)
-    odd: set[int] = set()
-    for e in edges:
-        u, v = graft.graph.endpoints(e)
-        odd ^= {u, v}
-    return odd == set(graft.terminals)
+    ends = graft.graph.edges
+    odd = bytearray(graft.n)  # per vertex: terminal bit XOR degree parity
+    for v in chain(graft.terminals, *(ends[e] for e in edges)):
+        odd[v] ^= 1
+    return not any(odd)
 
 
 def _hop_distances(graph: Graph, source: int,

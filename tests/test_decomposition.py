@@ -1,5 +1,6 @@
 """Layered decomposition: frozen small goldens plus the self-check route."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -16,7 +17,7 @@ from connjoin.errors import (InternalError, StructuralInputError,
 from connjoin.graph_core import Graph, connected_components
 from connjoin.tjoin import minimum_join, optimum_join, validate_graft
 
-from conftest import count_work
+from conftest import count_work, random_multigraft
 from decomposition_oracle import matchable_deletions, oracle_components
 from path_oracle import enumerate_circuits, shortest_path_weight_oracle
 
@@ -221,8 +222,8 @@ def test_vertex_sets_are_never_stored(family):
     graft, join, dd = path_or_primal(family)
     assert verify_decomposition(graft, join, dd).ok
     dd.to_json()
-    held = [x for c in dd.components for x in vars(c).values()
-            if isinstance(x, frozenset)]
+    held = [x for c in dd.components for f in dataclasses.fields(c)
+            if isinstance(x := getattr(c, f.name), frozenset)]
     assert held == [c.a_set for c in dd.components]
     assert sum(map(len, held)) <= 2 * graft.n
 
@@ -429,6 +430,37 @@ def test_matches_bfs_oracle_on_generator_families(family):
         # orders same-level components whose smallest vertex lies deeper
         for g, r in ((graft, root), shuffled(graft, root, seed)):
             assert_matches_oracle(g, r)
+
+
+def test_matches_bfs_oracle_on_multigrafts():
+    # parallel edges, several components, None distances off the root's one
+    for seed in range(300):
+        graft = random_multigraft(seed)
+        assert_matches_oracle(graft, min(graft.terminals, default=0))
+
+
+def test_ids_follow_the_smallest_vertex_not_the_level_set_order():
+    # Level -2 splits into {3, 8} and {5}.  CPython iterates its vertex set
+    # {3, 5, 8} as 8, 3, 5, so a smallest vertex taken from the first one
+    # seen would give {5} the lower id.
+    graft = validate_graft(Graph(9, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5),
+                                     (3, 6), (1, 7), (6, 8)]), {1, 2, 5, 6})
+    dd = distance_decomposition(graft, minimum_join(graft), 1)
+    assert [sorted(c.a_set) for c in dd.layer_components(-2)] == [[3, 8], [5]]
+    assert_matches_oracle(graft, 1)
+
+
+@pytest.mark.parametrize("depth", [150, 240])
+def test_matches_bfs_oracle_on_deep_caterpillars(depth):
+    # a spine of ``depth`` edges with terminals at its ends and depth / 2
+    # pendant legs: one level per spine vertex, a leg one level above its foot
+    rng = random.Random(depth)
+    legs = depth // 2
+    edges = [(i, i + 1) for i in range(depth)]
+    edges += [(rng.randrange(depth + 1), depth + 1 + j) for j in range(legs)]
+    graft = validate_graft(Graph(depth + 1 + legs, edges), {0, depth})
+    for g, r in ((graft, 0), shuffled(graft, 0, depth)):
+        assert_matches_oracle(g, r)
 
 
 @pytest.mark.parametrize("n,edges,terminals,dist,error,fragment", [
