@@ -20,14 +20,19 @@ every vertex set would cost n per level.
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
-contractions with tooth degree one — and reports violations instead of
-trusting the construction.  It reads the same merge forest: the build's
-climb gives every component's leaving join edges.  Every graft it checks
-comes from one routine, ``_contraction``, under a vertex map: the induced
-sub-graft of a non-cap layer component under its rank map (one per such
-component, solved once), a level contraction from the component's top
-level alone (its Q components meet only through edges inside that level)
-and a depth contraction from the top level plus one blob per depth child.
+contractions — and reports violations instead of trusting the
+construction.  It reads the same merge forest: the build's climb gives
+every component's leaving join edges.  The restriction check of a non-cap
+layer component is proved bottom-up where the decomposition allows it: the
+cuts of the components below pack as many odd cuts as the restricted join
+has edges, and a search over the top level passes through children already
+proved (``_restriction_closes``).  Only where that proof does not close
+does ``_check_restriction`` induce the component's sub-graft and solve it.
+Every graft the verifier checks comes from one routine, ``_contraction``,
+under a vertex map: that induced sub-graft under its rank map, a level
+contraction from the component's top level alone (its Q components meet
+only through edges inside that level) and a depth contraction from the top
+level plus one blob per depth child.
 """
 
 from __future__ import annotations
@@ -314,6 +319,11 @@ def verify_decomposition(
     The decomposition is taken as given (its distance map is canonical), so
     feeding a corrupted join here reports violations rather than raising.
     No check passes over the whole join or the whole graph per component.
+    Layer components are visited bottom-up (ids run up the levels); one
+    whose restriction ``_restriction_closes`` proves from the components
+    below is not solved, every other non-cap one induces its sub-graft and
+    solves it in ``_check_restriction``, the only code that names a
+    restriction violation.
     """
     join = frozenset(join)
     _check_edge_ids(graft, join)
@@ -333,8 +343,13 @@ def verify_decomposition(
             bad(comp.id, "beam-count", f"{len(leaving[comp.id])} join edges"
                 f" leave the component, expected {want}")
 
+    closed: set[int] = set()  # bottom-up: ids run up the levels
     for comp in dd.layer_components():
-        if not comp.is_cap:
+        if comp.is_cap:
+            continue
+        if _restriction_closes(graph, join, dd, comp, home, leaving, closed):
+            closed.add(comp.id)
+        else:
             _check_restriction(graph, join, dd, comp, bad)
 
     for comp in dd.layer_components():
@@ -346,6 +361,109 @@ def verify_decomposition(
             _check_depth_contraction(graph, join, dd, comp, home, leaving, bad)
 
     return DecompositionReport(tuple(out), len(comps))
+
+
+def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
+    """Whether the decomposition proves that ``_check_restriction`` reports
+    nothing for the non-cap layer component C, given the set of components
+    below it already ``closed`` this way.
+
+    Write L for C's level, A for its top level, f for its join root, J_C for
+    the join edges inside C and T' for their odd set; d_C(f, x) is the
+    toggle distance the check computes, ν(T' Δ {f, x}) - ν(T').  C closes
+    under these premises, each checked here; every child D of C closed, so
+    they hold at every layer component below C too:
+
+    1. f lies in A;
+    2. every edge at A ends in A, one level down in a layer child of C, or
+       one level up.  With the premises below C, levels are 1-Lipschitz on
+       every edge at C, and an edge inside C that leaves a component E
+       below C rises from E's top level into E's parent (the component of
+       its upper end has that of its lower end as a child);
+    3. no join edge joins two vertices of A;
+    4. D is left by one join edge only, its beam, from its join root f_D to
+       a vertex w_D of A.
+
+    Minimality.  A join edge inside C joins consecutive levels, so it leaves
+    the component E of its lower end's level, which lies strictly inside C:
+    it is E's beam.  So J_C holds one beam for each of the N non-cap layer
+    components strictly inside C.  Their cuts are pairwise edge-disjoint (an
+    edge leaving E rises from E's level, and its lower end fixes E there),
+    and each holds one edge of J_C, so each is a T'-cut: every T'-join has
+    at least N = |J_C| edges, and J_C is minimum.
+
+    Lower bound.  Toggling T' at f and x keeps a cut a T'-cut unless it
+    holds x (f, at level L, is in none), and x lies in at most L - dist(x)
+    of them; so d_C(f, x) >= dist(x) - L.
+
+    Upper bound.  A walk from f to x in C that repeats no join edge has an
+    edge set of odd multiplicity S, an {f, x}-join no heavier than the walk
+    (+1 off the join, -1 on it), and J_C Δ S is a T' Δ {f, x}-join of
+    |J_C| + w(S) edges; so d_C(f, x) is at most the walk's weight.  Passing
+    a child D weighs 0: in by a non-join edge from A to D's top level (+1),
+    on to f_D (0, by D's certificate) and out by the beam (-1), or the
+    reverse; by premise 3 an edge inside A is off the join and only adds
+    weight.  The search below runs depth-first from f over A by passes: it
+    never leaves a vertex through the child it entered by, never enters a
+    vertex on its stack, and enters a vertex at most twice, by different
+    children.  So the stack is a route of weight 0 to its top vertex that
+    passes no child twice (two passes of D both meet w_D, so they would be
+    consecutive there): its join edges, the beams and those inside the
+    children passed, are distinct.  A vertex y below A lies in some child D;
+    a route that entered w_D by another child than D does not pass D, and
+    going on by the beam and D's certificate reaches y with weight
+    -1 + dist(y) - (L - 1) = dist(y) - L.
+
+    So C closes when the search enters all of A, and each w_D by another
+    child than D at least once (f counts as entered by none).  The work is
+    linear in the edges at A."""
+    comps, dist = dd.components, dd.distance_map.dist
+    level, top = comp.level, comp.a_set
+    if comp.f_root not in top:
+        return False
+    ends = {}  # child -> its beam's outer end w_D
+    for d in comp.d_children:
+        child = comps[d]
+        if d not in closed or leaving[d] != [(child.beam, child.f_root)]:
+            return False
+        u, v = graph.endpoints(child.beam)
+        ends[d] = v if u == child.f_root else u
+        if ends[d] not in top:
+            return False
+    steps: dict[int, list[tuple[int, int]]] = {}  # vertex -> (vertex, child)
+    for v in top:
+        for u, e in zip(graph.nbrs[v], graph.eids[v]):
+            if dist[u] == level - 1:
+                d = comps[home[u]].parent
+                if comps[comps[d].parent].parent != comp.id:
+                    return False
+                if e not in join:  # a pass through d between v and w_D
+                    steps.setdefault(v, []).append((ends[d], d))
+                    steps.setdefault(ends[d], []).append((v, d))
+            elif dist[u] == level:
+                if u not in top or e in join:
+                    return False
+            elif dist[u] != level + 1:
+                return False
+    came: dict[int, list[int | None]] = {comp.f_root: [None]}  # entered by
+    stack = [(comp.f_root, None, iter(steps.get(comp.f_root, ())))]
+    on_stack = {comp.f_root}
+    while stack:
+        v, by, todo = stack[-1]
+        for u, d in todo:
+            if d == by or u in on_stack:
+                continue
+            entered = came.setdefault(u, [])
+            if len(entered) < 2 and d not in entered:
+                entered.append(d)
+                on_stack.add(u)
+                stack.append((u, d, iter(steps.get(u, ()))))
+                break
+        else:
+            on_stack.discard(v)
+            stack.pop()
+    return len(came) == len(top) and all(
+        came[w] != [d] for d, w in ends.items())
 
 
 def _check_restriction(graph, join, dd, comp, bad) -> None:
@@ -425,9 +543,10 @@ def _check_level_contraction(graph, join, dd, comp, bad) -> None:
 def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
     """Collapsing each child of a non-cap Q component must give a strong comb
     rooted at the join root, whose minimum join is the set of child beams
-    (the children's leaving edges), with every tooth met exactly once.  The
-    graft is read from the top level: a lower neighbour lies in the child
-    reached by climbing from its own-level Q component."""
+    (the children's leaving edges).  A tooth met by other than one join edge
+    is a child with a beam-count report already.  The graft is read from the
+    top level: a lower neighbour lies in the child reached by climbing from
+    its own-level Q component."""
     top = sorted(comp.a_set)
     image = {v: i for i, v in enumerate(top)}
     teeth = {c: len(top) + i for i, c in enumerate(comp.d_children)}
@@ -455,7 +574,3 @@ def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
     if not (is_join(contracted, mapped) and len(mapped) == nu(contracted)):
         bad(comp.id, "comb-join",
             "child beams are not a minimum join of the depth contraction")
-        return
-    if any(len(leaving[c]) != 1 for c in comp.d_children):
-        bad(comp.id, "tooth-degree",
-            "a tooth is met by a number of join edges other than one")

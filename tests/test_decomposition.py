@@ -15,7 +15,7 @@ from connjoin.distances import DistanceMap
 from connjoin.errors import (InternalError, StructuralInputError,
                              TheoremViolationError)
 from connjoin.graph_core import Graph, connected_components
-from connjoin.tjoin import minimum_join, optimum_join, validate_graft
+from connjoin.tjoin import Graft, minimum_join, optimum_join, validate_graft
 
 from conftest import count_work, random_multigraft
 from decomposition_oracle import matchable_deletions, oracle_components
@@ -200,8 +200,9 @@ def path_or_primal(family):
 
 @pytest.mark.parametrize("family", ["path", "primal"])
 def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
-    # One graft per check: the restriction of each non-cap layer component,
-    # each level contraction and each depth contraction.
+    # One graft per contraction check: each level contraction and each depth
+    # contraction.  Every restriction check closes by its certificate here,
+    # so no restriction sub-graft is induced.
     graft, join, dd = path_or_primal(family)
     calls = []
     contract = decomposition._contraction
@@ -210,9 +211,170 @@ def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
     assert verify_decomposition(graft, join, dd).ok
     layers = list(dd.layer_components())
     assert len(calls) == (
-        sum(1 for c in layers if not c.is_cap)
-        + sum(1 for c in layers if not (c.is_cap and c.level != 0))
+        sum(1 for c in layers if not (c.is_cap and c.level != 0))
         + sum(1 for c in dd.q_components() if not c.is_cap and c.d_children))
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """``certified(graft, join, dd)`` verifies ``join`` against ``dd`` and
+    lists the non-cap layer components whose restriction check closed by
+    its certificate (``_check_restriction`` did not run on them), each with
+    what that check reports when run on it directly."""
+    ran, check = set(), decomposition._check_restriction
+    monkeypatch.setattr(decomposition, "_check_restriction",
+                        lambda *args: ran.add(args[3].id) or check(*args))
+
+    def certified(graft, join, dd):
+        ran.clear()
+        verify_decomposition(graft, join, dd)
+        out = []
+        for comp in dd.layer_components():
+            if not (comp.is_cap or comp.id in ran):
+                found = []
+                check(graft.graph, frozenset(join), dd, comp,
+                      lambda *v: found.append(v))
+                out.append((comp, found))
+        return out
+    return certified
+
+
+def family_members(family, count):
+    """``count`` seeded members of a generator family, or the 300-vertex
+    path, each with its root."""
+    if family == "path":
+        graft, _, dd = path_or_primal("path")
+        return [(graft, dd.root)]
+    out = []
+    for seed in range(count):
+        if family == "primal":
+            witness, _ = gen_primal(seed % 4, 2 + seed % 3, seed=seed)
+            out.append((witness.graft, witness.root))
+        else:
+            graft, root, _ = gen_tailed(1 + seed % 3, 2 + seed % 3, seed=seed)
+            out.append((graft, root))
+    return out
+
+
+@pytest.mark.parametrize("family", ["path", "primal", "tailed"])
+def test_certificate_closes_every_restriction_check_of_a_valid_join(
+        certified, family):
+    # Under a minimum join every premise holds and the search finds every
+    # route, so no restriction check falls back to a sub-graft solve.
+    for graft, root in family_members(family, 24):
+        join = optimum_join(graft)
+        dd = distance_decomposition(graft, join, root)
+        closed = certified(graft, join, dd)
+        assert [comp.id for comp, _ in closed] == [
+            c.id for c in dd.layer_components() if not c.is_cap]
+        assert all(found == [] for _, found in closed)
+
+
+def test_certificate_closes_only_clean_restriction_checks(corpus, certified):
+    # The solved check, run directly, reports nothing on a component the
+    # certificate closes: under every corrupted join of the golden run, and
+    # under generator members' own joins with two edges flipped.
+    closes = 0
+    for case in corpus:
+        graft = case.graft
+        join = minimum_join(graft)
+        dd = distance_decomposition(graft, join, min(graft.terminals, default=0))
+        for circuit in [frozenset()] + enumerate_circuits(graft.graph):
+            for comp, found in certified(graft, join ^ circuit, dd):
+                assert found == [], (case.seed, sorted(circuit), comp.id)
+                closes += 1
+    assert closes > 8000  # 8,875 of the 10,344 checks
+    for family in ("primal", "tailed"):
+        for graft, root in family_members(family, 24):
+            join = optimum_join(graft)
+            dd = distance_decomposition(graft, join, root)
+            rng = random.Random(graft.n)
+            for _ in range(8):
+                flips = frozenset(rng.sample(range(graft.m), 2))
+                for comp, found in certified(graft, join ^ flips, dd):
+                    assert found == [], (family, graft.n, sorted(flips), comp.id)
+
+
+def test_certificate_needs_a_route_around_each_child_to_its_beam():
+    # Rooted at 1, the layer component 4 has the top {0, 3, 4} over the
+    # children {2} (beam 0-2) and {5} (beam 5-4).  Graft B moves edge 3 from
+    # 2-4 to 2-0, keeping its id: every top vertex is still reached, but 4
+    # only through {5} itself, so nothing proves 5's distance, and the
+    # solved check finds it wrong.
+    edges = [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (3, 5), (0, 5)]
+    a = validate_graft(Graph(6, edges), {1, 2, 4, 5})
+    join = minimum_join(a)
+    dd = distance_decomposition(a, join, 1)
+    comp = dd.component(4)
+    assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
+        [0, 3, 4], 0, (0, 2))
+    assert verify_decomposition(a, join, dd).ok
+    edges[3] = (2, 0)
+    b = validate_graft(Graph(6, edges), a.terminals)
+    assert verify_decomposition(b, join, dd).to_json()["violations"] == [
+        {"component_id": 4, "check": "distance-projection",
+         "message": "vertex 5: outer -2 != -1 + inner 1"},
+        {"component_id": 5, "check": "strong-comb",
+         "message": "depth contraction is not a strong comb"}]
+
+
+def test_certificate_routes_never_revisit_a_top_vertex():
+    # Rooted at 0, under the join 0-1, 5-2, 6-2, 7-3, the layer component 6
+    # has the top {1, 2, 3, 4} over the children {5}, {6} and {7}, beams to
+    # 2, 2 and 3.  Graft B moves edge 7 from 1-7 to 2-7: then 4 is reached
+    # only from 2 through {5}, and 2 only through {5} itself (the loop
+    # through 3 comes back to 2), so every route to 4 passes {5} twice; the
+    # solved check finds 4 two above its level.
+    edges = [(0, 1), (5, 2), (6, 2), (7, 3), (1, 5), (4, 5), (3, 6), (1, 7)]
+    a = validate_graft(Graph(8, edges), {0, 1, 3, 5, 6, 7})
+    join = frozenset({0, 1, 2, 3})
+    dd = distance_decomposition(a, join, 0)
+    comp = dd.component(6)
+    assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
+        [1, 2, 3, 4], 1, (0, 2, 4))
+    assert verify_decomposition(a, join, dd).ok
+    edges[7] = (2, 7)
+    b = validate_graft(Graph(8, edges), a.terminals)
+    assert verify_decomposition(b, join, dd).to_json()["violations"] == [
+        {"component_id": 6, "check": "distance-projection",
+         "message": "vertex 4: outer -1 != -1 + inner 2"},
+        {"component_id": 7, "check": "strong-comb",
+         "message": "depth contraction is not a strong comb"}]
+
+
+def rewired(graft, rng):
+    """``graft`` with one to three edges given a random new end, keeping
+    every edge id and the terminals."""
+    edges = list(graft.graph.edges)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(edges))
+        u = edges[i][rng.randrange(2)]
+        v = rng.randrange(graft.n)
+        if v != u:
+            edges[i] = (u, v)
+    return Graft(Graph(graft.n, edges), graft.terminals)
+
+
+def test_certificate_checks_its_premises(corpus, certified):
+    # A decomposition checked against a graft with some edges rewired: levels
+    # may jump, layer components may touch or hold a join edge inside a
+    # level, and routes may vanish, so the certificate must check each
+    # premise itself; what it closes the solved check still finds clean.
+    rng = random.Random(18)
+    closes = 0
+    sources = [(case.graft, min(case.graft.terminals, default=0))
+               for case in corpus if case.graft.m]
+    sources += family_members("primal", 24)
+    for graft, root in sources:
+        join = optimum_join(graft)
+        dd = distance_decomposition(graft, join, root)
+        for _ in range(6):
+            other = rewired(graft, rng)
+            flips = frozenset(rng.sample(range(graft.m), min(2, graft.m)))
+            for comp, found in certified(other, join ^ flips, dd):
+                assert found == [], (other.graph.edges, sorted(flips), comp.id)
+                closes += 1
+    assert closes > 4000  # 5,078
 
 
 @pytest.mark.parametrize("family", ["path", "primal"])
