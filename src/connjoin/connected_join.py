@@ -93,12 +93,12 @@ def head_set(
     """Per-component head vertices, computed bottom-up over the depth tree.
 
     A component without depth answers with its terminal vertices: the one
-    edge reaching it from above must land on a terminal.  Otherwise a
-    top-level vertex v is a head iff no other top-level vertex is a
-    terminal (a join built from v leaves the rest of the top level bare),
-    v sees every child's head set, and the count of child links plus v's
-    own terminal bit has the parity the component's beam budget dictates —
-    odd off the initial component, even on it.
+    edge reaching it from above must land on a terminal.  Otherwise a join
+    built from a head leaves the rest of the top level bare, so a component
+    with two top terminals has no head and one with a single top terminal
+    at most that one.  A head sees every child's head set, and the child
+    count plus the top-terminal count has the parity the component's beam
+    budget dictates — odd off the initial component, even on it.
 
     The tree below the initial component is listed parents first and then
     read backwards, children before parents, so the depth of the tree
@@ -112,17 +112,17 @@ def head_set(
         order.extend(dd.component(c) for c in comp.d_children)
     heads: dict[int, frozenset[int]] = {}
     for comp in reversed(order):
-        if not comp.d_children:
-            heads[comp.id] = graft.terminals & comp.a_set
-            continue
+        top_terminals = graft.terminals & comp.a_set
         child_heads = [heads[c] for c in comp.d_children]
         want = 0 if comp.id == dd.initial_id else 1
-        top_terminals = graft.terminals & comp.a_set
-        heads[comp.id] = frozenset(
-            v for v in comp.a_set
-            if top_terminals <= {v}
-            and ((v in graft.terminals) + len(child_heads)) % 2 == want
-            and all(not ch.isdisjoint(graph.nbrs[v]) for ch in child_heads))
+        if not child_heads:
+            heads[comp.id] = top_terminals
+        elif len(top_terminals) > 1 or (len(top_terminals) + len(child_heads)) % 2 != want:
+            heads[comp.id] = frozenset()
+        else:
+            heads[comp.id] = frozenset(
+                v for v in top_terminals or comp.a_set
+                if all(not ch.isdisjoint(graph.nbrs[v]) for ch in child_heads))
     return heads
 
 

@@ -37,6 +37,7 @@ level plus one blob per depth child.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -154,13 +155,15 @@ def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
 
     An edge leaves exactly the components below its ends' lowest common
     one, so one climb from the ends' own-level Q components (``home``)
-    finds them all."""
+    finds them all.  An end off the root's component (None) never climbs,
+    so the edge leaves every component holding the other, caps included."""
     leaving: list[list[tuple[int, int]]] = [[] for _ in parent]
     for e in join:
         u, v = graph.endpoints(e)
-        a, b = home.get(u), home.get(v)  # both None off the root's component
+        a, b = home.get(u), home.get(v)
         while a != b:
-            ra, rb = rank[a], rank[b]
+            ra = math.inf if a is None else rank[a]
+            rb = math.inf if b is None else rank[b]
             if ra <= rb:
                 leaving[a].append((e, u))
                 a = parent[a]
@@ -317,7 +320,7 @@ def verify_decomposition(
     """Re-check the structural theorems behind ``dd`` against ``join``.
 
     The decomposition is taken as given (its distance map is canonical), so
-    feeding a corrupted join here reports violations rather than raising.
+    a corrupted join, or a graft rewired past it, gets reports, not raises.
     No check passes over the whole join or the whole graph per component.
     Layer components are visited bottom-up (ids run up the levels); one
     whose restriction ``_restriction_closes`` proves from the components
@@ -552,7 +555,8 @@ def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
     teeth = {c: len(top) + i for i, c in enumerate(comp.d_children)}
     for v in top:
         for u in graph.nbrs[v]:
-            if dd.distance_map[u] < comp.level:
+            du = dd.distance_map[u]  # None off the root's component: no child's
+            if du is not None and du < comp.level:
                 child = dd.component(home[u])
                 while _rank(child) < _rank(comp) - 1:
                     child = dd.component(child.parent)

@@ -26,8 +26,8 @@ nearest-neighbour duals, mutual nearest pairs matched), so its duals are
 even with blossom duals folded in; ``tjoin.optimum_join`` pairs by its mate.
 ``tight_pairing`` finds the lexicographically smallest optimal pairing for
 printed joins (``tjoin.minimum_join``, ``min_weight_perfect_matching``) by a
-second solve on the edges tight under the optimum's duals, with a tie-break
-penalty encoded below the primary cost.
+second solve on the pairs the optimum's vertex duals allow to be tight, with
+a tie-break penalty encoded below the primary cost.
 """
 
 from __future__ import annotations
@@ -608,23 +608,17 @@ def tight_pairing(
     """The lexicographically smallest minimum-cost perfect matching, as
     sorted rank pairs, given ``optimum = perfect_optimum(cost)`` (read only).
 
-    By complementary slackness every optimal matching uses only edges tight
-    under the optimal duals, blossom duals included (in the optimum's units,
-    y_i + y_j + 8 cost[i][j] plus 2 z per blossom over both is zero), so the
-    tie-break solves on those alone.  It keeps the primary cost, since a
-    perfect matching of tight edges crossing a positive blossom three times
-    is not optimal, and adds a penalty B^(k-i) * j per
-    pair (i < j the ranks, B > k^2) below one unit of cost.  Summed
-    penalties compare like sorted pair lists: matchings agreeing on all
-    pairs with smaller endpoint below rank i both match rank i next, and
-    the B^(k-i) term dominates every later position.
+    Every optimal matching uses only pairs tight under the optimal duals;
+    blossom duals are nonnegative, so in the optimum's units those pairs
+    have y_i + y_j + 8 cost[i][j] <= 0.  The tie-break solves on the pairs
+    within that bound and keeps the primary cost, which excludes the worse
+    matchings among them, with a penalty B^(k-i) * j per pair (i < j the
+    ranks, B > k^2) below one unit of it.  Summed penalties compare like
+    sorted pair lists: matchings agreeing on all pairs with smaller
+    endpoint below rank i both match rank i next, and the B^(k-i) term
+    dominates every later position.
     """
     k = len(cost)
-    inside = [[0] * k for _ in range(k)]  # twice the blossom duals over ij
-    for leaves, z in optimum.blossoms:
-        for a in leaves:
-            for b in leaves:
-                inside[a][b] += 2 * z
     y = optimum.dual
     B = k * k + 1
     scale = B ** (k + 1)
@@ -632,7 +626,7 @@ def tight_pairing(
     mate = max_weight_matching(k, [
         (i, j, -(cost[i][j] * scale + pow_b[i] * j))
         for i in range(k) for j in range(i + 1, k)
-        if y[i] + y[j] + 8 * cost[i][j] + inside[i][j] == 0],
+        if y[i] + y[j] + 8 * cost[i][j] <= 0],
         DualState([-1] * k, [0] * k))
     pairs = [(i, j) for i, j in enumerate(mate) if i < j]
     if sum(cost[i][j] for i, j in pairs) != matched_total(cost, optimum):
@@ -683,11 +677,12 @@ def toggled_sizes(terminals: Sequence[int], cost: Sequence[Sequence[int]],
 
 
 def is_factor_critical(graph: Graph) -> bool:
-    """True iff deleting any single vertex leaves a perfectly matchable graph,
-    decided by one near-perfect search (Gallai's lemma)."""
+    """True iff deleting any single vertex leaves a perfectly matchable graph:
+    at once for n < 2 (yes) and other even n (no), else by one near-perfect
+    search (Gallai's lemma)."""
     n = graph.n
-    if n % 2 == 0:
-        return n == 0
+    if n < 2 or n % 2 == 0:
+        return n < 2
     state = DualState([-1] * n, [0] * n)
     max_weight_matching(n, [(u, v, 0) for u, v in graph.edges], state)
     return state.spans()
@@ -723,7 +718,7 @@ def min_weight_perfect_matching(
     ``weight`` must be a symmetric nonnegative-integer function.  Among all
     optimal matchings the lexicographically smallest sorted pair list is
     returned, so equal inputs give identical output: one value solve, then
-    the tight-edge tie-break of ``tight_pairing``.
+    the tie-break of ``tight_pairing``.
     """
     pts, cost = _cost_table(points, weight)
     return [(pts[i], pts[j]) for i, j in tight_pairing(cost, perfect_optimum(cost))]

@@ -190,7 +190,7 @@ def _shortest_path_edges(
 def minimum_join(graft: Graft) -> frozenset[int]:
     """The canonical minimum join, which ``solve`` and ``decompose`` print:
     per component the lexicographically smallest optimal terminal pairing
-    (``tight_pairing``, a second solve on tight edges), realized as paths."""
+    (``tight_pairing``, a tie-break solve), realized as paths."""
     return _realize(graft, lambda s: tight_pairing(s.cost, s.optimum))
 
 

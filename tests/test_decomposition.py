@@ -202,17 +202,22 @@ def path_or_primal(family):
 def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
     # One graft per contraction check: each level contraction and each depth
     # contraction.  Every restriction check closes by its certificate here,
-    # so no restriction sub-graft is induced.
+    # so no restriction sub-graft is induced.  Every level contraction has
+    # one blob and makes no solve; a depth contraction makes two (its
+    # optimum and its toggles).
     graft, join, dd = path_or_primal(family)
     calls = []
     contract = decomposition._contraction
     monkeypatch.setattr(decomposition, "_contraction",
                         lambda *args: calls.append(args) or contract(*args))
+    work = count_work(monkeypatch)
     assert verify_decomposition(graft, join, dd).ok
     layers = list(dd.layer_components())
+    depth = sum(1 for c in dd.q_components() if not c.is_cap and c.d_children)
     assert len(calls) == (
-        sum(1 for c in layers if not (c.is_cap and c.level != 0))
-        + sum(1 for c in dd.q_components() if not c.is_cap and c.d_children))
+        sum(1 for c in layers if not (c.is_cap and c.level != 0)) + depth)
+    assert all(len(c.q_children) == 1 for c in layers)
+    assert work["solves"] == 2 * depth
 
 
 @pytest.fixture
@@ -377,6 +382,46 @@ def test_certificate_checks_its_premises(corpus, certified):
     assert closes > 4000  # 5,078
 
 
+def test_verify_reports_on_grafts_rewired_past_its_component():
+    # Rewired edges may leave the decomposition's component: a join edge
+    # with one end outside, or a top vertex with a neighbour outside.  The
+    # verifier reports on such grafts instead of raising.
+    rng = random.Random(19)
+    crossing = 0
+    for graft, root in family_members("tailed", 150):
+        join = optimum_join(graft)
+        dd = distance_decomposition(graft, join, root)
+        dist = dd.distance_map.dist
+        for _ in range(30):
+            other = rewired(graft, rng)
+            flips = frozenset(rng.sample(range(graft.m), min(2, graft.m)))
+            verify_decomposition(other, join ^ flips, dd)
+            crossing += any((dist[u] is None) != (dist[v] is None)
+                            for u, v in other.graph.edges)
+    assert crossing > 60  # 93
+
+
+def test_verify_reports_a_join_edge_leaving_the_root_component():
+    # Edge 3 of the decomposed graft joined 3 and 4, outside the root's
+    # component; rewired to 1-4 it leaves every component holding 1.
+    graft = validate_graft(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+                           {0, 1, 3, 4})
+    join = optimum_join(graft)
+    assert join == {0, 3}
+    dd = distance_decomposition(graft, join, 0)
+    other = Graft(Graph(5, [(0, 1), (1, 2), (2, 0), (1, 4)]), graft.terminals)
+    assert verify_decomposition(other, join, dd).to_json() == {
+        "ok": False, "components_checked": 4, "violations": [
+            {"component_id": 0, "check": "beam-count",
+             "message": "2 join edges leave the component, expected 1"},
+            {"component_id": 1, "check": "beam-count",
+             "message": "2 join edges leave the component, expected 1"},
+            {"component_id": 2, "check": "beam-count",
+             "message": "1 join edges leave the component, expected 0"},
+            {"component_id": 3, "check": "beam-count",
+             "message": "1 join edges leave the component, expected 0"}]}
+
+
 @pytest.mark.parametrize("family", ["path", "primal"])
 def test_vertex_sets_are_never_stored(family):
     # Only the top levels are held (at most 2n references), also after the
@@ -472,7 +517,8 @@ def test_factor_critical():
 
 def test_factor_critical_matches_definition(monkeypatch):
     # Seeded multigraphs with n <= 9, checked against deleting each vertex
-    # and searching for a perfect matching; odd n costs one search.
+    # and searching for a perfect matching; odd n >= 3 costs one search,
+    # every other n none.
     rng = random.Random(6)
     calls = count_work(monkeypatch)
     kinds = set()
@@ -483,7 +529,7 @@ def test_factor_critical_matches_definition(monkeypatch):
         graph = Graph(n, edges)
         before = calls["solves"]
         answer = is_factor_critical(graph)
-        assert calls["solves"] - before == n % 2
+        assert calls["solves"] - before == (n % 2 and n >= 3)
         deletions = matchable_deletions(graph)
         assert answer == all(deletions)
         if n % 2 == 0:
@@ -509,6 +555,8 @@ def test_is_strong_comb():
     assert not is_strong_comb(star, 0, {1, 2})  # 3 not dominated by the teeth
     assert not is_strong_comb(C4, 0, {1, 3})  # dist(0,2) = -2, not 0
     assert not is_strong_comb(star, 1, {1, 2, 3})  # root inside the teeth
+    odd = Graft(Graph(3, [(0, 1), (1, 2)]), frozenset({0}))
+    assert not is_strong_comb(odd, 0, {1})  # no join: one terminal
     with pytest.raises(StructuralInputError, match="^tooth 4 is not a vertex$"):
         is_strong_comb(star, 0, {1, 2, 4})
     with pytest.raises(StructuralInputError, match="^root -1 is not a vertex$"):
