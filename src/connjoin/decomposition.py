@@ -22,17 +22,19 @@ minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
 contractions — and reports violations instead of trusting the
 construction.  It reads the same merge forest: the build's climb gives
-every component's leaving join edges.  The restriction check of a non-cap
-layer component is proved bottom-up where the decomposition allows it: the
-cuts of the components below pack as many odd cuts as the restricted join
-has edges, and a search over the top level passes through children already
-proved (``_restriction_closes``).  Only where that proof does not close
-does ``_check_restriction`` induce the component's sub-graft and solve it.
-Every graft the verifier checks comes from one routine, ``_contraction``,
-under a vertex map: that induced sub-graft under its rank map, a level
-contraction from the component's top level alone (its Q components meet
-only through edges inside that level) and a depth contraction from the top
-level plus one blob per depth child.
+every component's leaving join edges.  The three checks of a non-cap layer
+component with one Q component are proved bottom-up where the
+decomposition allows it: the cuts of the components below pack as many odd
+cuts as the restricted join has edges, and a search over the top level
+passes through children already proved (``_restriction_closes``).  The
+same packing and routes prove its level contraction factor-critical and
+its Q component's depth contraction a strong comb.  Only where that proof
+does not close does the verifier build the component's grafts and solve
+them.  Every graft the verifier checks comes from one routine,
+``_contraction``, under a vertex map: the induced sub-graft under its rank
+map, a level contraction from the component's top level alone (its Q
+components meet only through edges inside that level) and a depth
+contraction from the top level plus one blob per depth child.
 """
 
 from __future__ import annotations
@@ -322,11 +324,12 @@ def verify_decomposition(
     The decomposition is taken as given (its distance map is canonical), so
     a corrupted join, or a graft rewired past it, gets reports, not raises.
     No check passes over the whole join or the whole graph per component.
-    Layer components are visited bottom-up (ids run up the levels); one
-    whose restriction ``_restriction_closes`` proves from the components
-    below is not solved, every other non-cap one induces its sub-graft and
-    solves it in ``_check_restriction``, the only code that names a
-    restriction violation.
+    Layer components are visited bottom-up (ids run up the levels).  One
+    that ``_restriction_closes`` proves from the components below needs no
+    graft: neither its restriction, nor its level contraction, nor its Q
+    component's depth contraction is built or solved.  Every other check
+    runs in its ``_check_*`` routine, the only code that names its
+    violations, and the reports keep the order restriction, level, depth.
     """
     join = frozenset(join)
     _check_edge_ids(graft, join)
@@ -356,20 +359,21 @@ def verify_decomposition(
             _check_restriction(graph, join, dd, comp, bad)
 
     for comp in dd.layer_components():
-        if not (comp.is_cap and comp.level != 0):
+        if not (comp.is_cap and comp.level != 0) and comp.id not in closed:
             _check_level_contraction(graph, join, dd, comp, bad)
 
     for comp in dd.q_components():
-        if not comp.is_cap and comp.d_children:
+        if not comp.is_cap and comp.d_children and comp.parent not in closed:
             _check_depth_contraction(graph, join, dd, comp, home, leaving, bad)
 
     return DecompositionReport(tuple(out), len(comps))
 
 
 def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
-    """Whether the decomposition proves that ``_check_restriction`` reports
-    nothing for the non-cap layer component C, given the set of components
-    below it already ``closed`` this way.
+    """Whether the decomposition proves that ``_check_restriction`` and
+    ``_check_level_contraction`` report nothing for the non-cap layer
+    component C, nor ``_check_depth_contraction`` for its Q component, given
+    the set of components below it already ``closed`` this way.
 
     Write L for C's level, A for its top level, f for its join root, J_C for
     the join edges inside C and T' for their odd set; d_C(f, x) is the
@@ -377,7 +381,11 @@ def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
     under these premises, each checked here; every child D of C closed, so
     they hold at every layer component below C too:
 
-    1. f lies in A;
+    1. f lies in A, and C has one Q component.  On the graft the
+       decomposition was built from, both ends of a pass (below) have an
+       edge into the child passed, so they share a Q component, and the
+       search enters all of A only then; so this only matters on rewired
+       grafts;
     2. every edge at A ends in A, one level down in a layer child of C, or
        one level up.  With the premises below C, levels are 1-Lipschitz on
        every edge at C, and an edge inside C that leaves a component E
@@ -419,10 +427,26 @@ def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
 
     So C closes when the search enters all of A, and each w_D by another
     child than D at least once (f counts as entered by none).  The work is
-    linear in the edges at A."""
+    linear in the edges at A.
+
+    Level contraction.  It has one blob, so no kept edge and no terminal,
+    and by premise 3 no join edge lies inside A: a one-vertex graph is
+    factor-critical, and no top-level join edge matches no non-root blob.
+
+    Depth contraction H.  Every edge at A ends in A or in a child, which is
+    a tooth, so H is A plus the teeth; by premises 3 and 4 its kept join
+    edges are the beams, one at each tooth.  The teeth are stable, as every
+    kept edge is at A.  They dominate: a pass meets a tooth at each of its
+    two ends in A, the search enters every vertex of A but f, and it leaves
+    f unless A = {f}, which is then every w_D.  The tooth stars are disjoint
+    T_H-cuts, so they pack |beams| = ν(H) and J_H = the beams is a minimum
+    join.  Toggling f and x keeps every star odd but x's, so d_H(f, x) >= 0
+    on A and >= -1 on teeth.  A route to x in A maps to H with its weight,
+    0; one to w_D not passing D, then the beam, reaches D's tooth with
+    weight -1.  So H is a strong comb rooted at f."""
     comps, dist = dd.components, dd.distance_map.dist
     level, top = comp.level, comp.a_set
-    if comp.f_root not in top:
+    if comp.f_root not in top or len(comp.q_children) != 1:
         return False
     ends = {}  # child -> its beam's outer end w_D
     for d in comp.d_children:

@@ -17,7 +17,7 @@ from connjoin.errors import (InternalError, StructuralInputError,
 from connjoin.graph_core import Graph, connected_components
 from connjoin.tjoin import Graft, minimum_join, optimum_join, validate_graft
 
-from conftest import count_work, random_multigraft
+from conftest import count_work, random_connected_graft, random_multigraft
 from decomposition_oracle import matchable_deletions, oracle_components
 from path_oracle import enumerate_circuits, shortest_path_weight_oracle
 
@@ -199,12 +199,11 @@ def path_or_primal(family):
 
 
 @pytest.mark.parametrize("family", ["path", "primal"])
-def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
-    # One graft per contraction check: each level contraction and each depth
-    # contraction.  Every restriction check closes by its certificate here,
-    # so no restriction sub-graft is induced.  Every level contraction has
-    # one blob and makes no solve; a depth contraction makes two (its
-    # optimum and its toggles).
+def test_verify_builds_only_the_cap_level_contraction(monkeypatch, family):
+    # Every non-cap layer component closes by its certificate here, which
+    # also proves its level contraction and its Q component's depth
+    # contraction; so the one graft built is the level-0 cap's level
+    # contraction, one blob and no solve.
     graft, join, dd = path_or_primal(family)
     calls = []
     contract = decomposition._contraction
@@ -212,12 +211,9 @@ def test_verify_induces_one_sub_graft_per_layer_component(monkeypatch, family):
                         lambda *args: calls.append(args) or contract(*args))
     work = count_work(monkeypatch)
     assert verify_decomposition(graft, join, dd).ok
-    layers = list(dd.layer_components())
-    depth = sum(1 for c in dd.q_components() if not c.is_cap and c.d_children)
-    assert len(calls) == (
-        sum(1 for c in layers if not (c.is_cap and c.level != 0)) + depth)
-    assert all(len(c.q_children) == 1 for c in layers)
-    assert work["solves"] == 2 * depth
+    assert [args[2] for args in calls] == [dd.initial.a_set]
+    assert all(len(c.q_children) == 1 for c in dd.layer_components())
+    assert work["solves"] == 0
 
 
 @pytest.fixture
@@ -225,7 +221,9 @@ def certified(monkeypatch):
     """``certified(graft, join, dd)`` verifies ``join`` against ``dd`` and
     lists the non-cap layer components whose restriction check closed by
     its certificate (``_check_restriction`` did not run on them), each with
-    what that check reports when run on it directly."""
+    what the checks the certificate discharges report when run directly:
+    the restriction and level contraction checks on the component, and the
+    depth contraction check on its one Q component if that has children."""
     ran, check = set(), decomposition._check_restriction
     monkeypatch.setattr(decomposition, "_check_restriction",
                         lambda *args: ran.add(args[3].id) or check(*args))
@@ -233,12 +231,24 @@ def certified(monkeypatch):
     def certified(graft, join, dd):
         ran.clear()
         verify_decomposition(graft, join, dd)
+        graph, join, comps = graft.graph, frozenset(join), dd.components
+        home = {v: q.id for q in dd.q_components() for v in q.a_set}
+        leaving = decomposition._leaving(
+            graph, join, home, [c.parent for c in comps],
+            [decomposition._rank(c) for c in comps])
         out = []
         for comp in dd.layer_components():
             if not (comp.is_cap or comp.id in ran):
                 found = []
-                check(graft.graph, frozenset(join), dd, comp,
-                      lambda *v: found.append(v))
+                report = lambda *v: found.append(v)
+                check(graph, join, dd, comp, report)
+                decomposition._check_level_contraction(
+                    graph, join, dd, comp, report)
+                q, = comp.q_children
+                if dd.component(q).d_children:  # non-cap, as comp is
+                    decomposition._check_depth_contraction(
+                        graph, join, dd, dd.component(q), home, leaving,
+                        report)
                 out.append((comp, found))
         return out
     return certified
@@ -345,6 +355,33 @@ def test_certificate_routes_never_revisit_a_top_vertex():
          "message": "vertex 4: outer -1 != -1 + inner 2"},
         {"component_id": 7, "check": "strong-comb",
          "message": "depth contraction is not a strong comb"}]
+
+
+def test_certificate_needs_one_q_component():
+    # Rooted at 2, the layer component 4 has the top {0, 4, 5, 6, 7} over
+    # the Q components 5 ({0, 4, 5}), 6 ({6}) and 7 ({7}).  With edges 5 and
+    # 8 rewired to 6-1 and 7-1, into the child {1}, and under the join
+    # {0, 1, 2}, the certificate's search passes that child from Q
+    # component 5 into 6 and 7.  Its restriction proof would close, but the
+    # level contraction on three blobs is not factor-critical, so the
+    # one-Q premise keeps 4 from closing.
+    graft = random_connected_graft(2)
+    join = optimum_join(graft)
+    assert join == {0, 1, 2, 6}
+    dd = distance_decomposition(graft, join, 2)
+    assert (sorted(dd.component(4).a_set), dd.component(4).q_children) == (
+        [0, 4, 5, 6, 7], (5, 6, 7))
+    edges = list(graft.graph.edges)
+    edges[5], edges[8] = (6, 1), (7, 1)
+    other = Graft(Graph(graft.n, edges), graft.terminals)
+    assert verify_decomposition(other, {0, 1, 2}, dd).to_json() == {
+        "ok": False, "components_checked": 10, "violations": [
+            {"component_id": 6, "check": "beam-count",
+             "message": "0 join edges leave the component, expected 1"},
+            {"component_id": 7, "check": "beam-count",
+             "message": "0 join edges leave the component, expected 1"},
+            {"component_id": 4, "check": "factor-critical-contraction",
+             "message": "level contraction is not factor-critical"}]}
 
 
 def rewired(graft, rng):
