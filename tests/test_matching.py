@@ -2,6 +2,7 @@
 cold and warm-started, perfect and near-perfect."""
 
 import copy
+import hashlib
 import itertools
 import random
 import sys
@@ -455,6 +456,60 @@ def test_certificate_agrees_with_the_chain_walk_on_mutated_states(monkeypatch):
             assert seen == verdict(verify_optimum_by_chains, bad)
             caught[kind] += seen is not None
     assert all(caught.values()), caught
+
+
+def golden_solves(rng):
+    """A fixed set of solves: base optima, tie-breaks and both kinds of
+    toggle search on 0-3 tables (ties everywhere) and on sparse-graft hop
+    tables, and factor-criticality searches on odd sparse graphs."""
+    tables = []
+    for _ in range(300):
+        k = 2 * rng.randint(1, 7)
+        table = [[0] * (k + 1) for _ in range(k + 1)]
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                table[a][b] = table[b][a] = rng.randint(0, 3)
+        tables.append(table)
+    for k in (4, 10, 16, 20, 26, 34, 40, 48):
+        graft = sparse_graft(3 * k, k, k)
+        pts = sorted(graft.terminals)
+        pts.append(min(set(range(3 * k)) - graft.terminals))  # the root
+        tables.append([[_hop_distances(graft.graph, a)[b] for b in pts]
+                       for a in pts])
+    for table in tables:
+        k = len(table) - 1
+        cost = [row[:k] for row in table[:k]]
+        optimum = perfect_optimum(cost)
+        tight_pairing(cost, optimum)
+        toggled_sizes(range(k), cost, optimum, 0, None)
+        toggled_sizes(range(k), cost, optimum, k, table[k][:k])
+    for _ in range(150):
+        n = 2 * rng.randint(1, 10) + 1
+        is_factor_critical(Graph(n, [tuple(rng.sample(range(n), 2))
+                                     for _ in range(rng.randint(n, 3 * n))]))
+
+
+# sha256 over repr((mate, dual, blossoms)) of every solve in golden_solves,
+# leaf order included; a solver change that resolves any tie differently,
+# or lists a blossom's leaves or the blossoms in another order, moves it.
+GOLDEN_DIGEST = ("93532d71f7dc0df0254be60be7c1f1c8"
+                 "71f7ececfc4539e7126f379ad66a3ae7")
+
+
+def test_every_solve_matches_the_golden_digest(monkeypatch):
+    digest, solves = hashlib.sha256(), [0]
+    solve = matching.max_weight_matching
+
+    def recorded(n, edges, state):
+        mate = solve(n, edges, state)
+        digest.update(repr((state.mate, state.dual, state.blossoms)).encode())
+        solves[0] += 1
+        return mate
+
+    monkeypatch.setattr(matching, "max_weight_matching", recorded)
+    golden_solves(random.Random(21))
+    assert solves[0] == 4 * 308 + 150
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_deep_blossoms_need_no_recursion():
