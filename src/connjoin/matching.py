@@ -9,7 +9,10 @@ is checked while the weight rows are built; the certificate
 (``verify_optimum``, complementary slackness) checks each pair once, at its
 lowest common blossom, from one layout of the final blossom forest, with no
 per-vertex chains of blossoms.  Nothing in the solver recurses per nesting
-level.
+level.  Its state is flat lists by node id: vertices 0..n-1, blossoms
+n..2n-1 off a free list.  One dict of the live blossoms' duals, in the order
+they were made, is the registry every loop over blossoms reads, so which
+id a blossom gets never decides a tie.
 
 On an odd vertex count it is near-perfect: it augments until one vertex is
 exposed, then grows that vertex's tree until no delta is left.  By Gallai's
@@ -32,6 +35,7 @@ a tie-break penalty encoded below the primary cost.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -46,7 +50,8 @@ WeightFn = Callable[[int, int], int]
 class DualState:
     """A primal-dual state in the solver's units: the slack of edge vw is
     ``dual[v] + dual[w] - 2 w(v, w)`` plus ``2 z`` for each blossom holding
-    both ends.  ``blossoms`` lists each blossom's leaves and dual ``z``.
+    both ends.  ``blossoms`` lists each live blossom's leaves and dual
+    ``z``, children before parents in the order the solve made them.
     After a near-perfect solve (odd n) that ``spans``, twice a matching
     exposing t weighs at most sum(dual) - dual[t] plus z (len(leaves) - 1)
     per blossom, with equality for the best such."""
@@ -61,28 +66,6 @@ class DualState:
         n = len(self.mate)
         return self.mate.count(-1) == 1 and (
             n == 1 or any(len(leaves) == n for leaves, _ in self.blossoms))
-
-
-class _Blossom:
-    """A non-trivial (sub-)blossom."""
-
-    __slots__ = ("childs", "edges", "mybestedges")
-
-    def __init__(self) -> None:
-        self.childs: list = []
-        # edges[i] = (v, w) with v in childs[i] and w in childs[i+1 mod len].
-        self.edges: list[tuple[int, int]] = []
-        # Least-slack edges to neighboring S-blossoms (delta3 bookkeeping).
-        self.mybestedges: list[tuple[int, int]] | None = None
-
-    def leaves(self):
-        stack = list(self.childs)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, _Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
 
 
 def max_weight_matching(
@@ -115,59 +98,72 @@ def max_weight_matching(
     for i, j, w in weighted_edges:
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise StructuralInputError(f"bad matching edge ({i}, {j})")
-        if int(w) != w:
+        if type(w) is not int and not _integral(w):
             raise StructuralInputError("matching weights must be integers")
         row = w2[i]
         if j not in row or 2 * w > row[j]:
             row[j] = w2[j][i] = 2 * w
             if dualvar[i] + dualvar[j] < 2 * w:
                 feasible = False
-    nbr = [sorted(row) for row in w2]
+    w2 = [row if list(row) == sorted(row) else dict(sorted(row.items()))
+          for row in w2]  # scans read each row's (w, weight) by neighbour
     odd = n % 2 == 1  # the near-perfect search
 
-    mate: dict[int, int] = {}
-    # label[b]: 1 = S, 2 = T (absent = free), for top-level blossoms; also
-    # set on vertices inside T-blossoms reached from outside.
-    label: dict = {}
-    labeledge: dict = {}
-    inblossom: dict = {v: v for v in range(n)}
-    blossomparent: dict = {v: None for v in range(n)}
-    blossombase: dict = {v: v for v in range(n)}
-    bestedge: dict = {}
-    blossomdual: dict[_Blossom, int] = {}
-    queue: list[int] = []
-
-    def slack(v: int, w: int) -> int:
-        return dualvar[v] + dualvar[w] - w2[v][w]
-
-    mate.update((v, w) for v, w in enumerate(state.mate) if w != -1)
-    if any(mate.get(w) != v or w not in w2[v] or slack(v, w)
-           for v, w in mate.items()):
+    mate = list(state.mate)
+    if any(w != -1 and not (0 <= w < n and mate[w] == v and w in w2[v]
+                            and dualvar[v] + dualvar[w] == w2[v][w])
+           for v, w in enumerate(mate)):
         raise InternalError("start matching is not a set of tight edges")
     if not feasible:
         raise InternalError("start duals are not feasible")
-    if len({dualvar[v] % 2 for v in range(n) if v not in mate}) > 1:
+    if len({dualvar[v] % 2 for v in range(n) if mate[v] == -1}) > 1:
         raise InternalError("start's exposed duals differ in parity")
 
-    def assign_label(w: int, t: int, v: int | None) -> None:
-        b = inblossom[w]
-        label[w] = label[b] = t
-        labeledge[w] = labeledge[b] = None if v is None else (v, w)
-        bestedge[w] = bestedge[b] = None
-        if t == 1:
-            if isinstance(b, _Blossom):
-                queue.extend(b.leaves())
+    # Per node, vertices 0..n-1 and blossoms n..2n-1 (ids off ``free``).
+    # label: 1 = S, 2 = T, 0 = free, on top-level nodes and on vertices
+    # inside T-blossoms reached from outside.  edges[b][i] = (v, w) with v
+    # in childs[b][i], w in childs[b][i+1 mod len]; mybestedges[b] holds the
+    # least-slack edges to neighbouring S-blossoms (delta3 bookkeeping).
+    nodes = 2 * n
+    free = list(range(nodes - 1, n - 1, -1))
+    blossomdual: dict[int, int] = {}  # the live blossoms, as they were made
+    inblossom, blossomparent = list(range(n)), [-1] * nodes
+    label, blossombase = [0] * nodes, list(range(nodes))
+    labeledge, bestedge, childs, edges, mybestedges = (
+        [None] * nodes for _ in range(5))
+    queue: list[int] = []
+
+    def leaves(b: int) -> list[int]:
+        out, stack = [], list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
             else:
-                queue.append(b)
+                stack.extend(childs[t])
+        return out
+
+    def assign_label(w: int, t: int, v: int | None) -> None:
+        # A loop, not a call to itself: a closure that names itself would
+        # keep the solve's whole state alive until the cyclic collector ran.
+        while True:
+            b = inblossom[w]
+            label[w] = label[b] = t
+            labeledge[w] = labeledge[b] = None if v is None else (v, w)
+            bestedge[w] = bestedge[b] = None
+            if t == 1:
+                break
+            v = blossombase[b]  # a T-blossom's base labels its mate S
+            w, t = mate[v], 1
+        if b >= n:
+            queue.extend(leaves(b))
         else:
-            base = blossombase[b]
-            assign_label(mate[base], 1, base)
+            queue.append(b)
 
     def scan_blossom(v: int | None, w: int | None):
         """Trace back from v and w; return a common base vertex or None when
         the trails reach two distinct free vertices (an augmenting path)."""
-        path = []
-        base = None
+        path, base = [], None
         while v is not None:
             b = inblossom[v]
             if label[b] & 4:
@@ -188,15 +184,13 @@ def max_weight_matching(
         return base
 
     def add_blossom(base: int, v: int, w: int) -> None:
-        bb = inblossom[base]
-        bv = inblossom[v]
-        bw = inblossom[w]
-        b = _Blossom()
+        bb, bv, bw = inblossom[base], inblossom[v], inblossom[w]
+        b = free.pop()
         blossombase[b] = base
-        blossomparent[b] = None
+        blossomparent[b] = -1
         blossomparent[bb] = b
-        path = b.childs
-        edgs = b.edges = [(v, w)]
+        path = childs[b] = []
+        edgs = edges[b] = [(v, w)]
         while bv != bb:
             blossomparent[bv] = b
             path.append(bv)
@@ -215,7 +209,7 @@ def max_weight_matching(
         label[b] = 1
         labeledge[b] = labeledge[bb]
         blossomdual[b] = 0
-        for v in b.leaves():
+        for v in leaves(b):
             if label[inblossom[v]] == 2:
                 queue.append(v)
             inblossom[v] = b
@@ -223,98 +217,93 @@ def max_weight_matching(
         # (slack, edge), the least-slack edge to S-blossom bj seen so far.
         bestedgeto: dict = {}
         for bv in path:
-            if isinstance(bv, _Blossom) and bv.mybestedges is not None:
-                for k in bv.mybestedges:
+            if bv >= n and mybestedges[bv] is not None:
+                for k in mybestedges[bv]:
                     (i, j) = k
                     if inblossom[j] == b:
                         i, j = j, i
                     bj = inblossom[j]
-                    if bj != b and label.get(bj) == 1:
-                        s = slack(i, j)
+                    if bj != b and label[bj] == 1:
+                        s = dualvar[i] + dualvar[j] - w2[i][j]
                         if bj not in bestedgeto or s < bestedgeto[bj][0]:
                             bestedgeto[bj] = (s, k)
-                bv.mybestedges = None
+                mybestedges[bv] = None
             else:  # read the leaves' rows as they are
-                for u in bv.leaves() if isinstance(bv, _Blossom) else (bv,):
-                    du, row = dualvar[u], w2[u]
-                    for x in nbr[u]:
+                for u in leaves(bv) if bv >= n else (bv,):
+                    du = dualvar[u]
+                    for x, wx in w2[u].items():
                         bj = inblossom[x]
-                        if bj != b and label.get(bj) == 1:
-                            s = du + dualvar[x] - row[x]
+                        if bj != b and label[bj] == 1:
+                            s = du + dualvar[x] - wx
                             if bj not in bestedgeto or s < bestedgeto[bj][0]:
                                 bestedgeto[bj] = (s, (u, x))
             bestedge[bv] = None
-        b.mybestedges = [k for _, k in bestedgeto.values()]
+        mybestedges[b] = [k for _, k in bestedgeto.values()]
         best = min(bestedgeto.values(), key=lambda sk: sk[0], default=None)
         bestedge[b] = None if best is None else best[1]
 
-    def expand_blossom(b: _Blossom, endstage: bool) -> None:
+    def expand_blossom(b: int, endstage: bool) -> None:
         # At the end of a stage, zero-dual sub-blossoms go too; appending to
         # ``gone`` while reading it reaches every depth without recursion.
         gone = [b]
         for e in gone:
-            for s in e.childs:
-                blossomparent[s] = None
-                if isinstance(s, _Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        gone.append(s)
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
-                else:
+            for s in childs[e]:
+                blossomparent[s] = -1
+                if s < n:
                     inblossom[s] = s
-        if (not endstage) and label.get(b) == 2:
+                elif endstage and blossomdual[s] == 0:
+                    gone.append(s)
+                else:
+                    for v in leaves(s):
+                        inblossom[v] = s
+        if (not endstage) and label[b] == 2:
             # Relabel the sub-blossoms along the alternating path from the
             # entry child to the base; the remaining ones become free.
+            kids, edgs = childs[b], edges[b]
             entrychild = inblossom[labeledge[b][1]]
-            j = b.childs.index(entrychild)
+            j = kids.index(entrychild)
             if j & 1:
-                j -= len(b.childs)
+                j -= len(kids)
                 jstep = 1
             else:
                 jstep = -1
             v, w = labeledge[b]
             while j != 0:
-                q = b.edges[j][1] if jstep == 1 else b.edges[j - 1][0]
-                label[w] = None
-                label[q] = None
+                q = edgs[j][1] if jstep == 1 else edgs[j - 1][0]
+                label[w] = label[q] = 0
                 assign_label(w, 2, v)
                 j += jstep
                 if jstep == 1:
-                    v, w = b.edges[j]
+                    v, w = edgs[j]
                 else:
-                    w, v = b.edges[j - 1]
+                    w, v = edgs[j - 1]
                 j += jstep
-            bw = b.childs[j]
+            bw = kids[j]
             label[w] = label[bw] = 2
             labeledge[w] = labeledge[bw] = (v, w)
             bestedge[bw] = None
             j += jstep
-            while b.childs[j] != entrychild:
-                bv = b.childs[j]
-                if label.get(bv) == 1:
+            while kids[j] != entrychild:
+                bv = kids[j]
+                if label[bv] == 1:
                     j += jstep
                     continue
-                if isinstance(bv, _Blossom):
-                    for v in bv.leaves():
-                        if label.get(v):
+                if bv >= n:
+                    for v in leaves(bv):
+                        if label[v]:
                             break
                 else:
                     v = bv
-                if label.get(v):
-                    label[v] = None
-                    label[mate[blossombase[bv]]] = None
+                if label[v]:
+                    label[v] = 0
+                    label[mate[blossombase[bv]]] = 0
                     assign_label(v, 2, labeledge[v][0])
                 j += jstep
         for e in gone:
-            label.pop(e, None)
-            labeledge.pop(e, None)
-            bestedge.pop(e, None)
-            del blossomparent[e]
-            del blossombase[e]
             del blossomdual[e]
+            free.append(e)
 
-    def augment_blossom(b: _Blossom, v: int) -> None:
+    def augment_blossom(b: int, v: int) -> None:
         """Swap the matched and unmatched edges along the even path from v
         to the base in each blossom around v, so v becomes the base.  Each
         sub-blossom's swap touches only its own leaves, so they run off one
@@ -325,29 +314,29 @@ def max_weight_matching(
             t = v
             while t != top:
                 b = blossomparent[t]
-                i = j = b.childs.index(t)
+                kids, edgs = childs[b], edges[b]
+                i = j = kids.index(t)
                 if i & 1:
-                    j -= len(b.childs)
+                    j -= len(kids)
                     jstep = 1
                 else:
                     jstep = -1
                 while j != 0:
                     j += jstep
-                    s = b.childs[j]
+                    s = kids[j]
                     if jstep == 1:
-                        w, x = b.edges[j]
+                        w, x = edgs[j]
                     else:
-                        x, w = b.edges[j - 1]
-                    if isinstance(s, _Blossom):
+                        x, w = edgs[j - 1]
+                    if s >= n:
                         stack.append((s, w))
                     j += jstep
-                    s = b.childs[j]
-                    if isinstance(s, _Blossom):
+                    s = kids[j]
+                    if s >= n:
                         stack.append((s, x))
-                    mate[w] = x
-                    mate[x] = w
-                b.childs = b.childs[i:] + b.childs[:i]
-                b.edges = b.edges[i:] + b.edges[:i]
+                    mate[w], mate[x] = x, w
+                childs[b] = kids[i:] + kids[:i]
+                edges[b] = edgs[i:] + edgs[:i]
                 blossombase[b] = v
                 t = b
 
@@ -355,7 +344,7 @@ def max_weight_matching(
         for s, j in ((v, w), (w, v)):
             while 1:
                 bs = inblossom[s]
-                if isinstance(bs, _Blossom):
+                if bs >= n:
                     augment_blossom(bs, s)
                 mate[s] = j
                 if labeledge[bs] is None:
@@ -363,103 +352,102 @@ def max_weight_matching(
                 t = labeledge[bs][0]
                 bt = inblossom[t]
                 s, j = labeledge[bt]
-                if isinstance(bt, _Blossom):
+                if bt >= n:
                     augment_blossom(bt, j)
                 mate[j] = s
 
-    while len(mate) < n:
-        # One stage per augmentation.
-        label.clear()
-        labeledge.clear()
-        bestedge.clear()
+    while -1 in mate:
+        # One stage per augmentation.  The reset reads the vertices and the
+        # live blossoms only: a freed id is rewritten when it is handed out.
+        label[:n] = [0] * n
+        labeledge[:n] = bestedge[:n] = [None] * n
         for b in blossomdual:
-            b.mybestedges = None
+            label[b] = 0
+            labeledge[b] = bestedge[b] = mybestedges[b] = None
         queue[:] = []
         for v in range(n):
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if mate[v] == -1 and not label[inblossom[v]]:
                 assign_label(v, 1, None)
 
         augmented = 0
         while 1:
             while queue and not augmented:
                 v = queue.pop()
-                dv, wv = dualvar[v], w2[v]
-                for w in nbr[v]:
-                    bv = inblossom[v]  # add_blossom may move v mid-scan
+                dv, bv = dualvar[v], inblossom[v]
+                for w, wvw in w2[v].items():
                     bw = inblossom[w]
                     if bv == bw:
                         continue
-                    kslack = dv + dualvar[w] - wv[w]
+                    kslack = dv + dualvar[w] - wvw
                     if kslack <= 0:
-                        if label.get(bw) is None:
+                        if not label[bw]:
                             assign_label(w, 2, v)
-                        elif label.get(bw) == 1:
+                        elif label[bw] == 1:
                             base = scan_blossom(v, w)
                             if base is not None:
                                 add_blossom(base, v, w)
+                                bv = inblossom[v]  # v moved in
                             else:
                                 augment_matching(v, w)
                                 augmented = 1
                                 break
-                        elif label.get(w) is None:
+                        elif not label[w]:
                             label[w] = 2
                             labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
-                            bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
-                            bestedge[w] = (v, w)
+                    else:  # least slack to S per S-blossom and free vertex
+                        if label[bw] == 1:
+                            at = bv
+                        elif not label[w]:
+                            at = w
+                        else:
+                            continue
+                        e = bestedge[at]
+                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
+                                                  - w2[e[0]][e[1]]):
+                            bestedge[at] = (v, w)
 
             if augmented:
                 break
 
             # No augmenting path with the current duals; compute the
             # bottleneck among the standard dual adjustments.  There is no
-            # delta-1 step: duals may go negative.
-            deltatype = -1
-            delta = math.inf
-            deltaedge = deltablossom = None
-
+            # delta-1 step: duals may go negative.  Every loop runs over the
+            # vertices, then the blossoms in the order they were made, and
+            # keeps the first least delta.
+            deltatype, delta, deltaedge, deltablossom = -1, math.inf, None, None
             for v in range(n):
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(*bestedge[v])
+                e = bestedge[v]
+                if not label[inblossom[v]] and e is not None:
+                    d = dualvar[e[0]] + dualvar[e[1]] - w2[e[0]][e[1]]
                     if d < delta:
-                        delta = d
-                        deltatype = 2
-                        deltaedge = bestedge[v]
+                        delta, deltatype, deltaedge = d, 2, e
 
-            for b in blossomparent:
-                if (blossomparent[b] is None and label.get(b) == 1
-                        and bestedge.get(b) is not None):
-                    d = slack(*bestedge[b]) // 2
+            for b in itertools.chain(range(n), blossomdual):
+                e = bestedge[b]
+                if blossomparent[b] == -1 and label[b] == 1 and e is not None:
+                    d = (dualvar[e[0]] + dualvar[e[1]] - w2[e[0]][e[1]]) // 2
                     if d < delta:
-                        delta = d
-                        deltatype = 3
-                        deltaedge = bestedge[b]
+                        delta, deltatype, deltaedge = d, 3, e
 
-            for b in blossomdual:
-                if (blossomparent[b] is None and label.get(b) == 2
-                        and blossomdual[b] < delta):
-                    delta = blossomdual[b]
-                    deltatype = 4
-                    deltablossom = b
+            for b, z in blossomdual.items():
+                if blossomparent[b] == -1 and label[b] == 2 and z < delta:
+                    delta, deltatype, deltablossom = z, 4, b
             if deltatype == -1:
                 if odd:  # the exposed vertices' trees can grow no more
                     break
                 raise InternalError("the graph has no perfect matching")
 
             for v in range(n):
-                lbl = label.get(inblossom[v])
+                lbl = label[inblossom[v]]
                 if lbl == 1:
                     dualvar[v] -= delta
                 elif lbl == 2:
                     dualvar[v] += delta
             for b in blossomdual:
-                if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                if blossomparent[b] == -1:
+                    if label[b] == 1:
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         blossomdual[b] -= delta
 
             if deltatype in (2, 3):
@@ -470,27 +458,30 @@ def max_weight_matching(
         if not augmented:
             break
 
-        for b in list(blossomdual.keys()):
-            if (b in blossomdual and blossomparent[b] is None
-                    and label.get(b) == 1 and blossomdual[b] == 0):
+        for b in list(blossomdual):
+            if (b in blossomdual and blossomparent[b] == -1
+                    and label[b] == 1 and blossomdual[b] == 0):
                 expand_blossom(b, True)
 
-    verify_optimum(w2, dualvar, mate, blossomparent, blossomdual, odd)
+    verify_optimum(w2, dualvar, mate, blossomparent, blossomdual, childs,
+                   edges, odd)
 
-    out = [mate.get(v, -1) for v in range(n)]
-    state.mate = list(out)
+    state.mate = list(mate)
     state.dual = dualvar
-    state.blossoms = [(list(b.leaves()), z) for b, z in blossomdual.items()]
-    return out
+    state.blossoms = [(leaves(b), z) for b, z in blossomdual.items()]
+    return mate
 
 
 def verify_optimum(w2: list[dict[int, int]], dual: list[int],
-                   mate: dict[int, int], blossomparent: dict,
-                   blossomdual: dict[_Blossom, int], odd: bool) -> None:
+                   mate: list[int], blossomparent: list[int],
+                   blossomdual: dict[int, int], childs: list, edges: list,
+                   odd: bool) -> None:
     """Certify a finished solve by complementary slackness, or raise
     ``InternalError``.  ``w2`` holds twice the weights, ``dual`` the doubled
-    vertex duals, and ``blossomparent`` / ``blossomdual`` the blossom forest
-    with each blossom's z, listed children first as the solver makes them.
+    vertex duals, ``mate`` each vertex's partner or -1, and the rest the
+    blossom forest by node id: each node's parent or -1, each live
+    blossom's z (listed children first, as the solver makes them), and each
+    blossom's children and cycle edges.
 
     Every edge's slack, 2 z per blossom over both ends included, must be
     nonnegative, and zero on matched edges and, in the near-perfect search,
@@ -505,17 +496,17 @@ def verify_optimum(w2: list[dict[int, int]], dual: list[int],
     if blossomdual and min(blossomdual.values()) < 0:
         raise InternalError("blossom dual went negative")
     n = len(w2)
-    size: dict = {}  # leaves per blossom, children first
+    size = [1] * len(blossomparent)  # leaves per node, children first
     for b in blossomdual:
-        size[b] = sum(size.get(c, 1) for c in b.childs)
+        size[b] = sum(size[c] for c in childs[b])
     order, pos = [0] * n, [0] * n
-    first: dict = {}  # where each blossom's run starts
-    zsum: dict = {}  # 2 z over each blossom and its ancestors
+    first = [0] * len(blossomparent)  # where each blossom's run starts
+    zsum = [0] * len(blossomparent)  # 2 z over each blossom and its ancestors
     cuts = []  # (p, q, end, z2): order[p:q] meets order[q:end] at z2
 
     def place(nodes, p: int, end: int, z2: int) -> None:
         for c in nodes:
-            if isinstance(c, _Blossom):
+            if c >= n:
                 first[c], q = p, p + size[c]
             else:
                 order[p], pos[c], q = c, p, p + 1
@@ -523,12 +514,13 @@ def verify_optimum(w2: list[dict[int, int]], dual: list[int],
                 cuts.append((p, q, end, z2))
             p = q
 
-    place([x for x, up in blossomparent.items() if up is None], 0, n, 0)
+    place([x for x in itertools.chain(range(n), blossomdual)
+           if blossomparent[x] == -1], 0, n, 0)
     for b in reversed(blossomdual):  # parents first
         up = blossomparent[b]
-        z2 = zsum[b] = 2 * blossomdual[b] + (0 if up is None else zsum[up])
-        kids = b.childs
-        big = max(range(len(kids)), key=lambda i: size.get(kids[i], 1))
+        z2 = zsum[b] = 2 * blossomdual[b] + (0 if up == -1 else zsum[up])
+        kids = childs[b]
+        big = max(range(len(kids)), key=lambda i: size[kids[i]])
         place(kids[:big] + kids[big + 1:] + [kids[big]],
               first[b], first[b] + size[b], z2)
 
@@ -546,20 +538,20 @@ def verify_optimum(w2: list[dict[int, int]], dual: list[int],
                 for x in run:
                     if x in row and ya + dual[x] < row[x]:
                         raise InternalError("matching edge with negative slack")
-            m = mate.get(a)
-            if (m is not None and q <= pos[m] < end and m in row
+            m = mate[a]
+            if (m != -1 and q <= pos[m] < end and m in row
                     and ya + dual[m] != row[m]):
                 raise InternalError("matched edge with nonzero slack")
     for b, zb in blossomdual.items():
-        if (zb > 0 or odd) and len(b.edges) % 2 != 1:
+        if (zb > 0 or odd) and len(edges[b]) % 2 != 1:
             raise InternalError("odd blossom with even edge count")
         # each cycle edge joins two children, so its ends part at b
         if odd and any(dual[i] + dual[j] - w2[i][j] + zsum[b]
-                       for i, j in b.edges):
+                       for i, j in edges[b]):
             raise InternalError("blossom cycle edge with nonzero slack")
         if zb > 0:
-            for i, j in b.edges[1::2]:
-                if mate.get(i) != j or mate.get(j) != i:
+            for i, j in edges[b][1::2]:
+                if mate[i] != j or mate[j] != i:
                     raise InternalError("positive blossom not full")
 
 
@@ -699,9 +691,17 @@ def _cost_table(
         raise StructuralInputError("perfect matching needs an even point count")
     cost = [[weight(min(a, b), max(a, b)) if a != b else 0 for b in pts]
             for a in pts]
-    if any(int(w) != w or w < 0 for row in cost for w in row):
+    if any(not _integral(w) or w < 0 for row in cost for w in row):
         raise StructuralInputError("matching weights must be nonnegative integers")
     return pts, cost
+
+
+def _integral(w) -> bool:
+    """``int(w) == w``, False where ``int`` fails: NaN, infinity, None."""
+    try:
+        return int(w) == w
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def min_weight_perfect_matching_value(points: Sequence[int], weight: WeightFn) -> int:

@@ -100,7 +100,7 @@ def min_weight_perfect_matching_encoded(
 
 
 def verify_optimum_by_chains(w2, dual, mate, blossomparent, blossomdual,
-                             odd) -> None:
+                             childs, edges, odd) -> None:
     """``verify_optimum`` on the same arguments, each edge's blossom duals
     summed down the common prefix of its ends' chains of blossoms."""
     n = len(w2)
@@ -109,7 +109,7 @@ def verify_optimum_by_chains(w2, dual, mate, blossomparent, blossomdual,
     chain = {}  # each vertex's enclosing blossoms, outermost first
     for v in range(n):
         c = [v]
-        while blossomparent[c[-1]] is not None:
+        while blossomparent[c[-1]] != -1:
             c.append(blossomparent[c[-1]])
         c.reverse()
         chain[v] = c
@@ -126,14 +126,14 @@ def verify_optimum_by_chains(w2, dual, mate, blossomparent, blossomdual,
         s = full_slack(i, j)
         if s < 0:
             raise InternalError("matching edge with negative slack")
-        if (mate.get(i) == j or mate.get(j) == i) and s != 0:
+        if (mate[i] == j or mate[j] == i) and s != 0:
             raise InternalError("matched edge with nonzero slack")
     for b, zb in blossomdual.items():
-        if (zb > 0 or odd) and len(b.edges) % 2 != 1:
+        if (zb > 0 or odd) and len(edges[b]) % 2 != 1:
             raise InternalError("odd blossom with even edge count")
-        if odd and any(full_slack(i, j) for i, j in b.edges):
+        if odd and any(full_slack(i, j) for i, j in edges[b]):
             raise InternalError("blossom cycle edge with nonzero slack")
         if zb > 0:
-            for i, j in b.edges[1::2]:
-                if mate.get(i) != j or mate.get(j) != i:
+            for i, j in edges[b][1::2]:
+                if mate[i] != j or mate[j] != i:
                     raise InternalError("positive blossom not full")

@@ -110,6 +110,9 @@ def test_min_perfect_rejects_bad_input():
         min_weight_perfect_matching([1, 1], lambda a, b: 1)
     with pytest.raises(StructuralInputError):
         min_weight_perfect_matching([1, 2], lambda a, b: -1)
+    for bad in (float("nan"), float("inf"), None):  # int() would raise
+        with pytest.raises(StructuralInputError, match="nonnegative integers"):
+            min_weight_perfect_matching([0, 1], lambda a, b: bad)
     with pytest.raises(OracleScaleError):
         min_weight_perfect_matching_dp(list(range(18)), lambda a, b: 1)
 
@@ -386,6 +389,10 @@ def test_warm_start_rejects_bad_starts():
     for start, reason in bad:
         with pytest.raises(InternalError, match=reason):
             max_weight_matching(4, edges, start)
+    for weight in (float("nan"), float("inf"), None):  # int() would raise
+        with pytest.raises(StructuralInputError, match="must be integers"):
+            max_weight_matching(4, [*edges, (2, 3, weight)],
+                                DualState([1, 0, -1, -1], list(feasible)))
 
 
 def finished_states(monkeypatch, rng):
@@ -432,20 +439,21 @@ def test_certificate_agrees_with_the_chain_walk_on_mutated_states(monkeypatch):
     # walk's verdict on each; each kind must be caught somewhere.
     rng = random.Random(16)
     states = finished_states(monkeypatch, rng)
-    assert any(len(blossomdual) > 2 for _, _, _, _, blossomdual, _ in states)
+    assert any(len(blossomdual) > 2 for _, _, _, _, blossomdual, *_ in states)
     caught = {"dual": 0, "blossom": 0, "swap": 0}
     for state in states:
         assert verdict(verify_optimum, state) is None
         assert verdict(verify_optimum_by_chains, state) is None
         for kind in caught:
             bad = copy.deepcopy(state)
-            _, dual, mate, _, blossomdual, _ = bad
+            _, dual, mate, _, blossomdual, *_ = bad
+            matched = [v for v, m in enumerate(mate) if m != -1]
             if kind == "dual":
                 dual[rng.randrange(len(dual))] -= 1
             elif kind == "blossom" and blossomdual:
                 blossomdual[rng.choice(list(blossomdual))] += 1
-            elif kind == "swap" and len(mate) >= 4:
-                a, c = rng.sample(sorted(mate), 2)
+            elif kind == "swap" and len(matched) >= 4:
+                a, c = rng.sample(matched, 2)
                 b, d = mate[a], mate[c]
                 if c == b:
                     continue
