@@ -79,11 +79,12 @@ def is_eligible(
     dm = dd.distance_map
     if any(dm[t] is None or dm[t] > 0 for t in graft.terminals):
         return EligibilityVerdict(False, T_OUTSIDE_INITIAL)
-    if sum(1 for _ in dd.layer_components(0)) > 1:
+    if sum(1 for i, is_layer in zip(dd.level, dd.is_layer)
+           if is_layer and i == 0) > 1:
         return EligibilityVerdict(False, INITIAL_DISCONNECTED)
-    for comp in dd.layer_components():
-        if (comp.id == dd.initial_id or not comp.is_cap) and len(comp.q_children) > 1:
-            return EligibilityVerdict(False, MULTIPLE_Q_COMPONENTS, comp.id)
+    for cid, qs in enumerate(dd.q_children):  # empty on a Q component
+        if len(qs) > 1 and (cid == dd.initial_id or not dd.is_cap[cid]):
+            return EligibilityVerdict(False, MULTIPLE_Q_COMPONENTS, cid)
     return EligibilityVerdict(True)
 
 
@@ -106,23 +107,23 @@ def head_set(
     """
     if not verdict.eligible:
         raise StructuralInputError("head sets are defined for eligible systems")
-    graph = graft.graph
-    order = [dd.initial]
-    for comp in order:  # grows while it is read: a breadth-first listing
-        order.extend(dd.component(c) for c in comp.d_children)
+    nbrs, a_set, d_children = graft.graph.nbrs, dd.a_set, dd.d_children
+    order = [dd.initial_id]
+    for cid in order:  # grows while it is read: a breadth-first listing
+        order.extend(d_children[cid])
     heads: dict[int, frozenset[int]] = {}
-    for comp in reversed(order):
-        top_terminals = graft.terminals & comp.a_set
-        child_heads = [heads[c] for c in comp.d_children]
-        want = 0 if comp.id == dd.initial_id else 1
+    for cid in reversed(order):
+        top_terminals = graft.terminals & a_set[cid]
+        child_heads = [heads[c] for c in d_children[cid]]
+        want = 0 if cid == dd.initial_id else 1
         if not child_heads:
-            heads[comp.id] = top_terminals
+            heads[cid] = top_terminals
         elif len(top_terminals) > 1 or (len(top_terminals) + len(child_heads)) % 2 != want:
-            heads[comp.id] = frozenset()
+            heads[cid] = frozenset()
         else:
-            heads[comp.id] = frozenset(
-                v for v in top_terminals or comp.a_set
-                if all(not ch.isdisjoint(graph.nbrs[v]) for ch in child_heads))
+            heads[cid] = frozenset(
+                v for v in top_terminals or a_set[cid]
+                if all(not ch.isdisjoint(nbrs[v]) for ch in child_heads))
     return heads
 
 
@@ -143,7 +144,7 @@ def construct_join(
     stack: list[tuple[int, int]] = [(dd.initial_id, v)]
     while stack:
         cid, anchor = stack.pop()
-        for child_id in dd.component(cid).d_children:
+        for child_id in dd.d_children[cid]:
             child_heads = heads[child_id]
             # sorted: the first hit is minimal
             for u, e in zip(graph.nbrs[anchor], graph.eids[anchor]):

@@ -9,13 +9,17 @@ root*) sits on the component's top level.
 
 The components form a laminar merge forest, built by one upward union-find
 sweep into flat lists by build index (rank, top level, children, smallest
-vertex, parent); one sort assigns the ids, then one record per component is
-made.  A component stores only its top level (``a_set``, at most 2n vertex
-references in all); ``vertices`` and ``d_set`` walk the depth descendants on
-each read and are never stored.  A join edge leaves exactly the components
-below its ends' lowest common one, so beams take one pass over the join.
-The build costs O(n + m) beside the union-find and the sorts, where storing
-every vertex set would cost n per level.
+vertex, parent); one sort assigns the ids, and the decomposition keeps the
+forest as columns by id: level, layer flag, top level (``a_set``), cap flag,
+beam, join root, Q and depth children, parent.  The decision reads the
+columns alone; the first read of ``components`` (the verifier, the JSON
+dump) builds one ``Component`` record per id from them.  Only top levels
+are stored, at most 2n vertex references in all; a record's ``vertices``
+and ``d_set`` walk the depth descendants on each read and are never
+stored.  A join edge leaves exactly the components below its ends' lowest
+common one, so beams take one pass over the join.  The build costs
+O(n + m) beside the union-find and the sorts, where storing every vertex
+set would cost n per level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
@@ -41,7 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
@@ -109,11 +114,35 @@ class Component:
 
 @dataclass(frozen=True)
 class DistanceDecomposition:
+    """The components as columns indexed by id, named and typed as the
+    ``Component`` fields they fill (``is_layer`` fills ``kind``)."""
+
     root: int
     distance_map: DistanceMap
     interval: range
-    components: tuple[Component, ...]
     initial_id: int
+    level: tuple[int, ...]
+    is_layer: tuple[bool, ...]
+    a_set: tuple[frozenset[int], ...]
+    is_cap: tuple[bool, ...]
+    beam: tuple[int | None, ...]
+    f_root: tuple[int | None, ...]
+    q_children: tuple[tuple[int, ...], ...]
+    d_children: tuple[tuple[int, ...], ...]
+    parent: tuple[int | None, ...]
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """One record per id, built from the columns on first read."""
+        comps: list[Component] = []
+        for cid, (i, is_layer, top, cap, beam, f_root, qs, ds, up) in enumerate(
+                zip(self.level, self.is_layer, self.a_set, self.is_cap,
+                    self.beam, self.f_root, self.q_children, self.d_children,
+                    self.parent)):
+            comps.append(Component(  # positional: keywords triple the init
+                cid, i, LAYER if is_layer else Q, top, cap, beam, f_root, qs,
+                ds, up, [comps[d] for d in ds]))
+        return tuple(comps)
 
     def component(self, cid: int) -> Component:
         return self.components[cid]
@@ -137,20 +166,13 @@ class DistanceDecomposition:
                 "components": [c.to_json() for c in self.components]}
 
 
-def _find(parent: list[int], v: int) -> int:
-    """Union-find root of ``v``, halving the path on the way up."""
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v
-
-
 def _rank(comp: Component) -> int:
     """Sweep order, Q before layer: one more at each step up the forest."""
     return 2 * comp.level + (comp.kind == LAYER)
 
 
 def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
-             parent: list[int | None], rank: list[int],
+             parent: Sequence[int | None], rank: list[int],
              ) -> list[list[tuple[int, int]]]:
     """The join edges leaving each component, as (edge, inner end), indexed
     like ``parent`` and ``rank`` (by id, or by build index in the sweep).
@@ -178,13 +200,14 @@ def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
 def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
     """Build the decomposition of the root's component under a minimum join.
 
-    Levels are swept upward with an incremental union-find: cross edges into
-    level i are merged as they are found (groups: Q components), the edges
-    inside level i after (groups: layer components).  Ids follow (level,
-    smallest vertex, layer before Q)."""
+    Levels are swept upward with an incremental union-find, halving paths
+    on the way up: each vertex of level i links the groups of its cross
+    neighbours to itself (groups: Q components), then each edge inside
+    level i is merged once, from its larger end (groups: layer components).
+    Ids follow (level, smallest vertex, layer before Q)."""
     join = frozenset(join)
     dm = f_distances(graft, join, root)  # also asserts the join is minimum
-    graph, dist = graft.graph, dm.dist
+    graph, dist, nbrs = graft.graph, dm.dist, graft.graph.nbrs
     interval, levels = dm.interval(), dm.level_sets()
 
     # Components by build index: rank (see ``_rank``), top-level vertices,
@@ -198,10 +221,14 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
         vertex of the level, so a component of ``below`` left out is a bug."""
         made: dict[int, int] = {}
         for v in levels[r >> 1]:
-            x = made.setdefault(_find(uf, v), len(top))
+            x = v
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            x = made.setdefault(x, len(top))
             if x < len(top):
                 top[x].append(v)
-                low[x] = min(low[x], v)
+                if v < low[x]:
+                    low[x] = v
                 continue
             rank.append(r)
             top.append([v])
@@ -209,26 +236,37 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
             low.append(v)
             up.append(None)
         for c in below:
-            x = made.get(_find(uf, low[c]))
+            x = low[c]
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            x = made.get(x)
             if x is None:
                 raise InternalError("every component meets its own level")
             kids[x].append(c)
-            up[c], low[x] = x, min(low[x], low[c])
+            up[c] = x
+            if low[c] < low[x]:
+                low[x] = low[c]
         return list(made.values())
 
     layers: list[int] = []  # the previous level's layer components
     for i in interval:
         inner = []  # edges inside level i, merged after the Q grouping
-        for v in levels[i]:
-            for u in graph.nbrs[v]:
+        for v in levels[i]:  # a root until its own level's edges merge
+            for u in nbrs[v]:
                 du = dist[u]
                 if du is not None and du < i:  # a cross edge
-                    uf[_find(uf, u)] = _find(uf, v)
-                elif du == i:
+                    while uf[u] != u:
+                        uf[u] = u = uf[uf[u]]
+                    uf[u] = v
+                elif du == i and u < v:
                     inner.append((u, v))
         qs = group(2 * i, layers)
         for u, v in inner:
-            uf[_find(uf, u)] = _find(uf, v)
+            while uf[u] != u:
+                uf[u] = u = uf[uf[u]]
+            while uf[v] != v:
+                uf[v] = v = uf[uf[v]]
+            uf[u] = v
         layers = group(2 * i + 1, qs)
 
     order = sorted(range(len(top)), key=lambda x: (rank[x] >> 1, low[x], -rank[x]))
@@ -245,29 +283,39 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
         x = up[x]
     leaving = _leaving(graph, join, home, up, rank)
 
-    components: list[Component] = []
+    beam, f_root = [None] * len(order), [None] * len(order)
+    q_children, d_children = [], []
     for cid, x in enumerate(order):
-        i, is_layer, beam, f_root = rank[x] >> 1, rank[x] & 1, None, None
+        i = rank[x] >> 1
         if x not in caps:
             if len(leaving[x]) != 1:
                 raise TheoremViolationError(
                     f"component at level {i} (smallest vertex {low[x]})"
                     f" is left by {len(leaving[x])} join edges instead of 1")
-            (beam, f_root), = leaving[x]
-            if dist[f_root] != i:
+            (e, f), = leaving[x]
+            if dist[f] != i:
                 raise TheoremViolationError(
-                    f"join root {f_root} lies below the top level of its component")
-        children = sorted([pos[c] for c in kids[x]])
-        depth = (sorted([pos[d] for q in kids[x] for d in kids[q]])
-                 if is_layer else children)
-        components.append(Component(  # positional: keywords triple the init
-            cid, i, LAYER if is_layer else Q, frozenset(top[x]), x in caps,
-            beam, f_root, tuple(children) if is_layer else (), tuple(depth),
-            None if up[x] is None else pos[up[x]], [components[d] for d in depth]))
+                    f"join root {f} lies below the top level of its component")
+            beam[cid], f_root[cid] = e, f
+        children = tuple(sorted([pos[c] for c in kids[x]]))
+        if rank[x] & 1:
+            q_children.append(children)
+            d_children.append(
+                tuple(sorted([pos[d] for q in kids[x] for d in kids[q]])))
+        else:
+            q_children.append(())
+            d_children.append(children)
 
     return DistanceDecomposition(
         root=root, distance_map=dm, interval=interval,
-        components=tuple(components), initial_id=pos[up[home[root]]])
+        initial_id=pos[up[home[root]]],
+        level=tuple([rank[x] >> 1 for x in order]),
+        is_layer=tuple([rank[x] & 1 == 1 for x in order]),
+        a_set=tuple([frozenset(top[x]) for x in order]),
+        is_cap=tuple([x in caps for x in order]),
+        beam=tuple(beam), f_root=tuple(f_root),
+        q_children=tuple(q_children), d_children=tuple(d_children),
+        parent=tuple([None if up[x] is None else pos[up[x]] for x in order]))
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:
@@ -336,8 +384,7 @@ def verify_decomposition(
     graph = graft.graph
     comps = dd.components
     home = {v: q.id for q in dd.q_components() for v in q.a_set}
-    leaving = _leaving(graph, join, home, [c.parent for c in comps],
-                       [_rank(c) for c in comps])
+    leaving = _leaving(graph, join, home, dd.parent, [_rank(c) for c in comps])
     out: list[Violation] = []
 
     def bad(cid: int | None, check: str, message: str) -> None:

@@ -7,11 +7,14 @@ a change that means to alter output updates them and says why.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from connjoin.cli import format_graft, main
 from connjoin.constructive import gen_primal, gen_tailed
+from connjoin.graph_core import Graph
+from connjoin.tjoin import validate_graft
 
 from conftest import random_connected_graft
 
@@ -106,3 +109,47 @@ def test_cli_output_from_a_non_terminal_root_is_pinned(
             for path, g in graft_files if len(g.terminals) < g.n]
     assert len(runs) == 81
     assert output_digest(runs, capsys) == NON_TERMINAL_ROOT_DIGESTS[command, fmt]
+
+
+DEPTH_LADDER = (("path", 100), ("caterpillar", 180), ("path", 260),
+                ("caterpillar", 340), ("caterpillar", 440), ("path", 600),
+                ("caterpillar", 600))
+
+DEPTH_DIGESTS = {
+    "check":
+        "3fbe3b00674fab7d2a077322cc7561cc30c499ff749ce645f8f1e766f04f82eb",
+    "decompose":
+        "03c9c43c84b27600b09d5d0ab7bbcb8ed7d04825c26acb50ca3f1bff9e0b233d",
+}
+
+
+def depth_grafts():
+    """Paths and caterpillars of ``DEPTH_LADDER``: a spine with terminals at
+    its ends and, on a caterpillar, spine/2 legs at feet drawn from one
+    fixed stream.  Every spine vertex is a level of its own."""
+    rng = random.Random(2024)
+    grafts = []
+    for shape, length in DEPTH_LADDER:
+        edges = [(i, i + 1) for i in range(length)]
+        if shape == "caterpillar":
+            edges += [(rng.randrange(length + 1), length + 1 + j)
+                      for j in range(length // 2)]
+        grafts.append(validate_graft(Graph(len(edges) + 1, edges), {0, length}))
+    return grafts
+
+
+@pytest.fixture(scope="module")
+def depth_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("deep")
+    files = []
+    for i, graft in enumerate(depth_grafts()):
+        path = folder / f"{i}.graft"
+        path.write_text(format_graft(graft))
+        files.append(str(path))
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(DEPTH_DIGESTS))
+def test_cli_output_at_depth_is_pinned(depth_files, command, capsys):
+    runs = [[command, path, "--format", "json"] for path in depth_files]
+    assert output_digest(runs, capsys) == DEPTH_DIGESTS[command]

@@ -9,13 +9,15 @@ from connjoin.cli import format_graft, main
 from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      MULTIPLE_Q_COMPONENTS, T_OUTSIDE_INITIAL,
                                      EligibilityVerdict, connected_minimum_join,
-                                     decide, head_set, is_eligible)
+                                     construct_join, decide, head_set,
+                                     is_eligible)
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import distance_decomposition
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
-from connjoin.tjoin import Graft, is_join, minimum_join, nu, validate_graft
+from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
+                            validate_graft)
 
 from conftest import sparse_graft
 
@@ -142,6 +144,30 @@ def test_multiple_q_components_stage_reachable(corpus):
     assert f"not-eligible:{INITIAL_DISCONNECTED}" in stages
 
 
+def test_multiple_q_components_names_the_smallest_offender(corpus):
+    # From every terminal root: the offender is the smallest-id layer
+    # component, initial or non-cap, with more than one Q child.
+    verdicts = several = 0
+    for case in corpus:
+        graft = case.graft
+        if not graft.terminals or len(graft.parts) > 1:
+            continue
+        join = optimum_join(graft)
+        for root in sorted(graft.terminals):
+            dd = distance_decomposition(graft, join, root)
+            verdict = is_eligible(graft, join, root, dd)
+            if verdict.failure_reason != MULTIPLE_Q_COMPONENTS:
+                assert verdict.component_id is None
+                continue
+            offenders = [c.id for c in dd.components if c.kind == "layer"
+                         and (c.id == dd.initial_id or not c.is_cap)
+                         and len(c.q_children) > 1]
+            assert verdict.component_id == offenders[0], f"seed {case.seed}"
+            verdicts += 1
+            several += len(offenders) > 1
+    assert (verdicts, several) == (333, 1)
+
+
 def test_matches_oracle_and_root_independent(corpus):
     for case in corpus[:150]:
         d = case.decision
@@ -189,6 +215,22 @@ def spine(length, legs=0, seed=0):
     edges = [(i, i + 1) for i in range(length)]
     edges += [(rng.randrange(length + 1), length + 1 + j) for j in range(legs)]
     return validate_graft(Graph(length + 1 + legs, edges), {0, length})
+
+
+def test_the_decision_builds_no_component_record():
+    # is_eligible, head_set and construct_join read the columns by id
+    witness, _ = gen_primal(3, 3, seed=1)
+    for graft, root in ((spine(300, 150, seed=7), 0),
+                        (witness.graft, witness.root)):
+        join = optimum_join(graft)
+        dd = distance_decomposition(graft, join, root)
+        verdict = is_eligible(graft, join, root, dd)
+        heads = head_set(graft, dd, verdict)
+        built = construct_join(graft, dd, heads, min(heads[dd.initial_id]))
+        assert len(built) == len(join)
+        assert "components" not in vars(dd)
+        assert len(dd.components) == len(dd.level)  # built on first read
+        assert "components" in vars(dd)
 
 
 @pytest.fixture

@@ -633,8 +633,9 @@ def test_outputs_are_the_same_for_every_minimum_join(corpus):
 
 
 def assert_matches_oracle(graft, root, dist=None):
-    """Every component and its parent equal the BFS oracle's; ``dist``
-    defaults to the decomposition's own distance map."""
+    """Every component and its parent equal the BFS oracle's, and every
+    column the records' fields; ``dist`` defaults to the decomposition's own
+    distance map."""
     join = minimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     if dist is None:
@@ -642,6 +643,17 @@ def assert_matches_oracle(graft, root, dist=None):
     assert list(dd.distance_map.dist) == list(dist)
     got = [dict(c.to_json(), parent=c.parent) for c in dd.components]
     assert got == oracle_components(graft, join, root, dist)
+    assert_columns_match_records(dd)
+
+
+def assert_columns_match_records(dd):
+    """Every column, which the decision reads, equals the fields of the
+    records built from it."""
+    comps = dd.components
+    assert dd.is_layer == tuple(c.kind == "layer" for c in comps)
+    for name in ("level", "a_set", "is_cap", "beam", "f_root", "q_children",
+                 "d_children", "parent"):
+        assert getattr(dd, name) == tuple(getattr(c, name) for c in comps), name
 
 
 def test_matches_bfs_oracle_on_corpus(corpus):
