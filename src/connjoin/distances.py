@@ -11,10 +11,12 @@ the root and the target.  The root component's size is the perfect
 matching of its terminals under hop distance that the graft solved once
 (``Graft.solved``), its k × k hop table and duals included; a root that is
 no terminal adds one search for its own column.  The toggled sizes at
-the points t of the odd set T ^ {root} are its near-perfect matchings, and
+the points t of the odd set T ^ {root} are its near-perfect matchings.  At
+the component's smallest terminal, the root of that one solve, they are
+stored (``TerminalSolve.sizes``) and no solve runs; at any other root
 ``matching.toggled_sizes`` reads them all off the duals of one blossom
-search started from that optimum.  Any other x pairs with some t, so its
-size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
+search started from the stored optimum.  Any other x pairs with some t,
+so its size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
 hop (in the matching that exposes t, re-pair x's mate with t), so one
 breadth-first search seeded at every t, at its size, finds them all.
 """
@@ -94,8 +96,11 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
         solve = next((s for s in graft.solved
                       if hop[s.terminals[0]] is not None), None)
         column = solve and [hop[p] for p in solve.terminals]
-    toggled = toggled_sizes(solve.terminals, solve.cost, solve.optimum, root,
-                            column) if solve else {root: 0}
+    if solve and root == solve.terminals[0]:  # the stored solve's root
+        toggled = dict(zip(solve.terminals, solve.sizes))
+    else:
+        toggled = toggled_sizes(solve.terminals, solve.cost, solve.optimum,
+                                root, column) if solve else {root: 0}
     base = solve.nu if solve else 0
     seeds: dict[int, list[int]] = {}
     for t, size in toggled.items():

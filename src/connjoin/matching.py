@@ -18,17 +18,20 @@ On an odd vertex count it is near-perfect: it augments until one vertex is
 exposed, then grows that vertex's tree until no delta is left.  By Gallai's
 lemma the graph is factor-critical iff that search ends in one blossom
 spanning every vertex (``DualState.spans``), as it always does on a complete
-graph; ``is_factor_critical`` is one such search.  Those duals bound the
-near-perfect matchings exposing each vertex t tightly, so ``toggled_sizes``
-reads every terminal toggle off one such solve started from the base
-optimum as it is.  The subset-DP cross-check oracle lives in the tests.
+graph; ``is_factor_critical`` is one such search.  A spanning blossom is
+then rebased so that the last vertex ends exposed.  Its duals bound the
+near-perfect matchings exposing each vertex t tightly (``exposure_sizes``).
+The subset-DP cross-check oracle lives in the tests.
 
-A minimum-cost perfect matching is solved once by ``perfect_optimum``, under
-weight -4 cost from Kolmogorov's greedy initialization (``greedy_start``:
-nearest-neighbour duals, mutual nearest pairs matched), so its duals are
-even with blossom duals folded in; ``tjoin.optimum_join`` pairs by its mate.
-``tight_pairing`` finds the lexicographically smallest optimal pairing for
-printed joins (``tjoin.minimum_join``, ``min_weight_perfect_matching``) by a
+``rooted_optimum`` solves a graft's terminal matching once: the ranks and a
+root point appended last, under weight -4 cost from Kolmogorov's greedy
+initialization (``greedy_start``).  With the root point exposed, the ranks'
+mates are a minimum-cost perfect matching (``tjoin.optimum_join`` pairs by
+them), and every other size is a toggle at that root.  Its duals are even
+with blossom duals folded in, so ``toggled_sizes`` starts the search at any
+other root from them as they are; ``perfect_optimum`` solves a perfect
+matching alone, for ``min_weight_perfect_matching``.  ``tight_pairing``
+finds the lexicographically smallest optimal pairing for printed joins by a
 second solve on the pairs the optimum's vertex duals allow to be tight, with
 a tie-break penalty encoded below the primary cost.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalError, StructuralInputError
 from .graph_core import Graph
@@ -69,19 +72,21 @@ class DualState:
 
 
 def max_weight_matching(
-    n: int, weighted_edges: Sequence[tuple[int, int, int]], state: DualState,
+    n: int, weighted_edges: Iterable[tuple[int, int, int]], state: DualState,
 ) -> list[int]:
     """Maximum-weight *perfect* matching of the integer-weighted graph.
 
     Returns ``mate`` with ``mate[v]`` the partner of ``v`` or -1.  Any
-    weights are allowed.  The solve starts from ``state`` (a blossom-free,
-    dual-feasible matching whose edges are tight, its exposed vertices of
-    one dual parity; ``InternalError`` otherwise), and ``state`` is
+    weights are allowed; ``weighted_edges`` is read once.  The solve starts
+    from ``state`` (a blossom-free, dual-feasible matching whose edges are
+    tight, its exposed vertices of one dual parity; ``InternalError``
+    otherwise), and ``state`` is
     overwritten with the optimum.  For even n a graph without a perfect
     matching raises ``InternalError``.  For odd n the search ends
     near-perfect where it can, with the open blossoms left as they are,
     each an odd cycle of tight edges; ``state.spans()`` tells whether one
-    vertex is exposed and one blossom spans every vertex.  The start is
+    vertex is exposed and one blossom spans every vertex, and if one does,
+    the exposed vertex is n - 1.  The start is
     checked while the weight rows are built, and the end state is certified
     by ``verify_optimum``: each pair once, at its lowest common blossom.
     """
@@ -463,6 +468,10 @@ def max_weight_matching(
                     and label[b] == 1 and blossomdual[b] == 0):
                 expand_blossom(b, True)
 
+    if odd and n > 1 and inblossom.count(inblossom[-1]) == n:
+        # One blossom spans: rebase it so that the last point ends exposed.
+        augment_blossom(inblossom[-1], n - 1)
+        mate[-1] = -1
     verify_optimum(w2, dualvar, mate, blossomparent, blossomdual, childs,
                    edges, odd)
 
@@ -570,23 +579,31 @@ def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
     return state
 
 
-def greedy_start(cost: Sequence[Sequence[int]]) -> DualState:
+def greedy_start(cost: Sequence[Sequence[int]],
+                 column: Sequence[int] | None = None) -> DualState:
     """Kolmogorov's Blossom V greedy initialization, under weight -4 cost.
 
     With near(i) the least cost[i][j] over j != i, the duals -4 near(i) are
     feasible, since 8 cost[i][j] >= 4 near(i) + 4 near(j), and a pair is
     tight iff cost[i][j] == near(i) == near(j).  Such pairs are matched in
     rank order while both ends are free.  Every dual is a multiple of 4, the
-    exposed ones included, as ``max_weight_matching`` needs one parity."""
+    exposed ones included, as ``max_weight_matching`` needs one parity.
+    ``column``, if given, holds the costs of one more point, rank k, to
+    the ranks of ``cost``."""
     k = len(cost)
     near = [min(c for j, c in enumerate(row) if j != i)
             for i, row in enumerate(cost)]
-    mate = [-1] * k
+    if column is not None:
+        near = [*map(min, near, column), min(column)]
+    mate = [-1] * len(near)
     for i in range(k):
         for j in range(i + 1, k):
             if (mate[i] == -1 and mate[j] == -1
                     and cost[i][j] == near[i] == near[j]):
                 mate[i], mate[j] = j, i
+        if (column is not None and mate[i] == -1 == mate[k]
+                and column[i] == near[i] == near[k]):
+            mate[i], mate[k] = k, i
     return DualState(mate, [-4 * c for c in near])
 
 
@@ -598,7 +615,9 @@ def tight_pairing(
     cost: Sequence[Sequence[int]], optimum: DualState,
 ) -> list[tuple[int, int]]:
     """The lexicographically smallest minimum-cost perfect matching, as
-    sorted rank pairs, given ``optimum = perfect_optimum(cost)`` (read only).
+    sorted rank pairs, given ``optimum`` (read only): a minimum-cost perfect
+    matching under weight -4 cost whose vertex duals bound every optimal
+    pairing, as those of ``perfect_optimum`` and ``rooted_optimum`` do.
 
     Every optimal matching uses only pairs tight under the optimal duals;
     blossom duals are nonnegative, so in the optimum's units those pairs
@@ -626,19 +645,56 @@ def tight_pairing(
     return pairs
 
 
+def rooted_optimum(cost: Sequence[Sequence[int]],
+                   column: Sequence[int]) -> tuple[DualState, list[int]]:
+    """A minimum-cost perfect matching on the ranks of ``cost``, and the
+    ``exposure_sizes`` of one near-perfect solve with a root point, rank k,
+    at hops ``column`` (a terminal root's own row: a copy at hop 0).  The
+    root point ends exposed; its size is the optimum's cost, and it is
+    dropped from the optimum's mates, duals and blossoms, as are the
+    blossoms whose dual is zero."""
+    k = len(cost)
+    state = greedy_start(cost, column)
+    max_weight_matching(k + 1, itertools.chain(
+        ((i, j, -4 * cost[i][j]) for i in range(k) for j in range(i + 1, k)),
+        ((i, k, -4 * c) for i, c in enumerate(column))), state)
+    sizes = exposure_sizes(state)
+    if state.mate.pop() != -1:
+        raise InternalError("rooted solve left the root point matched")
+    del state.dual[k]
+    state.blossoms = [([v for v in leaves if v != k], z)
+                      for leaves, z in state.blossoms if z]
+    if matched_total(cost, state) != sizes[k]:
+        raise InternalError("rooted solve's pairing does not cost its bound")
+    return state, sizes
+
+
+def exposure_sizes(state: DualState) -> list[int]:
+    """After a near-perfect solve under weight -4 cost that spans: per
+    point t, the least cost of a matching exposing t.  Twice a matching's
+    weight is -8 times its cost, so each is (dual[t] - spent) / 8."""
+    if not state.spans():
+        raise InternalError("near-perfect solve left no spanning blossom")
+    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
+                                  for leaves, z in state.blossoms)
+    if any((spent - d) % 8 for d in state.dual):
+        raise InternalError("a toggled size is not an integer")
+    return [(d - spent) // 8 for d in state.dual]
+
+
 def toggled_sizes(terminals: Sequence[int], cost: Sequence[Sequence[int]],
                   optimum: DualState, root: int,
                   column: Sequence[int] | None) -> dict[int, int]:
     """nu((T ^ {root}) - {t}) for each t in T ^ {root}: T are the
-    ``terminals`` by rank, ``cost`` their hop table, ``optimum =
-    perfect_optimum(cost)`` (read only), and ``column`` the root's hops to
-    them by rank, or None for a terminal root.
+    ``terminals`` by rank, ``cost`` their hop table, ``optimum`` a
+    minimum-cost perfect matching on the ranks with even duals once each
+    blossom's z is added to its leaves' (read only), and ``column`` the
+    root's hops to them by rank, or None for a terminal root.
 
     One near-perfect solve under weight -4 hop reads every toggle off its
-    duals.  It starts from the optimum's duals, each blossom's z added to
-    its leaves' (feasible, all even), and the optimum's mates that stay
-    tight, the root's mate exposed.  Twice a matching's weight is -8 times
-    its size, so each size is (dual[t] - spent) / 8.
+    duals (``exposure_sizes``).  It starts from the optimum's duals, each
+    blossom's z added to its leaves' (feasible, all even), and the
+    optimum's mates that stay tight, the root's mate exposed.
     """
     k = len(terminals)
     y = list(optimum.dual)
@@ -658,14 +714,8 @@ def toggled_sizes(terminals: Sequence[int], cost: Sequence[Sequence[int]],
     state = DualState([index.get(tight.get(a), -1) for a in points], start)
     max_weight_matching(n, [(i, j, -4 * rows[points[i]][points[j]])
                             for i in range(n) for j in range(i + 1, n)], state)
-    if not state.spans():
-        raise InternalError("near-perfect solve left no spanning blossom")
-    spent = sum(state.dual) + sum(z * (len(leaves) - 1)
-                                  for leaves, z in state.blossoms)
-    if any((spent - d) % 8 for d in state.dual):
-        raise InternalError("a toggled size is not an integer")
     verts = [*terminals, root]
-    return {verts[a]: (d - spent) // 8 for a, d in zip(points, state.dual)}
+    return {verts[a]: size for a, size in zip(points, exposure_sizes(state))}
 
 
 def is_factor_critical(graph: Graph) -> bool:

@@ -9,8 +9,10 @@ Each graft finds its components once and solves that matching once, each
 on first use.  ``Graft.parts`` holds the sorted terminals of each component
 holding any; validation, the solve and the decision's split-T test read it.
 ``Graft.solved`` holds, per such component, the k × k hop table of its
-terminals (from k - 1 stopped searches), the optimum under weight -4 hop
-with its duals (``perfect_optimum``), and ν.
+terminals (from k - 1 stopped searches) and what one near-perfect solve
+rooted at its smallest terminal gives (``rooted_optimum``): the optimum
+under weight -4 hop on the terminals with its duals, ν, and the k sizes
+that toggling the terminal set at that root and each terminal leaves.
 ``optimum_join`` realizes the optimum's own pairing, for the decision,
 distances and verifiers, whose output is join-independent; ``minimum_join``
 adds a tie-break solve for the canonical join that commands print.
@@ -25,7 +27,7 @@ from typing import Any, Callable, Iterable
 
 from .errors import InternalError, NoJoinError, StructuralInputError
 from .graph_core import Graph, connected_components
-from .matching import matched_total, perfect_optimum, tight_pairing
+from .matching import rooted_optimum, tight_pairing
 
 __all__ = [
     "Graft",
@@ -92,17 +94,23 @@ class Graft:
 class TerminalSolve:
     """One component's terminal matching, solved (read only): its terminals
     in rank order, the hop table by rank (``cost``), its minimum-cost perfect
-    matching with vertex and blossom duals (``perfect_optimum``), and ν."""
+    matching with vertex and blossom duals (``optimum``), ν, and per rank t
+    the minimum join size with the terminal set toggled at rank 0 and t
+    (``sizes``; ν at rank 0), all from one solve rooted at rank 0."""
 
     terminals: tuple[int, ...]
     cost: list[list[int]] = field(repr=False)
     optimum: Any = field(repr=False)
     nu: int
+    sizes: list[int] = field(repr=False)
 
     @classmethod
     def of(cls, terminals: Iterable[int], cost: list[list[int]]) -> TerminalSolve:
-        optimum = perfect_optimum(cost)
-        return cls(tuple(terminals), cost, optimum, matched_total(cost, optimum))
+        optimum, sizes = rooted_optimum(cost, cost[0])  # rank 0 at hop 0
+        nu = sizes.pop()
+        if sizes[0] != nu:
+            raise InternalError("the root terminal's size is not ν")
+        return cls(tuple(terminals), cost, optimum, nu, sizes)
 
 
 def validate_graft(graph: Graph, terminals: Iterable[int]) -> Graft:

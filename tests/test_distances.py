@@ -181,27 +181,57 @@ def test_distances_match_full_rows_on_multigrafts():
 def test_decide_bfs_count_is_linear_in_terminals(monkeypatch):
     # The graft builds its k x k hop table once, by k - 1 stopped searches;
     # the join adds one search per matched pair, and the distances from a
-    # terminal root read the table.  The join realizes the base optimum's
-    # own pairing, so the decision solves only the base matching and the
-    # near-perfect distance search: no tie-break solve.
+    # terminal root read the table.  The join realizes the stored optimum's
+    # own pairing, and the distances from the smallest terminal read the
+    # sizes of the same solve, so the decision makes that one solve: no
+    # tie-break, no toggle search.  At another root the toggle search is
+    # the second.
     graft = sparse_graft(300, 20, 5)
     calls = count_work(monkeypatch)
     decide(graft)
-    assert calls == {"bfs": 19 + 10, "solves": 2}
+    assert calls == {"bfs": 19 + 10, "solves": 1}
+    decide(graft, root=max(graft.terminals))  # the join is realized anew
+    assert calls == {"bfs": 19 + 10 + 10, "solves": 1 + 1}
 
 
 def test_graft_solves_its_matching_once(monkeypatch):
     graft = sparse_graft(300, 20, 5)
     calls = count_work(monkeypatch)
-    join = minimum_join(graft)  # the base and tie-break solves
+    join = minimum_join(graft)  # the rooted and tie-break solves
     assert calls == {"bfs": 19 + 10, "solves": 2}  # k - 1 table, k / 2 pairs
     assert nu(graft) == len(join)
     assert calls == {"bfs": 19 + 10, "solves": 2}
-    f_distances(graft, join, min(graft.terminals))  # one near-perfect solve
+    f_distances(graft, join, min(graft.terminals))  # the rooted solve's sizes
+    assert calls == {"bfs": 19 + 10, "solves": 2}
+    f_distances(graft, join, max(graft.terminals))  # one toggle search
     assert calls == {"bfs": 19 + 10, "solves": 2 + 1}
     outside = min(set(range(graft.graph.n)) - graft.terminals)
     f_distances(graft, join, outside)  # one solve, one search for its column
     assert calls == {"bfs": 19 + 10 + 1, "solves": 2 + 1 + 1}
+
+
+def test_stored_and_warm_distances_agree_above_oracle_reach():
+    # The smallest terminal's distances come from the stored solve's sizes,
+    # every other root's from a toggle search.  Distances are symmetric,
+    # d_r(x) = d_x(r), so each pair of roots checks one path against the
+    # other; the answer must not depend on the terminal it is decided from.
+    grafts = [sparse_graft(n, k, 1) for n, k in
+              ((300, 20), (350, 28), (400, 34), (450, 40), (500, 48))]
+    grafts += [gen_primal(3, 3, seed)[0].graft
+               for seed in (44, 1, 7, 13, 6, 92)]
+    grafts += [gen_tailed(2, 4, seed, tail_vertices=300, tail_edges=600,
+                          bridges=3)[0] for seed in (6, 1, 0, 36)]
+    for graft in grafts:
+        ts = sorted(graft.terminals)
+        join = minimum_join(graft)
+        roots = [ts[0], ts[1], ts[len(ts) // 2], ts[-1],
+                 min(set(range(graft.graph.n)) - graft.terminals)]
+        dist = {r: f_distances(graft, join, r) for r in roots}
+        for a in roots:
+            for b in roots:
+                assert dist[a][b] == dist[b][a]
+        answers = {decide(graft, root=t).answer for t in roots[:4]}
+        assert len(answers) == 1
 
 
 TRIANGLE_COUNTEREXAMPLE = validate_graft(

@@ -139,7 +139,7 @@ def test_tie_break_runs_only_where_a_join_is_printed(
     calls = count_work(monkeypatch)
     assert is_strong_comb(fresh, root, stable_dominating_teeth(fresh, root)) \
         in (True, False)
-    assert calls["solves"] == 2  # got past the shape screens: base + search
+    assert calls["solves"] == 1  # got past the shape screens: rooted solve
 
     with pytest.raises(TieBreakReached):
         minimum_join(graft)
