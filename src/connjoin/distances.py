@@ -9,14 +9,16 @@ Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
 the root and the target.  The root component's size is the perfect
 matching of its terminals under hop distance that the graft solved once
-(``Graft.solved``), its k × k hop table and duals included; a root that is
-no terminal adds one search for its own column.  The toggled sizes at
-the points t of the odd set T ^ {root} are its near-perfect matchings.  At
-the component's smallest terminal, the root of that one solve, they are
-stored (``TerminalSolve.sizes``) and no solve runs; at any other root
-``matching.toggled_sizes`` reads them all off the duals of one blossom
-search started from the stored optimum.  Any other x pairs with some t,
-so its size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
+(``Graft.solved``), its k × k hop table and duals included.  The toggled
+sizes at the points t of the odd set T ^ {root} are its near-perfect
+matchings, all read off one rooted search (``matching.toggled_sizes``):
+the terminals and a root point, a root that is no terminal at the hops of
+one search for its own column, a terminal root as a copy of its rank at
+hop 0 (hops are metric, so a cheapest matching pairs the two).  At the
+component's smallest terminal, the root of the stored solve, they are
+stored (``TerminalSolve.sizes``) and no solve runs; at any other root the
+search starts from the stored optimum.  Any other x pairs with some t, so
+its size is the least size(t) + hop(t, x).  Sizes are 1-Lipschitz in
 hop (in the matching that exposes t, re-pair x's mate with t), so one
 breadth-first search seeded at every t, at its size, finds them all.
 """
@@ -90,18 +92,18 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
         raise NotMinimumJoinError(
             f"join has {len(join)} edges but the minimum is {minimum}")
     solve = next((s for s in graft.solved if root in s.terminals), None)
-    column = None
-    if solve is None and graft.terminals:  # one search finds the component
+    if solve:  # a terminal root: a copy of its rank at hop 0
+        column = solve.cost[solve.terminals.index(root)]
+    elif graft.terminals:  # one search finds the component
         hop = _hop_distances(graph, root, graft.terminals)
         solve = next((s for s in graft.solved
                       if hop[s.terminals[0]] is not None), None)
         column = solve and [hop[p] for p in solve.terminals]
-    if solve and root == solve.terminals[0]:  # the stored solve's root
-        toggled = dict(zip(solve.terminals, solve.sizes))
-    else:
-        toggled = toggled_sizes(solve.terminals, solve.cost, solve.optimum,
-                                root, column) if solve else {root: 0}
-    base = solve.nu if solve else 0
+    toggled, base = {root: 0}, 0
+    if solve:  # the stored sizes stop before the root point's, nu again
+        sizes = (solve.sizes if root == solve.terminals[0] else
+                 toggled_sizes(solve.cost, solve.optimum, column))
+        toggled, base = dict(zip((*solve.terminals, root), sizes)), solve.nu
     seeds: dict[int, list[int]] = {}
     for t, size in toggled.items():
         seeds.setdefault(size - base, []).append(t)

@@ -23,17 +23,18 @@ then rebased so that the last vertex ends exposed.  Its duals bound the
 near-perfect matchings exposing each vertex t tightly (``exposure_sizes``).
 The subset-DP cross-check oracle lives in the tests.
 
-``rooted_optimum`` solves a graft's terminal matching once: the ranks and a
-root point appended last, under weight -4 cost from Kolmogorov's greedy
-initialization (``greedy_start``).  With the root point exposed, the ranks'
-mates are a minimum-cost perfect matching (``tjoin.optimum_join`` pairs by
+One rooted search finds every terminal optimum and toggle: the ranks of a
+cost table and a root point appended last, under weight -4 cost; a
+terminal root is a copy of its rank at hop 0.  ``rooted_optimum`` runs it
+from Kolmogorov's greedy initialization (``greedy_start``).  With the root
+point exposed, the ranks' mates are a minimum-cost perfect matching on any
+table (``tjoin.optimum_join`` and ``min_weight_perfect_matching`` pair by
 them), and every other size is a toggle at that root.  Its duals are even
-with blossom duals folded in, so ``toggled_sizes`` starts the search at any
-other root from them as they are; ``perfect_optimum`` solves a perfect
-matching alone, for ``min_weight_perfect_matching``.  ``tight_pairing``
-finds the lexicographically smallest optimal pairing for printed joins by a
-second solve on the pairs the optimum's vertex duals allow to be tight, with
-a tie-break penalty encoded below the primary cost.
+with blossom duals folded in, so ``toggled_sizes`` starts the same search
+at any other root from them as they are.  ``tight_pairing`` finds the
+lexicographically smallest optimal pairing for printed joins by a second
+solve on the pairs the optimum's vertex duals allow to be tight, with a
+tie-break penalty encoded below the primary cost.
 """
 
 from __future__ import annotations
@@ -564,21 +565,6 @@ def verify_optimum(w2: list[dict[int, int]], dual: list[int],
                     raise InternalError("positive blossom not full")
 
 
-def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
-    """An optimal state of the minimum-cost perfect matching on the ranks of
-    the symmetric table ``cost``: the maximum-weight perfect matching under
-    weight -4 cost (the slack of ij is ``dual[i] + dual[j] + 8 cost[i][j]``
-    plus 2 z per blossom over both), solved from ``greedy_start(cost)``.
-    That is the run under weight -2 cost with every dual doubled, so the
-    duals stay even with each blossom's z added to its leaves': the state
-    starts ``toggled_sizes`` as it is."""
-    k = len(cost)
-    state = greedy_start(cost)
-    max_weight_matching(k, [(i, j, -4 * cost[i][j])
-                            for i in range(k) for j in range(i + 1, k)], state)
-    return state
-
-
 def greedy_start(cost: Sequence[Sequence[int]],
                  column: Sequence[int] | None = None) -> DualState:
     """Kolmogorov's Blossom V greedy initialization, under weight -4 cost.
@@ -617,7 +603,7 @@ def tight_pairing(
     """The lexicographically smallest minimum-cost perfect matching, as
     sorted rank pairs, given ``optimum`` (read only): a minimum-cost perfect
     matching under weight -4 cost whose vertex duals bound every optimal
-    pairing, as those of ``perfect_optimum`` and ``rooted_optimum`` do.
+    pairing, as those of ``rooted_optimum`` do.
 
     Every optimal matching uses only pairs tight under the optimal duals;
     blossom duals are nonnegative, so in the optimum's units those pairs
@@ -645,20 +631,28 @@ def tight_pairing(
     return pairs
 
 
-def rooted_optimum(cost: Sequence[Sequence[int]],
-                   column: Sequence[int]) -> tuple[DualState, list[int]]:
-    """A minimum-cost perfect matching on the ranks of ``cost``, and the
-    ``exposure_sizes`` of one near-perfect solve with a root point, rank k,
-    at hops ``column`` (a terminal root's own row: a copy at hop 0).  The
-    root point ends exposed; its size is the optimum's cost, and it is
-    dropped from the optimum's mates, duals and blossoms, as are the
-    blossoms whose dual is zero."""
+def _rooted_solve(cost: Sequence[Sequence[int]], column: Sequence[int],
+                  state: DualState) -> list[int]:
+    """``exposure_sizes`` of the solve from ``state`` under weight -4 cost
+    on the ranks of ``cost`` and a root point, rank k, at costs ``column``."""
     k = len(cost)
-    state = greedy_start(cost, column)
     max_weight_matching(k + 1, itertools.chain(
         ((i, j, -4 * cost[i][j]) for i in range(k) for j in range(i + 1, k)),
         ((i, k, -4 * c) for i, c in enumerate(column))), state)
-    sizes = exposure_sizes(state)
+    return exposure_sizes(state)
+
+
+def rooted_optimum(cost: Sequence[Sequence[int]],
+                   column: Sequence[int]) -> tuple[DualState, list[int]]:
+    """A minimum-cost perfect matching on the ranks of ``cost``, on any
+    table, and the ``exposure_sizes`` of one near-perfect solve with a root
+    point, rank k, at costs ``column`` (a terminal's own row: a copy at hop
+    0), from ``greedy_start``.  The root point ends exposed; its size is the
+    optimum's cost, and it is dropped from the optimum's mates, duals and
+    blossoms, as are the blossoms whose dual is zero."""
+    k = len(cost)
+    state = greedy_start(cost, column)
+    sizes = _rooted_solve(cost, column, state)
     if state.mate.pop() != -1:
         raise InternalError("rooted solve left the root point matched")
     del state.dual[k]
@@ -682,40 +676,25 @@ def exposure_sizes(state: DualState) -> list[int]:
     return [(d - spent) // 8 for d in state.dual]
 
 
-def toggled_sizes(terminals: Sequence[int], cost: Sequence[Sequence[int]],
-                  optimum: DualState, root: int,
-                  column: Sequence[int] | None) -> dict[int, int]:
-    """nu((T ^ {root}) - {t}) for each t in T ^ {root}: T are the
-    ``terminals`` by rank, ``cost`` their hop table, ``optimum`` a
-    minimum-cost perfect matching on the ranks with even duals once each
-    blossom's z is added to its leaves' (read only), and ``column`` the
-    root's hops to them by rank, or None for a terminal root.
-
-    One near-perfect solve under weight -4 hop reads every toggle off its
-    duals (``exposure_sizes``).  It starts from the optimum's duals, each
-    blossom's z added to its leaves' (feasible, all even), and the
-    optimum's mates that stay tight, the root's mate exposed.
-    """
-    k = len(terminals)
+def toggled_sizes(cost: Sequence[Sequence[int]], optimum: DualState,
+                  column: Sequence[int]) -> list[int]:
+    """``rooted_optimum``'s sizes at a root point at costs ``column``, from
+    its ``optimum`` (read only): on a hop table nu((T ^ {root}) - {t}) per
+    rank t and the root point.  A terminal root at rank r passes
+    ``cost[r]``, a copy at hop 0: hops are metric, so a cheapest matching
+    exposing another rank pairs r with its copy, and r's size is nu.  The
+    search starts from the optimum's duals, each blossom's z added to its
+    leaves' (feasible, all even), its mates that stay tight, and the root
+    point exposed at the least feasible dual."""
     y = list(optimum.dual)
     for leaves, z in optimum.blossoms:
         for v in leaves:
             y[v] += z
-    tight = {a: b for a, b in enumerate(optimum.mate)
-             if y[a] + y[b] + 8 * cost[a][b] == 0}
-    rows = cost  # by rank; the root, if no terminal, is rank k
-    points = [a for a in range(k) if terminals[a] != root]
-    start = [y[a] for a in points]
-    if column is not None:
-        rows = [[*row, c] for row, c in zip(rows, column)]
-        start.append(max(-8 * column[a] - d for a, d in zip(points, start)))
-        points.append(k)  # last, so every pair's first point has a row
-    index, n = {a: i for i, a in enumerate(points)}, len(points)
-    state = DualState([index.get(tight.get(a), -1) for a in points], start)
-    max_weight_matching(n, [(i, j, -4 * rows[points[i]][points[j]])
-                            for i in range(n) for j in range(i + 1, n)], state)
-    verts = [*terminals, root]
-    return {verts[a]: size for a, size in zip(points, exposure_sizes(state))}
+    mate = [b if y[a] + y[b] + 8 * cost[a][b] == 0 else -1
+            for a, b in enumerate(optimum.mate)]
+    state = DualState([*mate, -1],
+                      [*y, max(-8 * c - d for c, d in zip(column, y))])
+    return _rooted_solve(cost, column, state)
 
 
 def is_factor_critical(graph: Graph) -> bool:
@@ -754,10 +733,15 @@ def _integral(w) -> bool:
         return False
 
 
+def _optimum(cost: Sequence[Sequence[int]]) -> DualState:
+    """The rooted optimum, its root a copy of rank 0; no points, no pairs."""
+    return rooted_optimum(cost, cost[0])[0] if cost else DualState([], [])
+
+
 def min_weight_perfect_matching_value(points: Sequence[int], weight: WeightFn) -> int:
     """Optimal total weight only (no canonical pairing)."""
     _, cost = _cost_table(points, weight)
-    return matched_total(cost, perfect_optimum(cost))
+    return matched_total(cost, _optimum(cost))
 
 
 def min_weight_perfect_matching(
@@ -771,4 +755,4 @@ def min_weight_perfect_matching(
     the tie-break of ``tight_pairing``.
     """
     pts, cost = _cost_table(points, weight)
-    return [(pts[i], pts[j]) for i, j in tight_pairing(cost, perfect_optimum(cost))]
+    return [(pts[i], pts[j]) for i, j in tight_pairing(cost, _optimum(cost))]

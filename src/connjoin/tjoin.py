@@ -10,9 +10,9 @@ on first use.  ``Graft.parts`` holds the sorted terminals of each component
 holding any; validation, the solve and the decision's split-T test read it.
 ``Graft.solved`` holds, per such component, the k × k hop table of its
 terminals (from k - 1 stopped searches) and what one near-perfect solve
-rooted at its smallest terminal gives (``rooted_optimum``): the optimum
-under weight -4 hop on the terminals with its duals, ν, and the k sizes
-that toggling the terminal set at that root and each terminal leaves.
+rooted at a copy of its smallest terminal at hop 0 gives (``rooted_optimum``):
+the optimum under weight -4 hop on the terminals with its duals, ν, and the
+k sizes that toggling the terminal set at that root and each terminal leaves.
 ``optimum_join`` realizes the optimum's own pairing, for the decision,
 distances and verifiers, whose output is join-independent; ``minimum_join``
 adds a tie-break solve for the canonical join that commands print.
@@ -96,7 +96,8 @@ class TerminalSolve:
     in rank order, the hop table by rank (``cost``), its minimum-cost perfect
     matching with vertex and blossom duals (``optimum``), ν, and per rank t
     the minimum join size with the terminal set toggled at rank 0 and t
-    (``sizes``; ν at rank 0), all from one solve rooted at rank 0."""
+    (``sizes``; ν at rank 0), all from one solve rooted at a copy of rank 0
+    at hop 0.  ``sizes`` stops before that root point's own size, ν."""
 
     terminals: tuple[int, ...]
     cost: list[list[int]] = field(repr=False)

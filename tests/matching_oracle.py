@@ -8,13 +8,16 @@ DP's reach: one blossom solve on the complete graph under the encoded
 lexicographic weights, without the library's tight-edge restriction.
 ``verify_optimum_by_chains`` is the solver's end-of-solve certificate as a
 per-edge walk down both ends' chains of enclosing blossoms, the reference
-for ``connjoin.matching.verify_optimum``.
+for ``connjoin.matching.verify_optimum``.  ``perfect_optimum`` is a perfect
+solve on the ranks alone, the reference optimum beside the library's
+rooted search (``connjoin.matching.rooted_optimum``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from connjoin import matching
 from connjoin.errors import InternalError, OracleScaleError, StructuralInputError
 from connjoin.matching import DualState, max_weight_matching
 
@@ -97,6 +100,20 @@ def min_weight_perfect_matching_encoded(
     mate = max_weight_matching(k, [(i, j, -w) for (i, j), w in encoded.items()],
                                DualState([-1] * k, [0] * k))
     return [(pts[i], pts[j]) for i, j in enumerate(mate) if i < j]
+
+
+def perfect_optimum(cost: Sequence[Sequence[int]]) -> DualState:
+    """An optimal state of the minimum-cost perfect matching on the ranks of
+    the symmetric table ``cost``: the maximum-weight perfect matching under
+    weight -4 cost, solved from ``greedy_start(cost)``.  Its duals are even
+    once each blossom's z is added to its leaves', so the state starts
+    ``toggled_sizes`` as it is.  The solver is read off the module, so a
+    test that patches ``matching.max_weight_matching`` sees this solve."""
+    k = len(cost)
+    state = matching.greedy_start(cost)
+    matching.max_weight_matching(k, [(i, j, -4 * cost[i][j]) for i in range(k)
+                                     for j in range(i + 1, k)], state)
+    return state
 
 
 def verify_optimum_by_chains(w2, dual, mate, blossomparent, blossomdual,

@@ -156,13 +156,13 @@ def test_warm_toggles_match_cold_solves_above_oracle_reach():
     for graft in grafts:
         join = minimum_join(graft)
         outside = min(set(range(graft.graph.n)) - graft.terminals)
-        for root in (min(graft.terminals), outside):
+        for root in (min(graft.terminals), max(graft.terminals), outside):
             pts, hop, base, sizes, dist = cold_distances(graft, root)
             solve = TerminalSolve.of(pts, [[hop[a][b] for b in pts] for a in pts])
-            column = None if root in pts else [hop[root][p] for p in pts]
+            column = [hop[root][p] for p in pts]  # a terminal's: a hop-0 copy
             assert solve.nu == base
-            assert toggled_sizes(pts, solve.cost, solve.optimum, root,
-                                 column) == sizes
+            assert dict(zip((*pts, root), toggled_sizes(
+                solve.cost, solve.optimum, column))) == {**sizes, root: base}
             assert f_distances(graft, join, root).dist == dist
 
 

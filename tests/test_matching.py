@@ -17,8 +17,8 @@ from connjoin.matching import (DualState, greedy_start, is_factor_critical,
                                matched_total, max_weight_matching,
                                min_weight_perfect_matching,
                                min_weight_perfect_matching_value,
-                               perfect_optimum, rooted_optimum, tight_pairing,
-                               toggled_sizes, verify_optimum)
+                               rooted_optimum, tight_pairing, toggled_sizes,
+                               verify_optimum)
 from connjoin.graph_core import Graph
 from connjoin.tjoin import (TerminalSolve, _hop_distances,
                             _shortest_path_edges, minimum_join, validate_graft)
@@ -26,7 +26,7 @@ from connjoin.tjoin import (TerminalSolve, _hop_distances,
 from conftest import sparse_graft
 from matching_oracle import (min_weight_perfect_matching_dp,
                              min_weight_perfect_matching_encoded,
-                             verify_optimum_by_chains)
+                             perfect_optimum, verify_optimum_by_chains)
 
 
 def brute_max_perfect_matching_value(n, weighted_edges):
@@ -103,6 +103,12 @@ def test_min_perfect_golden():
         [3, 1, 4, 8], lambda a, b: abs(a - b)) == 6
 
 
+def test_min_perfect_on_no_points():
+    # No rank 0 to copy as the root point: no pairs, at no cost.
+    assert min_weight_perfect_matching([], lambda a, b: 1) == []
+    assert min_weight_perfect_matching_value([], lambda a, b: 1) == 0
+
+
 def test_min_perfect_rejects_bad_input():
     with pytest.raises(StructuralInputError):
         min_weight_perfect_matching([1, 2, 3], lambda a, b: 1)
@@ -156,11 +162,11 @@ def test_tight_tie_break_equals_reference(half, data):
 
 
 # Solved from zero duals under weight -4 cost (the units of
-# ``perfect_optimum``), this table's optimum has the positive blossom
+# ``rooted_optimum``), this table's optimum has the positive blossom
 # {0, 2, 3}.  Its tight edges hold the perfect matching 01 24 35,
 # lexicographically first but of cost 4 > 3 = nu: it crosses the blossom
 # three times.  A tie-break that dropped the primary cost would return it.
-# The warm start of ``perfect_optimum`` reaches an optimum without that
+# The greedy start of ``rooted_optimum`` reaches an optimum without that
 # blossom, so the trap state is built by an explicit cold solve.
 BLOSSOM_TRAP = [[0, 2, 0, 1, 2, 3], [2, 0, 2, 3, 3, 0], [0, 2, 0, 1, 2, 3],
                 [1, 3, 1, 0, 3, 0], [2, 3, 2, 3, 0, 3], [3, 0, 3, 0, 3, 0]]
@@ -241,38 +247,44 @@ def test_minimum_join_equals_reference_pairing_above_oracle_reach():
         assert minimum_join(graft) == join
 
 
+def rooted_dp_sizes(cost, column):
+    """Per rank of ``cost`` and a root point, rank k, at costs ``column``:
+    the cheapest perfect matching of the other points, by the subset DP."""
+    k = len(cost)
+    table = [[*row, c] for row, c in zip(cost, column)] + [[*column, 0]]
+    return [min_weight_perfect_matching_dp(
+        [p for p in range(k + 1) if p != t], lambda a, b: table[a][b])[0]
+        for t in range(k + 1)]
+
+
 @given(st.integers(1, 6), st.booleans(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_warm_toggles_agree_with_dp(half, root_is_terminal, data):
-    # Terminals 0..k-1; the root is terminal 0 or the extra point k.
+    # Terminals 0..k-1 and the root point k: a copy of terminal k - 1 at
+    # hop 0, or a point that is no terminal.  From the stored optimum the
+    # search gives each point's cheapest perfect matching of the others.
+    # These tables are not metric, so a copy's sizes are no toggles here.
     k = 2 * half
     n = k + 1
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             table[a][b] = table[b][a] = data.draw(st.integers(0, 9))
-    terminals = list(range(k))
-    root = 0 if root_is_terminal else k
+    cost = [row[:k] for row in table[:k]]
+    column = cost[k - 1] if root_is_terminal else table[k][:k]
 
-    def weight(a, b):
-        return table[a][b]
-
-    solve = TerminalSolve.of(terminals, [row[:k] for row in table[:k]])
-    column = None if root_is_terminal else table[k][:k]
-    base = solve.nu
-    sizes = toggled_sizes(terminals, solve.cost, solve.optimum, root, column)
-    assert base == min_weight_perfect_matching_dp(terminals, weight)[0]
-    toggled = set(terminals) ^ {root}
-    assert set(sizes) == toggled
-    for t, size in sizes.items():
-        assert size == min_weight_perfect_matching_dp(
-            sorted(toggled - {t}), weight)[0]
+    solve = TerminalSolve.of(range(k), cost)
+    assert solve.nu == min_weight_perfect_matching_dp(
+        range(k), lambda a, b: table[a][b])[0]
+    assert toggled_sizes(cost, solve.optimum, column) == \
+        rooted_dp_sizes(cost, column)
 
 
 def test_stored_optimum_starts_the_toggle_search_as_it_is():
     # Costs 0..3 build positive blossoms in many base optima.  Folded into
     # the vertex duals they leave every dual even, so the optimum is a
-    # near-perfect start with exposed duals of one parity, unchanged.
+    # near-perfect start with exposed duals of one parity, unchanged, at a
+    # copy of a terminal or at a point that is no terminal.
     rng = random.Random(15)
     blossoms = 0
     for _ in range(200):
@@ -290,12 +302,9 @@ def test_stored_optimum_starts_the_toggle_search_as_it_is():
                 for v in leaves:
                     folded[v] += z
             assert all(d % 2 == 0 for d in folded)
-            for root, column in ((0, None), (k, table[k][:k])):
-                toggled = set(range(k)) ^ {root}
-                sizes = toggled_sizes(range(k), cost, optimum, root, column)
-                assert sizes == {t: min_weight_perfect_matching_dp(
-                    sorted(toggled - {t}), lambda a, b: table[a][b])[0]
-                    for t in toggled}
+            for column in (cost[0], cost[k - 1], table[k][:k]):
+                assert toggled_sizes(cost, optimum, column) == \
+                    rooted_dp_sizes(cost, column)
     assert blossoms > 0
 
 
@@ -444,8 +453,8 @@ def finished_states(monkeypatch, rng):
         cost = [row[:k] for row in table[:k]]
         optimum = perfect_optimum(cost)
         tight_pairing(cost, optimum)
-        toggled_sizes(range(k), cost, optimum, 0, None)
-        toggled_sizes(range(k), cost, optimum, k, table[k][:k])
+        toggled_sizes(cost, optimum, cost[0])
+        toggled_sizes(cost, optimum, table[k][:k])
         n = 2 * rng.randint(1, 7) + 1
         is_factor_critical(Graph(n, [tuple(rng.sample(range(n), 2))
                                      for _ in range(2 * n)]))
@@ -531,8 +540,8 @@ def odd_golden_solves(rng):
         k = len(table) - 1
         cost = [row[:k] for row in table[:k]]
         optimum = TerminalSolve.of(range(k), cost).optimum
-        toggled_sizes(range(k), cost, optimum, k - 1, None)
-        toggled_sizes(range(k), cost, optimum, k, table[k][:k])
+        toggled_sizes(cost, optimum, cost[k - 1])
+        toggled_sizes(cost, optimum, table[k][:k])
     for _ in range(150):
         n = 2 * rng.randint(1, 10) + 1
         is_factor_critical(Graph(n, [tuple(rng.sample(range(n), 2))
@@ -567,9 +576,10 @@ def test_even_solves_match_the_golden_digest(monkeypatch):
 
 
 def test_odd_solves_match_the_golden_digest(monkeypatch):
+    # A terminal root's toggle search solves k + 1 points, its copy at hop 0.
     assert solves_digest(monkeypatch, odd_golden_solves) == (
-        "6df29c34f29fb83c7fde2c1ef2670f91"
-        "8de604bb06bfa8fdd72e9ac648384250", 3 * 308 + 150)
+        "edfacd0398523b0ae39f85733f8ce433"
+        "c56d14d9a889a0dfd9ac21b4773dfe76", 3 * 308 + 150)
 
 
 def test_deep_blossoms_need_no_recursion():
