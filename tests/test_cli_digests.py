@@ -16,7 +16,7 @@ from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.graph_core import Graph
 from connjoin.tjoin import validate_graft
 
-from conftest import random_connected_graft
+from conftest import random_connected_graft, random_multigraft
 
 COMMANDS = ("check", "solve", "distances", "decompose", "verify")
 FORMATS = ("text", "json")
@@ -153,3 +153,31 @@ def depth_files(tmp_path_factory):
 def test_cli_output_at_depth_is_pinned(depth_files, command, capsys):
     runs = [[command, path, "--format", "json"] for path in depth_files]
     assert output_digest(runs, capsys) == DEPTH_DIGESTS[command]
+
+
+MULTI_Q_DIGEST = \
+    "2e458170ac1144b8be27a037e5456c8ec805e63320ff27ec327514fc0197d4a9"
+
+
+@pytest.fixture(scope="module")
+def multi_q_files(tmp_path_factory):
+    """(path, graft) of four primal and three tailed members and 20
+    multigrafts: from their terminal roots, 32 of the 154 decompositions
+    hold a layer component with several Q components."""
+    grafts = [gen_primal(3, 3, seed=s)[0].graft for s in range(4)]
+    grafts += [gen_tailed(2, 4, seed=s)[0] for s in range(3)]
+    grafts += [random_multigraft(seed) for seed in range(20)]
+    folder = tmp_path_factory.mktemp("multi_q")
+    files = []
+    for i, graft in enumerate(grafts):
+        path = folder / f"{i}.graft"
+        path.write_text(format_graft(graft))
+        files.append((str(path), graft))
+    return files
+
+
+def test_decompose_from_every_terminal_root_is_pinned(multi_q_files, capsys):
+    runs = [["decompose", path, "--root", str(root), "--format", "json"]
+            for path, g in multi_q_files for root in sorted(g.terminals)]
+    assert len(runs) == 154
+    assert output_digest(runs, capsys) == MULTI_Q_DIGEST
