@@ -106,8 +106,6 @@ def parse_graft(text: str) -> Graft:
         if kind == "t":
             if t_line is not None:
                 raise ParseError(idx, "duplicate terminal line")
-            if edges:
-                raise ParseError(idx, "terminal line must precede edge lines")
             t_line = idx
             for tok in tokens[1:]:
                 v = _int_token(tok, idx, "terminal")

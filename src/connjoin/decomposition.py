@@ -11,15 +11,15 @@ The components form a laminar merge forest, built by one upward union-find
 sweep into flat lists by build index (rank, top level, children, smallest
 vertex, parent); one sort assigns the ids, and the decomposition keeps the
 forest as columns by id: level, layer flag, top level (``a_set``), cap flag,
-beam, join root, Q and depth children, parent.  The decision reads the
-columns alone; the first read of ``components`` (the verifier, the JSON
-dump) builds one ``Component`` record per id from them.  Only top levels
-are stored, at most 2n vertex references in all; a record's ``vertices``
-and ``d_set`` walk the depth descendants on each read and are never
-stored.  A join edge leaves exactly the components below its ends' lowest
-common one, so beams take one pass over the join.  The build costs
-O(n + m) beside the union-find and the sorts, where storing every vertex
-set would cost n per level.
+beam, join root, Q and depth children, parent.  The decision, the
+verifier and the JSON dump read the columns alone; ``components`` builds
+one ``Component`` record per id from them on first read, for outside
+callers.  Only top levels are stored, at most 2n vertex references in all;
+a component's full vertex set is one walk down ``d_children`` (``_d_set``)
+on each read and is never stored.  A join edge leaves exactly the
+components below its ends' lowest common one, so beams take one pass over
+the join.  The build costs O(n + m) beside the union-find and the sorts,
+where storing every vertex set would cost n per level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
@@ -72,6 +72,8 @@ Q = "q"
 
 @dataclass(slots=True)  # not frozen: a frozen init takes 5x as long
 class Component:
+    """One id's columns as a record, for readers outside the library."""
+
     id: int
     level: int
     kind: str  # LAYER or Q
@@ -82,7 +84,7 @@ class Component:
     q_children: tuple[int, ...]  # same-level Q components (LAYER kind only)
     d_children: tuple[int, ...]  # layer components one level down
     parent: int | None  # the component one step up the sweep holding this one
-    _below: list[Component] = field(repr=False, compare=False)  # d_children
+    _forest: tuple = field(repr=False, compare=False)  # (a_set, d_children)
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -91,25 +93,8 @@ class Component:
 
     @property
     def d_set(self) -> frozenset[int]:
-        """Vertices strictly below ``level``: the depth descendants' top
-        levels, walked on each read without recursion."""
-        below: set[int] = set()
-        todo = list(self._below)
-        while todo:
-            comp = todo.pop()
-            below |= comp.a_set
-            todo += comp._below
-        return frozenset(below)
-
-    def to_json(self) -> dict:
-        doc = {k: getattr(self, k)
-               for k in ("id", "level", "kind", "is_cap", "beam", "f_root")}
-        below = self.d_set  # one walk serves both vertex lists
-        for k, v in (("vertices", self.a_set | below), ("a_set", self.a_set),
-                     ("d_set", below), ("q_children", self.q_children),
-                     ("d_children", self.d_children)):
-            doc[k] = sorted(v)
-        return doc
+        """Vertices strictly below ``level``, walked on each read."""
+        return _d_set(*self._forest, self.id)
 
 
 @dataclass(frozen=True)
@@ -134,41 +119,44 @@ class DistanceDecomposition:
     @cached_property
     def components(self) -> tuple[Component, ...]:
         """One record per id, built from the columns on first read."""
-        comps: list[Component] = []
-        for cid, (i, is_layer, top, cap, beam, f_root, qs, ds, up) in enumerate(
-                zip(self.level, self.is_layer, self.a_set, self.is_cap,
-                    self.beam, self.f_root, self.q_children, self.d_children,
-                    self.parent)):
-            comps.append(Component(  # positional: keywords triple the init
+        forest = self.a_set, self.d_children  # columns, not self: no cycle
+        return tuple([
+            Component(  # positional: keywords triple the init
                 cid, i, LAYER if is_layer else Q, top, cap, beam, f_root, qs,
-                ds, up, [comps[d] for d in ds]))
-        return tuple(comps)
-
-    def component(self, cid: int) -> Component:
-        return self.components[cid]
-
-    @property
-    def initial(self) -> Component:
-        return self.components[self.initial_id]
-
-    def layer_components(self, level: int | None = None) -> Iterator[Component]:
-        for c in self.components:
-            if c.kind == LAYER and (level is None or c.level == level):
-                yield c
-
-    def q_components(self, level: int | None = None) -> Iterator[Component]:
-        for c in self.components:
-            if c.kind == Q and (level is None or c.level == level):
-                yield c
+                ds, up, forest)
+            for cid, (i, is_layer, top, cap, beam, f_root, qs, ds, up)
+            in enumerate(zip(self.level, self.is_layer, self.a_set,
+                             self.is_cap, self.beam, self.f_root,
+                             self.q_children, self.d_children, self.parent))])
 
     def to_json(self) -> dict:
+        comps = []
+        for cid, top in enumerate(self.a_set):
+            # one walk serves both vertex lists
+            below = _d_set(self.a_set, self.d_children, cid)
+            comps.append({
+                "id": cid, "level": self.level[cid],
+                "kind": LAYER if self.is_layer[cid] else Q,
+                "is_cap": self.is_cap[cid], "beam": self.beam[cid],
+                "f_root": self.f_root[cid], "vertices": sorted(top | below),
+                "a_set": sorted(top), "d_set": sorted(below),
+                "q_children": list(self.q_children[cid]),
+                "d_children": list(self.d_children[cid])})
         return {"root": self.root, "interval": list(self.interval),
-                "components": [c.to_json() for c in self.components]}
+                "components": comps}
 
 
-def _rank(comp: Component) -> int:
-    """Sweep order, Q before layer: one more at each step up the forest."""
-    return 2 * comp.level + (comp.kind == LAYER)
+def _d_set(a_set: Sequence[frozenset[int]],
+           d_children: Sequence[tuple[int, ...]], cid: int) -> frozenset[int]:
+    """The vertices strictly below component ``cid``'s level: its depth
+    descendants' top levels, walked down ``d_children`` without recursion."""
+    below: set[int] = set()
+    todo = list(d_children[cid])
+    while todo:
+        d = todo.pop()
+        below |= a_set[d]
+        todo += d_children[d]
+    return frozenset(below)
 
 
 def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
@@ -210,8 +198,9 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
     graph, dist, nbrs = graft.graph, dm.dist, graft.graph.nbrs
     interval, levels = dm.interval(), dm.level_sets()
 
-    # Components by build index: rank (see ``_rank``), top-level vertices,
-    # children (the groups merged into it), smallest vertex and parent.
+    # Components by build index: rank (2·level, plus 1 on a layer component:
+    # one more at each step up the forest), top-level vertices, children
+    # (the groups merged into it), smallest vertex and parent.
     rank, top, kids, low, up = [], [], [], [], []
     uf = list(range(graph.n))
 
@@ -381,42 +370,45 @@ def verify_decomposition(
     """
     join = frozenset(join)
     _check_edge_ids(graft, join)
-    graph = graft.graph
-    comps = dd.components
-    home = {v: q.id for q in dd.q_components() for v in q.a_set}
-    leaving = _leaving(graph, join, home, dd.parent, [_rank(c) for c in comps])
+    graph, is_layer, is_cap = graft.graph, dd.is_layer, dd.is_cap
+    home = {v: q for q, top in enumerate(dd.a_set) if not is_layer[q]
+            for v in top}
+    leaving = _leaving(graph, join, home, dd.parent,
+                       [2 * i + layer for i, layer in zip(dd.level, is_layer)])
     out: list[Violation] = []
 
     def bad(cid: int | None, check: str, message: str) -> None:
         out.append(Violation(cid, check, message))
 
-    for comp in comps:
-        want = 0 if comp.is_cap else 1
-        if len(leaving[comp.id]) != want:
-            bad(comp.id, "beam-count", f"{len(leaving[comp.id])} join edges"
+    for cid, cap in enumerate(is_cap):
+        want = 0 if cap else 1
+        if len(leaving[cid]) != want:
+            bad(cid, "beam-count", f"{len(leaving[cid])} join edges"
                 f" leave the component, expected {want}")
 
+    layers = [cid for cid, layer in enumerate(is_layer) if layer]
     closed: set[int] = set()  # bottom-up: ids run up the levels
-    for comp in dd.layer_components():
-        if comp.is_cap:
+    for cid in layers:
+        if is_cap[cid]:
             continue
-        if _restriction_closes(graph, join, dd, comp, home, leaving, closed):
-            closed.add(comp.id)
+        if _restriction_closes(graph, join, dd, cid, home, leaving, closed):
+            closed.add(cid)
         else:
-            _check_restriction(graph, join, dd, comp, bad)
+            _check_restriction(graph, join, dd, cid, bad)
 
-    for comp in dd.layer_components():
-        if not (comp.is_cap and comp.level != 0) and comp.id not in closed:
-            _check_level_contraction(graph, join, dd, comp, bad)
+    for cid in layers:
+        if not (is_cap[cid] and dd.level[cid] != 0) and cid not in closed:
+            _check_level_contraction(graph, join, dd, cid, bad)
 
-    for comp in dd.q_components():
-        if not comp.is_cap and comp.d_children and comp.parent not in closed:
-            _check_depth_contraction(graph, join, dd, comp, home, leaving, bad)
+    for cid, layer in enumerate(is_layer):
+        if not (layer or is_cap[cid]) and dd.d_children[cid] \
+                and dd.parent[cid] not in closed:
+            _check_depth_contraction(graph, join, dd, cid, home, leaving, bad)
 
-    return DecompositionReport(tuple(out), len(comps))
+    return DecompositionReport(tuple(out), len(is_layer))
 
 
-def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
+def _restriction_closes(graph, join, dd, cid, home, leaving, closed) -> bool:
     """Whether the decomposition proves that ``_check_restriction`` and
     ``_check_level_contraction`` report nothing for the non-cap layer
     component C, nor ``_check_depth_contraction`` for its Q component, given
@@ -491,25 +483,25 @@ def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
     on A and >= -1 on teeth.  A route to x in A maps to H with its weight,
     0; one to w_D not passing D, then the beam, reaches D's tooth with
     weight -1.  So H is a strong comb rooted at f."""
-    comps, dist = dd.components, dd.distance_map.dist
-    level, top = comp.level, comp.a_set
-    if comp.f_root not in top or len(comp.q_children) != 1:
+    dist, parent = dd.distance_map.dist, dd.parent
+    level, top, f_root = dd.level[cid], dd.a_set[cid], dd.f_root[cid]
+    if f_root not in top or len(dd.q_children[cid]) != 1:
         return False
     ends = {}  # child -> its beam's outer end w_D
-    for d in comp.d_children:
-        child = comps[d]
-        if d not in closed or leaving[d] != [(child.beam, child.f_root)]:
+    for d in dd.d_children[cid]:
+        beam, f_d = dd.beam[d], dd.f_root[d]
+        if d not in closed or leaving[d] != [(beam, f_d)]:
             return False
-        u, v = graph.endpoints(child.beam)
-        ends[d] = v if u == child.f_root else u
+        u, v = graph.endpoints(beam)
+        ends[d] = v if u == f_d else u
         if ends[d] not in top:
             return False
     steps: dict[int, list[tuple[int, int]]] = {}  # vertex -> (vertex, child)
     for v in top:
         for u, e in zip(graph.nbrs[v], graph.eids[v]):
             if dist[u] == level - 1:
-                d = comps[home[u]].parent
-                if comps[comps[d].parent].parent != comp.id:
+                d = parent[home[u]]
+                if parent[parent[d]] != cid:
                     return False
                 if e not in join:  # a pass through d between v and w_D
                     steps.setdefault(v, []).append((ends[d], d))
@@ -519,9 +511,9 @@ def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
                     return False
             elif dist[u] != level + 1:
                 return False
-    came: dict[int, list[int | None]] = {comp.f_root: [None]}  # entered by
-    stack = [(comp.f_root, None, iter(steps.get(comp.f_root, ())))]
-    on_stack = {comp.f_root}
+    came: dict[int, list[int | None]] = {f_root: [None]}  # entered by
+    stack = [(f_root, None, iter(steps.get(f_root, ())))]
+    on_stack = {f_root}
     while stack:
         v, by, todo = stack[-1]
         for u, d in todo:
@@ -540,25 +532,26 @@ def _restriction_closes(graph, join, dd, comp, home, leaving, closed) -> bool:
         came[w] != [d] for d, w in ends.items())
 
 
-def _check_restriction(graph, join, dd, comp, bad) -> None:
+def _check_restriction(graph, join, dd, cid, bad) -> None:
     """The join restricted to a non-cap layer component must be a minimum
     join of the induced sub-graft, whose distances from the join root are
     the outer ones shifted by the root's level.  Vertices are read in
     order, so the smallest offending one is named."""
-    verts = sorted(comp.vertices)
+    verts = sorted(dd.a_set[cid] | _d_set(dd.a_set, dd.d_children, cid))
     image = {v: i for i, v in enumerate(verts)}
     sub, new_id = _contraction(graph, join, verts, image, len(verts))
     inner_join = frozenset(i for e, i in new_id.items() if e in join)
     if len(inner_join) != nu(sub):
-        bad(comp.id, "induced-join-minimality", f"restriction has"
+        bad(cid, "induced-join-minimality", f"restriction has"
             f" {len(inner_join)} edges, minimum is {nu(sub)}")
         return
-    inner_dm = f_distances(sub, inner_join, image[comp.f_root])
-    offset = dd.distance_map[comp.f_root]
+    f_root = dd.f_root[cid]
+    inner_dm = f_distances(sub, inner_join, image[f_root])
+    offset = dd.distance_map[f_root]
     for v in verts:
         inner = inner_dm[image[v]]
         if inner is None or dd.distance_map[v] != offset + inner:
-            bad(comp.id, "distance-projection",
+            bad(cid, "distance-projection",
                 f"vertex {v}: outer {dd.distance_map[v]} != "
                 f"{offset} + inner {inner}")
             return
@@ -584,68 +577,68 @@ def _contraction(graph: Graph, join: frozenset[int], top: Iterable[int],
             {e: i for i, e in enumerate(kept)})
 
 
-def _check_level_contraction(graph, join, dd, comp, bad) -> None:
+def _check_level_contraction(graph, join, dd, cid, bad) -> None:
     """Collapsing each same-level Q component of a layer component must give
     a factor-critical graft rooted at the join root's blob, on which the
     join's top-level edges form a near-perfect matching.  Those Q components
     meet only through edges inside the top level, so only these are read."""
-    blob = {v: i for i, q in enumerate(comp.q_children)
-            for v in dd.component(q).a_set}
-    contracted, new_id = _contraction(graph, join, comp.a_set, blob,
-                                      len(comp.q_children))
-    root_blob = blob[dd.root if comp.is_cap else comp.f_root]
+    top, qs = dd.a_set[cid], dd.q_children[cid]
+    blob = {v: i for i, q in enumerate(qs) for v in dd.a_set[q]}
+    contracted, new_id = _contraction(graph, join, top, blob, len(qs))
+    root_blob = blob[dd.root if dd.is_cap[cid] else dd.f_root[cid]]
     others = frozenset(range(contracted.n)) - {root_blob}
     if not is_factor_critical(contracted.graph):
-        bad(comp.id, "factor-critical-contraction",
+        bad(cid, "factor-critical-contraction",
             "level contraction is not factor-critical")
         return
     if contracted.terminals != others:
-        bad(comp.id, "factor-critical-contraction",
+        bad(cid, "factor-critical-contraction",
             "level contraction terminals differ from all-but-root")
         return
     nbrs, eids = graph.nbrs, graph.eids
-    top_join = {e for v in comp.a_set for u, e in zip(nbrs[v], eids[v])
+    top_join = {e for v in top for u, e in zip(nbrs[v], eids[v])
                 if u in blob and e in join}
     if top_join <= new_id.keys():  # else an edge vanished inside one blob
         ends = [x for e in top_join for x in contracted.graph.endpoints(new_id[e])]
         if len(ends) == len(others) and set(ends) == others:
             return
-    bad(comp.id, "near-perfect-matching",
+    bad(cid, "near-perfect-matching",
         "top-level join edges do not match all non-root blobs exactly once")
 
 
-def _check_depth_contraction(graph, join, dd, comp, home, leaving, bad) -> None:
+def _check_depth_contraction(graph, join, dd, cid, home, leaving, bad) -> None:
     """Collapsing each child of a non-cap Q component must give a strong comb
     rooted at the join root, whose minimum join is the set of child beams
     (the children's leaving edges).  A tooth met by other than one join edge
     is a child with a beam-count report already.  The graft is read from the
     top level: a lower neighbour lies in the child reached by climbing from
     its own-level Q component."""
-    top = sorted(comp.a_set)
+    level, parent = dd.level[cid], dd.parent
+    top = sorted(dd.a_set[cid])
     image = {v: i for i, v in enumerate(top)}
-    teeth = {c: len(top) + i for i, c in enumerate(comp.d_children)}
+    teeth = {c: len(top) + i for i, c in enumerate(dd.d_children[cid])}
     for v in top:
         for u in graph.nbrs[v]:
             du = dd.distance_map[u]  # None off the root's component: no child's
-            if du is not None and du < comp.level:
-                child = dd.component(home[u])
-                while _rank(child) < _rank(comp) - 1:
-                    child = dd.component(child.parent)
-                if child.parent == comp.id:
-                    image[u] = teeth[child.id]
+            if du is not None and du < level:
+                child = home[u]  # climbed to the layer component at level - 1
+                while dd.level[child] < level - 1 or not dd.is_layer[child]:
+                    child = parent[child]
+                if parent[child] == cid:
+                    image[u] = teeth[child]
     contracted, new_id = _contraction(graph, join, top, image,
                                       len(top) + len(teeth))
-    beams = [e for c in comp.d_children for e, _ in leaving[c]]
+    beams = [e for c in dd.d_children[cid] for e, _ in leaving[c]]
     if any(e not in new_id for e in beams):
-        bad(comp.id, "comb-join",
+        bad(cid, "comb-join",
             "a join edge leaves the depth set without staying inside "
             "the component")
         return
     mapped = frozenset(new_id[e] for e in beams)
-    if not is_strong_comb(contracted, image[comp.f_root], teeth.values()):
-        bad(comp.id, "strong-comb",
+    if not is_strong_comb(contracted, image[dd.f_root[cid]], teeth.values()):
+        bad(cid, "strong-comb",
             "depth contraction is not a strong comb")
         return
     if not (is_join(contracted, mapped) and len(mapped) == nu(contracted)):
-        bad(comp.id, "comb-join",
+        bad(cid, "comb-join",
             "child beams are not a minimum join of the depth contraction")

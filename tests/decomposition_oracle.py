@@ -39,9 +39,10 @@ def _bfs_components(graph, inside: set[int], skip) -> list[frozenset[int]]:
 
 
 def oracle_components(graft, join, root: int, dist) -> list[dict]:
-    """The components in id order, each as ``Component.to_json()`` plus its
-    ``parent`` id.  Raises AssertionError when a non-cap component is not
-    left by exactly one join edge, or a cap component by any."""
+    """The components in id order, each as ``DistanceDecomposition.to_json()``
+    dumps it plus its ``parent`` id.  Raises AssertionError when a non-cap
+    component is not left by exactly one join edge, or a cap component by
+    any."""
     graph = graft.graph
     join = frozenset(join)
     found = []  # (level, kind, vertices)

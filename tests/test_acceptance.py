@@ -53,7 +53,7 @@ def test_criterion_2_heads_equal_coverable(corpus, capsys):
         yes += 1
         dd = distance_decomposition(c.graft, minimum_join(c.graft),
                                     c.decision.root)
-        if c.decision.coverable != c.oracle.coverable & dd.initial.a_set:
+        if c.decision.coverable != c.oracle.coverable & dd.a_set[dd.initial_id]:
             bad.append(c.seed)
     report(capsys, "2 oracle-equivalence-coverable", not bad,
            f"{yes} yes-instances, {len(bad)} head-set mismatches "

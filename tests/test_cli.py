@@ -58,6 +58,12 @@ def test_format_preserves_edge_order():
     ("p graft 3 2\nt\ne 0 1\n", 3, "expected 2 edge lines"),
     ("p graft 3 1\ne 0 1\nt\n", 2, "before the terminal"),
     ("p graft 3 1\nt\nt\ne 0 1\n", 3, "duplicate terminal"),
+    ("p graft 3 1\nt\ne 0 1\nt\n", 4, "duplicate terminal"),
+    ("p graft 3 1\nt\ne 0\n", 3, "edge lines must be"),
+    ("p graft 3 1\nt\ne 0 7\n", 3, "endpoint outside"),
+    ("p graft 3 1\nt\ne 0 " + "1" * 40 + "\n", 3, "endpoint outside"),
+    ("p graft 3 1\nt\ne 0 x\n", 3, "ASCII decimal"),
+    ("p graft 1 0\n", 1, "missing terminal line"),
     ("p graft 3 1\nt\ne 1 1\n", 3, "loop"),
     ("p graft 3 1\nt\ne  0 1\n", 3, "single spaces"),
     ("p graft 3 1\nt\n\ne 0 1\n", 3, "blank"),
@@ -131,6 +137,12 @@ def test_distances_text_and_root(tmp_path, capsys):
     code, out, _ = run(capsys, ["distances", write(tmp_path, c4),
                                 "--root", "2", "--format", "json"])
     assert json.loads(out) == {"root": 2, "distances": [-2, -1, 0, -1]}
+
+
+def test_distances_root_outside_the_graph_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "p graft 2 1\nt\ne 0 1\n")
+    code, out, err = run(capsys, ["distances", path, "--root", "9"])
+    assert (code, out, err) == (2, "", "error: root 9 is outside the graph\n")
 
 
 def test_distances_unreachable(tmp_path, capsys):

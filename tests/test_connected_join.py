@@ -12,7 +12,7 @@ from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      construct_join, decide, head_set,
                                      is_eligible)
 from connjoin.constructive import gen_primal, gen_tailed
-from connjoin.decomposition import distance_decomposition
+from connjoin.decomposition import distance_decomposition, verify_decomposition
 from connjoin.errors import NoJoinError, StructuralInputError
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
@@ -186,7 +186,7 @@ def test_heads_equal_coverable_top_slice(corpus):
         if d.answer:
             dm = distance_decomposition(
                 case.graft, minimum_join(case.graft), d.root)
-            top = dm.initial.a_set
+            top = dm.a_set[dm.initial_id]
             assert d.coverable == case.oracle.coverable & top, f"seed {case.seed}"
 
 
@@ -218,7 +218,9 @@ def spine(length, legs=0, seed=0):
 
 
 def test_the_decision_builds_no_component_record():
-    # is_eligible, head_set and construct_join read the columns by id
+    # is_eligible, head_set and construct_join read the columns by id, and
+    # so do the verifier, under a valid join or one with an edge flipped, and
+    # the JSON dump
     witness, _ = gen_primal(3, 3, seed=1)
     for graft, root in ((spine(300, 150, seed=7), 0),
                         (witness.graft, witness.root)):
@@ -228,6 +230,12 @@ def test_the_decision_builds_no_component_record():
         heads = head_set(graft, dd, verdict)
         built = construct_join(graft, dd, heads, min(heads[dd.initial_id]))
         assert len(built) == len(join)
+        assert "components" not in vars(dd)
+        assert verify_decomposition(graft, join, dd).ok
+        assert "components" not in vars(dd)
+        assert not verify_decomposition(graft, join ^ {min(join)}, dd).ok
+        assert "components" not in vars(dd)
+        dd.to_json()
         assert "components" not in vars(dd)
         assert len(dd.components) == len(dd.level)  # built on first read
         assert "components" in vars(dd)

@@ -51,12 +51,12 @@ def test_p3_structure_golden():
              "f_root": None, "q_children": [], "d_children": [2]},
         ],
     }
-    assert dd.initial.vertices == frozenset({0, 1, 2})
+    assert dd.components[dd.initial_id].vertices == frozenset({0, 1, 2})
 
 
 def test_layers_are_cumulative():
     dd = distance_decomposition(C4, minimum_join(C4), 0)
-    by_level = {c.level: c for c in dd.layer_components()}
+    by_level = {c.level: c for c in dd.components if c.kind == "layer"}
     assert by_level[-2].vertices == frozenset({2})
     assert by_level[-1].vertices == frozenset({1, 2, 3})
     assert by_level[0].vertices == frozenset({0, 1, 2, 3})
@@ -115,7 +115,7 @@ def test_verify_reports_non_minimum_restriction():
     found = [v for v in rep.violations if v.check == "induced-join-minimality"]
     assert [(v.component_id, v.message) for v in found] == [
         (4, "restriction has 3 edges, minimum is 2")]
-    assert dd.component(4).f_root is not None
+    assert dd.components[4].f_root is not None
 
 
 def test_verify_reports_a_level_contraction_that_is_not_factor_critical():
@@ -128,7 +128,7 @@ def test_verify_reports_a_level_contraction_that_is_not_factor_critical():
     a = validate_graft(Graph(5, edges), {0, 2, 3, 4})
     join = minimum_join(a)
     dd = distance_decomposition(a, join, 0)
-    assert [sorted(dd.component(q).a_set) for q in dd.component(2).q_children] \
+    assert [sorted(dd.a_set[q]) for q in dd.q_children[2]] \
         == [[0, 1], [2], [4]]
     assert verify_decomposition(a, join, dd).ok
     edges[1] = (1, 0)
@@ -149,8 +149,8 @@ def test_verify_reports_child_beams_that_are_not_a_minimum_join():
     join = minimum_join(graft)
     assert join == {0, 2}
     dd = distance_decomposition(graft, join, 3)
-    assert (dd.component(3).a_set, dd.component(3).d_children) == ({0, 2}, (0,))
-    assert dd.component(0).a_set == {1}
+    assert (dd.a_set[3], dd.d_children[3]) == ({0, 2}, (0,))
+    assert dd.a_set[0] == {1}
     assert verify_decomposition(graft, {1, 2, 3}, dd).to_json() == {
         "ok": False, "components_checked": 6, "violations": [
             {"component_id": 2, "check": "induced-join-minimality",
@@ -211,8 +211,9 @@ def test_verify_builds_only_the_cap_level_contraction(monkeypatch, family):
                         lambda *args: calls.append(args) or contract(*args))
     work = count_work(monkeypatch)
     assert verify_decomposition(graft, join, dd).ok
-    assert [args[2] for args in calls] == [dd.initial.a_set]
-    assert all(len(c.q_children) == 1 for c in dd.layer_components())
+    assert [args[2] for args in calls] == [dd.a_set[dd.initial_id]]
+    assert all(len(qs) == 1
+               for qs, layer in zip(dd.q_children, dd.is_layer) if layer)
     assert work["solves"] == 0
 
 
@@ -226,29 +227,28 @@ def certified(monkeypatch):
     depth contraction check on its one Q component if that has children."""
     ran, check = set(), decomposition._check_restriction
     monkeypatch.setattr(decomposition, "_check_restriction",
-                        lambda *args: ran.add(args[3].id) or check(*args))
+                        lambda *args: ran.add(args[3]) or check(*args))
 
     def certified(graft, join, dd):
         ran.clear()
         verify_decomposition(graft, join, dd)
         graph, join, comps = graft.graph, frozenset(join), dd.components
-        home = {v: q.id for q in dd.q_components() for v in q.a_set}
+        home = {v: q.id for q in comps if q.kind == "q" for v in q.a_set}
         leaving = decomposition._leaving(
             graph, join, home, [c.parent for c in comps],
-            [decomposition._rank(c) for c in comps])
+            [2 * c.level + (c.kind == "layer") for c in comps])
         out = []
-        for comp in dd.layer_components():
-            if not (comp.is_cap or comp.id in ran):
+        for comp in comps:
+            if comp.kind == "layer" and not (comp.is_cap or comp.id in ran):
                 found = []
                 report = lambda *v: found.append(v)
-                check(graph, join, dd, comp, report)
+                check(graph, join, dd, comp.id, report)
                 decomposition._check_level_contraction(
-                    graph, join, dd, comp, report)
+                    graph, join, dd, comp.id, report)
                 q, = comp.q_children
-                if dd.component(q).d_children:  # non-cap, as comp is
+                if comps[q].d_children:  # non-cap, as comp is
                     decomposition._check_depth_contraction(
-                        graph, join, dd, dd.component(q), home, leaving,
-                        report)
+                        graph, join, dd, q, home, leaving, report)
                 out.append((comp, found))
         return out
     return certified
@@ -281,7 +281,7 @@ def test_certificate_closes_every_restriction_check_of_a_valid_join(
         dd = distance_decomposition(graft, join, root)
         closed = certified(graft, join, dd)
         assert [comp.id for comp, _ in closed] == [
-            c.id for c in dd.layer_components() if not c.is_cap]
+            c.id for c in dd.components if c.kind == "layer" and not c.is_cap]
         assert all(found == [] for _, found in closed)
 
 
@@ -320,7 +320,7 @@ def test_certificate_needs_a_route_around_each_child_to_its_beam():
     a = validate_graft(Graph(6, edges), {1, 2, 4, 5})
     join = minimum_join(a)
     dd = distance_decomposition(a, join, 1)
-    comp = dd.component(4)
+    comp = dd.components[4]
     assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
         [0, 3, 4], 0, (0, 2))
     assert verify_decomposition(a, join, dd).ok
@@ -344,7 +344,7 @@ def test_certificate_routes_never_revisit_a_top_vertex():
     a = validate_graft(Graph(8, edges), {0, 1, 3, 5, 6, 7})
     join = frozenset({0, 1, 2, 3})
     dd = distance_decomposition(a, join, 0)
-    comp = dd.component(6)
+    comp = dd.components[6]
     assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
         [1, 2, 3, 4], 1, (0, 2, 4))
     assert verify_decomposition(a, join, dd).ok
@@ -369,7 +369,7 @@ def test_certificate_needs_one_q_component():
     join = optimum_join(graft)
     assert join == {0, 1, 2, 6}
     dd = distance_decomposition(graft, join, 2)
-    assert (sorted(dd.component(4).a_set), dd.component(4).q_children) == (
+    assert (sorted(dd.a_set[4]), dd.q_children[4]) == (
         [0, 4, 5, 6, 7], (5, 6, 7))
     edges = list(graft.graph.edges)
     edges[5], edges[8] = (6, 1), (7, 1)
@@ -516,7 +516,7 @@ def test_distance_projection_names_the_smallest_offending_vertex(
     graft, root, _ = gen_tailed(2, 4, seed=seed)
     join = optimum_join(graft) ^ circuit
     dd = distance_decomposition(graft, optimum_join(graft), root)
-    comp = dd.component(comp_id)
+    comp = dd.components[comp_id]
     verts = sorted(comp.vertices)
     sub, _, inner_join, image = induced(graft.graph, join, verts)
     offset = dd.distance_map[comp.f_root]
@@ -633,17 +633,20 @@ def test_outputs_are_the_same_for_every_minimum_join(corpus):
 
 
 def assert_matches_oracle(graft, root, dist=None):
-    """Every component and its parent equal the BFS oracle's, and every
-    column the records' fields; ``dist`` defaults to the decomposition's own
-    distance map."""
+    """Every component and its parent equal the BFS oracle's, every column
+    the records' fields, and every record's vertex sets the dumped ones;
+    ``dist`` defaults to the decomposition's own distance map."""
     join = minimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     if dist is None:
         dist = dd.distance_map.dist
     assert list(dd.distance_map.dist) == list(dist)
-    got = [dict(c.to_json(), parent=c.parent) for c in dd.components]
+    got = [dict(doc, parent=up)
+           for doc, up in zip(dd.to_json()["components"], dd.parent)]
     assert got == oracle_components(graft, join, root, dist)
     assert_columns_match_records(dd)
+    assert [(sorted(c.vertices), sorted(c.d_set)) for c in dd.components] \
+        == [(doc["vertices"], doc["d_set"]) for doc in got]
 
 
 def assert_columns_match_records(dd):
@@ -705,7 +708,8 @@ def test_ids_follow_the_smallest_vertex_not_the_level_set_order():
     graft = validate_graft(Graph(9, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5),
                                      (3, 6), (1, 7), (6, 8)]), {1, 2, 5, 6})
     dd = distance_decomposition(graft, minimum_join(graft), 1)
-    assert [sorted(c.a_set) for c in dd.layer_components(-2)] == [[3, 8], [5]]
+    assert [sorted(c.a_set) for c in dd.components
+            if (c.level, c.kind) == (-2, "layer")] == [[3, 8], [5]]
     assert_matches_oracle(graft, 1)
 
 
