@@ -14,9 +14,9 @@ from .constructive import (ConstructionRecipe, GluingMaps, PrimalWitness,
                            attach_tail, gen_primal, gen_rake, gen_tailed,
                            gluing_sum, is_primal, is_rake, replay,
                            replay_witness)
-from .decomposition import (Component, DecompositionReport,
-                            DistanceDecomposition, Violation,
-                            distance_decomposition, verify_decomposition)
+from .decomposition import (DecompositionReport, DistanceDecomposition,
+                            Violation, distance_decomposition,
+                            verify_decomposition)
 from .distances import UNREACHABLE, DistanceMap, f_distances, f_weight
 from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
                      OracleScaleError, ParseError, StructuralInputError,
@@ -39,7 +39,6 @@ __all__ = [
     "DistanceMap",
     "f_weight",
     "f_distances",
-    "Component",
     "DistanceDecomposition",
     "DecompositionReport",
     "Violation",

@@ -11,10 +11,8 @@ The components form a laminar merge forest, built by one upward union-find
 sweep into flat lists by build index (rank, top level, children, smallest
 vertex, parent); one sort assigns the ids, and the decomposition keeps the
 forest as columns by id: level, layer flag, top level (``a_set``), cap flag,
-beam, join root, Q and depth children, parent.  The decision, the
-verifier and the JSON dump read the columns alone; ``components`` builds
-one ``Component`` record per id from them on first read, for outside
-callers.  Only top levels are stored, at most 2n vertex references in all;
+beam, join root, Q and depth children, parent.  Every reader reads the
+columns.  Only top levels are stored, at most 2n vertex references in all;
 a component's full vertex set is one walk down ``d_children`` (``_d_set``)
 on each read and is never stored.  A join edge leaves exactly the
 components below its ends' lowest common one, so beams take one pass over
@@ -56,7 +54,6 @@ from .matching import is_factor_critical
 from .tjoin import Graft, _check_edge_ids, is_join, nu, optimum_join
 
 __all__ = [
-    "Component",
     "DistanceDecomposition",
     "DecompositionReport",
     "Violation",
@@ -70,64 +67,42 @@ LAYER = "layer"
 Q = "q"
 
 
-@dataclass(slots=True)  # not frozen: a frozen init takes 5x as long
-class Component:
-    """One id's columns as a record, for readers outside the library."""
+@dataclass(slots=True)
+class _Component:
+    """One id's vertex set, walked down ``d_children`` on each read."""
 
     id: int
-    level: int
-    kind: str  # LAYER or Q
-    a_set: frozenset[int]  # vertices exactly at `level`
-    is_cap: bool  # contains the decomposition root
-    beam: int | None  # the unique join edge leaving a non-cap component
-    f_root: int | None  # the beam's endpoint inside the component
-    q_children: tuple[int, ...]  # same-level Q components (LAYER kind only)
-    d_children: tuple[int, ...]  # layer components one level down
-    parent: int | None  # the component one step up the sweep holding this one
     _forest: tuple = field(repr=False, compare=False)  # (a_set, d_children)
 
     @property
     def vertices(self) -> frozenset[int]:
-        """The component's vertices, walked on each read."""
-        return self.a_set | self.d_set
-
-    @property
-    def d_set(self) -> frozenset[int]:
-        """Vertices strictly below ``level``, walked on each read."""
-        return _d_set(*self._forest, self.id)
+        a_set, d_children = self._forest
+        return a_set[self.id] | _d_set(a_set, d_children, self.id)
 
 
 @dataclass(frozen=True)
 class DistanceDecomposition:
-    """The components as columns indexed by id, named and typed as the
-    ``Component`` fields they fill (``is_layer`` fills ``kind``)."""
+    """The components as columns indexed by id."""
 
     root: int
     distance_map: DistanceMap
     interval: range
     initial_id: int
     level: tuple[int, ...]
-    is_layer: tuple[bool, ...]
-    a_set: tuple[frozenset[int], ...]
-    is_cap: tuple[bool, ...]
-    beam: tuple[int | None, ...]
-    f_root: tuple[int | None, ...]
-    q_children: tuple[tuple[int, ...], ...]
-    d_children: tuple[tuple[int, ...], ...]
-    parent: tuple[int | None, ...]
+    is_layer: tuple[bool, ...]  # a layer component, else a Q component
+    a_set: tuple[frozenset[int], ...]  # vertices exactly at `level`
+    is_cap: tuple[bool, ...]  # contains the decomposition root
+    beam: tuple[int | None, ...]  # the one join edge leaving a non-cap one
+    f_root: tuple[int | None, ...]  # the beam's endpoint inside
+    q_children: tuple[tuple[int, ...], ...]  # same-level Q components (layer)
+    d_children: tuple[tuple[int, ...], ...]  # layer components one level down
+    parent: tuple[int | None, ...]  # one step up the sweep
 
     @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """One record per id, built from the columns on first read."""
+    def components(self) -> tuple[_Component, ...]:
+        """One vertex view per id, built on first read."""
         forest = self.a_set, self.d_children  # columns, not self: no cycle
-        return tuple([
-            Component(  # positional: keywords triple the init
-                cid, i, LAYER if is_layer else Q, top, cap, beam, f_root, qs,
-                ds, up, forest)
-            for cid, (i, is_layer, top, cap, beam, f_root, qs, ds, up)
-            in enumerate(zip(self.level, self.is_layer, self.a_set,
-                             self.is_cap, self.beam, self.f_root,
-                             self.q_children, self.d_children, self.parent))])
+        return tuple([_Component(cid, forest) for cid in range(len(self.level))])
 
     def to_json(self) -> dict:
         comps = []

@@ -620,10 +620,10 @@ def tight_pairing(
     B = k * k + 1
     scale = B ** (k + 1)
     pow_b = [B ** (k - i) for i in range(k)]
-    mate = max_weight_matching(k, [
+    mate = max_weight_matching(k, (
         (i, j, -(cost[i][j] * scale + pow_b[i] * j))
         for i in range(k) for j in range(i + 1, k)
-        if y[i] + y[j] + 8 * cost[i][j] <= 0],
+        if y[i] + y[j] + 8 * cost[i][j] <= 0),
         DualState([-1] * k, [0] * k))
     pairs = [(i, j) for i, j in enumerate(mate) if i < j]
     if sum(cost[i][j] for i, j in pairs) != matched_total(cost, optimum):

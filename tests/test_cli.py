@@ -12,7 +12,8 @@ import connjoin
 from connjoin import graph_core
 from connjoin.cli import format_graft, main, parse_graft
 from connjoin.constructive import replay, ConstructionRecipe
-from connjoin.errors import ParseError
+from connjoin.decomposition import DecompositionReport, Violation
+from connjoin.errors import InternalError, ParseError, TheoremViolationError
 from connjoin.graph_core import Graph
 from connjoin.tjoin import validate_graft
 
@@ -167,6 +168,40 @@ def test_verify_ok(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", write(tmp_path, P3_TEXT),
                                 "--format", "json"])
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_prints_one_line_per_violation_and_exits_1(
+        tmp_path, capsys, monkeypatch):
+    report = DecompositionReport(
+        (Violation(4, "strong-comb", "depth contraction is not a strong comb"),),
+        6)
+    monkeypatch.setattr("connjoin.cli.verify_decomposition",
+                        lambda *args: report)
+    path = write(tmp_path, P3_TEXT)
+    assert run(capsys, ["verify", path]) == (
+        1, "violation 4 strong-comb depth contraction is not a strong comb\n",
+        "")
+    code, out, err = run(capsys, ["verify", path, "--format", "json"])
+    assert (code, err) == (1, "")
+    assert out == json.dumps({
+        "components_checked": 6, "ok": False, "violations": [
+            {"check": "strong-comb", "component_id": 4,
+             "message": "depth contraction is not a strong comb"}]},
+        indent=2) + "\n"
+
+
+@pytest.mark.parametrize("error", [InternalError, TheoremViolationError])
+@pytest.mark.parametrize("command,target", [
+    ("check", "connjoin.cli.decide"),
+    ("decompose", "connjoin.cli.distance_decomposition"),
+])
+def test_library_faults_are_internal_errors_exit_2(
+        tmp_path, capsys, monkeypatch, error, command, target):
+    def fail(*args, **kwargs):
+        raise error("a broken invariant")
+    monkeypatch.setattr(target, fail)
+    assert run(capsys, [command, write(tmp_path, P3_TEXT)]) == (
+        2, "", "internal error: a broken invariant\n")
 
 
 def test_oracle_json(tmp_path, capsys):

@@ -159,9 +159,9 @@ def test_multiple_q_components_names_the_smallest_offender(corpus):
             if verdict.failure_reason != MULTIPLE_Q_COMPONENTS:
                 assert verdict.component_id is None
                 continue
-            offenders = [c.id for c in dd.components if c.kind == "layer"
-                         and (c.id == dd.initial_id or not c.is_cap)
-                         and len(c.q_children) > 1]
+            offenders = [cid for cid, qs in enumerate(dd.q_children)
+                         if (cid == dd.initial_id or not dd.is_cap[cid])
+                         and len(qs) > 1]
             assert verdict.component_id == offenders[0], f"seed {case.seed}"
             verdicts += 1
             several += len(offenders) > 1

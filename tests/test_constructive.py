@@ -238,12 +238,12 @@ def test_gen_primal_decomposition_echo():
         graft = witness.graft
         join = minimum_join(graft)
         dd = distance_decomposition(graft, join, witness.root)
-        initial = dd.components[dd.initial_id]
-        assert initial.vertices == frozenset(range(graft.graph.n))
-        assert len(initial.q_children) == 1
-        if not initial.d_children:
+        initial = dd.initial_id
+        assert dd.components[initial].vertices == frozenset(range(graft.graph.n))
+        assert len(dd.q_children[initial]) == 1
+        if not dd.d_children[initial]:
             continue
-        blobs = [dd.components[c].vertices for c in initial.d_children]
+        blobs = [dd.components[c].vertices for c in dd.d_children[initial]]
         contracted, label = contract_blobs(graft, blobs)
         head = label[witness.root]
         teeth = {label[min(b)] for b in blobs}

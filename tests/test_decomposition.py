@@ -56,11 +56,13 @@ def test_p3_structure_golden():
 
 def test_layers_are_cumulative():
     dd = distance_decomposition(C4, minimum_join(C4), 0)
-    by_level = {c.level: c for c in dd.components if c.kind == "layer"}
-    assert by_level[-2].vertices == frozenset({2})
-    assert by_level[-1].vertices == frozenset({1, 2, 3})
-    assert by_level[0].vertices == frozenset({0, 1, 2, 3})
-    assert dd.initial_id == by_level[0].id
+    by_level = {i: c for c, (i, layer) in enumerate(zip(dd.level, dd.is_layer))
+                if layer}
+    vertices = [c.vertices for c in dd.components]
+    assert vertices[by_level[-2]] == frozenset({2})
+    assert vertices[by_level[-1]] == frozenset({1, 2, 3})
+    assert vertices[by_level[0]] == frozenset({0, 1, 2, 3})
+    assert dd.initial_id == by_level[0]
 
 
 def test_root_validation():
@@ -115,7 +117,7 @@ def test_verify_reports_non_minimum_restriction():
     found = [v for v in rep.violations if v.check == "induced-join-minimality"]
     assert [(v.component_id, v.message) for v in found] == [
         (4, "restriction has 3 edges, minimum is 2")]
-    assert dd.components[4].f_root is not None
+    assert dd.f_root[4] is not None
 
 
 def test_verify_reports_a_level_contraction_that_is_not_factor_critical():
@@ -220,8 +222,9 @@ def test_verify_builds_only_the_cap_level_contraction(monkeypatch, family):
 @pytest.fixture
 def certified(monkeypatch):
     """``certified(graft, join, dd)`` verifies ``join`` against ``dd`` and
-    lists the non-cap layer components whose restriction check closed by
-    its certificate (``_check_restriction`` did not run on them), each with
+    lists the ids of the non-cap layer components whose restriction check
+    closed by its certificate (``_check_restriction`` did not run on them),
+    each with
     what the checks the certificate discharges report when run directly:
     the restriction and level contraction checks on the component, and the
     depth contraction check on its one Q component if that has children."""
@@ -232,26 +235,33 @@ def certified(monkeypatch):
     def certified(graft, join, dd):
         ran.clear()
         verify_decomposition(graft, join, dd)
-        graph, join, comps = graft.graph, frozenset(join), dd.components
-        home = {v: q.id for q in comps if q.kind == "q" for v in q.a_set}
+        graph, join = graft.graph, frozenset(join)
+        home = {v: q for q, top in enumerate(dd.a_set) if not dd.is_layer[q]
+                for v in top}
         leaving = decomposition._leaving(
-            graph, join, home, [c.parent for c in comps],
-            [2 * c.level + (c.kind == "layer") for c in comps])
+            graph, join, home, dd.parent,
+            [2 * i + layer for i, layer in zip(dd.level, dd.is_layer)])
         out = []
-        for comp in comps:
-            if comp.kind == "layer" and not (comp.is_cap or comp.id in ran):
+        for cid in non_cap_layers(dd):
+            if cid not in ran:
                 found = []
                 report = lambda *v: found.append(v)
-                check(graph, join, dd, comp.id, report)
+                check(graph, join, dd, cid, report)
                 decomposition._check_level_contraction(
-                    graph, join, dd, comp.id, report)
-                q, = comp.q_children
-                if comps[q].d_children:  # non-cap, as comp is
+                    graph, join, dd, cid, report)
+                q, = dd.q_children[cid]
+                if dd.d_children[q]:  # non-cap, as cid is
                     decomposition._check_depth_contraction(
                         graph, join, dd, q, home, leaving, report)
-                out.append((comp, found))
+                out.append((cid, found))
         return out
     return certified
+
+
+def non_cap_layers(dd):
+    """The ids of the non-cap layer components, in id order."""
+    return [cid for cid, (layer, cap) in enumerate(zip(dd.is_layer, dd.is_cap))
+            if layer and not cap]
 
 
 def family_members(family, count):
@@ -280,8 +290,7 @@ def test_certificate_closes_every_restriction_check_of_a_valid_join(
         join = optimum_join(graft)
         dd = distance_decomposition(graft, join, root)
         closed = certified(graft, join, dd)
-        assert [comp.id for comp, _ in closed] == [
-            c.id for c in dd.components if c.kind == "layer" and not c.is_cap]
+        assert [cid for cid, _ in closed] == non_cap_layers(dd)
         assert all(found == [] for _, found in closed)
 
 
@@ -295,8 +304,8 @@ def test_certificate_closes_only_clean_restriction_checks(corpus, certified):
         join = minimum_join(graft)
         dd = distance_decomposition(graft, join, min(graft.terminals, default=0))
         for circuit in [frozenset()] + enumerate_circuits(graft.graph):
-            for comp, found in certified(graft, join ^ circuit, dd):
-                assert found == [], (case.seed, sorted(circuit), comp.id)
+            for cid, found in certified(graft, join ^ circuit, dd):
+                assert found == [], (case.seed, sorted(circuit), cid)
                 closes += 1
     assert closes > 8000  # 8,875 of the 10,344 checks
     for family in ("primal", "tailed"):
@@ -306,8 +315,8 @@ def test_certificate_closes_only_clean_restriction_checks(corpus, certified):
             rng = random.Random(graft.n)
             for _ in range(8):
                 flips = frozenset(rng.sample(range(graft.m), 2))
-                for comp, found in certified(graft, join ^ flips, dd):
-                    assert found == [], (family, graft.n, sorted(flips), comp.id)
+                for cid, found in certified(graft, join ^ flips, dd):
+                    assert found == [], (family, graft.n, sorted(flips), cid)
 
 
 def test_certificate_needs_a_route_around_each_child_to_its_beam():
@@ -320,8 +329,7 @@ def test_certificate_needs_a_route_around_each_child_to_its_beam():
     a = validate_graft(Graph(6, edges), {1, 2, 4, 5})
     join = minimum_join(a)
     dd = distance_decomposition(a, join, 1)
-    comp = dd.components[4]
-    assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
+    assert (sorted(dd.a_set[4]), dd.f_root[4], dd.d_children[4]) == (
         [0, 3, 4], 0, (0, 2))
     assert verify_decomposition(a, join, dd).ok
     edges[3] = (2, 0)
@@ -344,8 +352,7 @@ def test_certificate_routes_never_revisit_a_top_vertex():
     a = validate_graft(Graph(8, edges), {0, 1, 3, 5, 6, 7})
     join = frozenset({0, 1, 2, 3})
     dd = distance_decomposition(a, join, 0)
-    comp = dd.components[6]
-    assert (sorted(comp.a_set), comp.f_root, comp.d_children) == (
+    assert (sorted(dd.a_set[6]), dd.f_root[6], dd.d_children[6]) == (
         [1, 2, 3, 4], 1, (0, 2, 4))
     assert verify_decomposition(a, join, dd).ok
     edges[7] = (2, 7)
@@ -413,8 +420,8 @@ def test_certificate_checks_its_premises(corpus, certified):
         for _ in range(6):
             other = rewired(graft, rng)
             flips = frozenset(rng.sample(range(graft.m), min(2, graft.m)))
-            for comp, found in certified(other, join ^ flips, dd):
-                assert found == [], (other.graph.edges, sorted(flips), comp.id)
+            for cid, found in certified(other, join ^ flips, dd):
+                assert found == [], (other.graph.edges, sorted(flips), cid)
                 closes += 1
     assert closes > 4000  # 5,078
 
@@ -462,14 +469,18 @@ def test_verify_reports_a_join_edge_leaving_the_root_component():
 @pytest.mark.parametrize("family", ["path", "primal"])
 def test_vertex_sets_are_never_stored(family):
     # Only the top levels are held (at most 2n references), also after the
-    # verifier and the JSON dump have read every vertex set.
+    # verifier, the JSON dump and every view have read every vertex set: a
+    # view holds its id and the decomposition's own columns, no vertex set.
     graft, join, dd = path_or_primal(family)
     assert verify_decomposition(graft, join, dd).ok
     dd.to_json()
-    held = [x for c in dd.components for f in dataclasses.fields(c)
-            if isinstance(x := getattr(c, f.name), frozenset)]
-    assert held == [c.a_set for c in dd.components]
-    assert sum(map(len, held)) <= 2 * graft.n
+    for cid, c in enumerate(dd.components):
+        assert c.vertices
+        cid_held, (a_set, d_children) = [
+            getattr(c, f.name) for f in dataclasses.fields(c)]
+        assert cid_held == cid
+        assert a_set is dd.a_set and d_children is dd.d_children
+    assert sum(map(len, dd.a_set)) <= 2 * graft.n
 
 
 def induced(graph, join, verts):
@@ -516,13 +527,13 @@ def test_distance_projection_names_the_smallest_offending_vertex(
     graft, root, _ = gen_tailed(2, 4, seed=seed)
     join = optimum_join(graft) ^ circuit
     dd = distance_decomposition(graft, optimum_join(graft), root)
-    comp = dd.components[comp_id]
-    verts = sorted(comp.vertices)
+    verts = sorted(dd.components[comp_id].vertices)
     sub, _, inner_join, image = induced(graft.graph, join, verts)
-    offset = dd.distance_map[comp.f_root]
+    f_root = dd.f_root[comp_id]
+    offset = dd.distance_map[f_root]
     offenders = [v for v in verts if dd.distance_map[v] != offset
                  + shortest_path_weight_oracle(sub, inner_join,
-                                               image[comp.f_root], image[v])]
+                                               image[f_root], image[v])]
     assert len(offenders) >= 2
     found = [v for v in verify_decomposition(graft, join, dd).violations
              if v.check == "distance-projection"]
@@ -534,14 +545,14 @@ def test_beam_counts(corpus):
     for case in corpus[:60]:
         join = minimum_join(case.graft)
         dd = distance_decomposition(case.graft, join, 0)
-        for comp in dd.components:
-            if comp.is_cap:
-                assert comp.beam is None and comp.f_root is None
+        for cap, beam, f_root, top in zip(dd.is_cap, dd.beam, dd.f_root,
+                                          dd.a_set):
+            if cap:
+                assert beam is None and f_root is None
             else:
-                assert comp.beam in join
-                u, v = case.graft.graph.endpoints(comp.beam)
-                assert comp.f_root in (u, v)
-                assert comp.f_root in comp.a_set
+                assert beam in join
+                assert f_root in case.graft.graph.endpoints(beam)
+                assert f_root in top
 
 
 def test_factor_critical():
@@ -633,9 +644,9 @@ def test_outputs_are_the_same_for_every_minimum_join(corpus):
 
 
 def assert_matches_oracle(graft, root, dist=None):
-    """Every component and its parent equal the BFS oracle's, every column
-    the records' fields, and every record's vertex sets the dumped ones;
-    ``dist`` defaults to the decomposition's own distance map."""
+    """Every component and its parent equal the BFS oracle's, and every
+    view's vertex set the dumped one; ``dist`` defaults to the
+    decomposition's own distance map."""
     join = minimum_join(graft)
     dd = distance_decomposition(graft, join, root)
     if dist is None:
@@ -644,19 +655,8 @@ def assert_matches_oracle(graft, root, dist=None):
     got = [dict(doc, parent=up)
            for doc, up in zip(dd.to_json()["components"], dd.parent)]
     assert got == oracle_components(graft, join, root, dist)
-    assert_columns_match_records(dd)
-    assert [(sorted(c.vertices), sorted(c.d_set)) for c in dd.components] \
-        == [(doc["vertices"], doc["d_set"]) for doc in got]
-
-
-def assert_columns_match_records(dd):
-    """Every column, which the decision reads, equals the fields of the
-    records built from it."""
-    comps = dd.components
-    assert dd.is_layer == tuple(c.kind == "layer" for c in comps)
-    for name in ("level", "a_set", "is_cap", "beam", "f_root", "q_children",
-                 "d_children", "parent"):
-        assert getattr(dd, name) == tuple(getattr(c, name) for c in comps), name
+    assert [sorted(c.vertices) for c in dd.components] \
+        == [doc["vertices"] for doc in got]
 
 
 def test_matches_bfs_oracle_on_corpus(corpus):
@@ -708,8 +708,8 @@ def test_ids_follow_the_smallest_vertex_not_the_level_set_order():
     graft = validate_graft(Graph(9, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5),
                                      (3, 6), (1, 7), (6, 8)]), {1, 2, 5, 6})
     dd = distance_decomposition(graft, minimum_join(graft), 1)
-    assert [sorted(c.a_set) for c in dd.components
-            if (c.level, c.kind) == (-2, "layer")] == [[3, 8], [5]]
+    assert [sorted(top) for top, i, layer in zip(dd.a_set, dd.level, dd.is_layer)
+            if (i, layer) == (-2, True)] == [[3, 8], [5]]
     assert_matches_oracle(graft, 1)
 
 
