@@ -150,8 +150,10 @@ def max_weight_matching(
         return out
 
     def assign_label(w: int, t: int, v: int | None) -> None:
-        # A loop, not a call to itself: a closure that names itself would
-        # keep the solve's whole state alive until the cyclic collector ran.
+        # A loop, not a call to itself: a closure that names itself is a
+        # cycle, and under the CLI's paused collector it would keep the
+        # solve's whole state alive until the command returns (pinned by
+        # tests/test_cli.py::test_commands_leave_no_connjoin_cycles).
         while True:
             b = inblossom[w]
             label[w] = label[b] = t

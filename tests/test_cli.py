@@ -1,5 +1,6 @@
 """Command-line behavior: exact bytes, exit codes, and file-format strictness."""
 
+import gc
 import json
 import os
 import subprocess
@@ -315,6 +316,102 @@ def test_main_reuses_its_parser_like_a_fresh_one(tmp_path, capsys):
     assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
     code, out, _ = run(capsys, ["check", path])
     assert code == 0 and out == "yes\n0 1\n1 2\ncoverable 0\n"
+
+
+P4_TEXT = "p graft 4 3\nt 0 3\ne 0 1\ne 1 2\ne 2 3\n"
+PATH_600_TEXT = "p graft 600 599\nt 0 599\n" + "".join(
+    f"e {v} {v + 1}\n" for v in range(599))
+
+
+def cyclic_garbage(argv):
+    """The objects that ``main(argv)`` leaves for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def from_connjoin(obj):
+    """Whether ``obj`` is a function of connjoin's or an instance of its types."""
+    names = (type(obj).__module__, getattr(obj, "__module__", None))
+    return any(isinstance(name, str) and name.startswith("connjoin")
+               for name in names)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [
+    "check", "solve", "distances", "decompose", "verify", "oracle",
+    "generate rake", "generate primal", "generate tailed", "parse-error"])
+def test_commands_leave_no_connjoin_cycles(tmp_path, command, fmt):
+    # main runs with the cyclic collector paused, which is safe only while
+    # reference counting frees everything a command makes: so no connjoin
+    # object may sit in a cycle, and what does (the JSON encoder's closures
+    # under indent=2) must not grow with the input
+    main(["generate", "rake"])  # argparse's one-time parser build makes cycles
+    if command.startswith("generate"):
+        small = command.split() + ["--depth", "1"]
+        large = command.split() + ["--depth", "4", "--seed", "3"]
+    elif command == "parse-error":
+        small = ["check", write(tmp_path, P4_TEXT + "x\n", "small.graft")]
+        large = ["check", write(tmp_path, PATH_600_TEXT + "x\n", "large.graft")]
+    else:
+        small = [command, write(tmp_path, P4_TEXT, "small.graft")]
+        large = [command, write(tmp_path, PATH_600_TEXT, "large.graft")]
+    counts = []
+    for argv in ([small] if command == "oracle" else [small, large]):
+        garbage = cyclic_garbage(argv + ["--format", fmt])
+        assert [obj for obj in garbage if from_connjoin(obj)] == []
+        counts.append(len(garbage))
+    assert len(set(counts)) == 1, counts
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case,text,outcome", [
+    pytest.param(case, text, outcome, id=case) for case, text, outcome in [
+        ("exit-0", P3_TEXT, 0),
+        ("exit-1", "p graft 5 4\nt 0 1 3 4\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n", 1),
+        ("parse-error", "p graft 1 0\nt 0\n", 2),
+        ("missing-file", None, 2),
+        ("unknown-command", None, SystemExit),
+        ("raises", P3_TEXT, RuntimeError),
+    ]])
+def test_main_restores_the_callers_collector_state(
+        tmp_path, monkeypatch, enabled, case, text, outcome):
+    paused = []
+    real = connjoin.cli.decide
+
+    def decide(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("a fault outside the reported errors")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connjoin.cli, "decide", decide)
+    if case == "unknown-command":
+        argv = ["frobnicate"]
+    elif case == "missing-file":
+        argv = ["check", str(tmp_path / "missing.graft")]
+    else:
+        argv = ["check", write(tmp_path, text)]
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert after is enabled
+    reached = text is not None and case != "parse-error"  # the file parsed
+    assert paused == ([True] if reached else [])
 
 
 def test_check_explicit_root(tmp_path, capsys):
