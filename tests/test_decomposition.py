@@ -736,6 +736,12 @@ def test_matches_bfs_oracle_on_deep_caterpillars(depth):
     # {2} at level -2 has no neighbour at level -1
     (3, [(0, 1), (0, 2)], {1, 2}, (0, -1, -2),
      InternalError, "meets its own level"),
+    # level -2 is skipped between -1 and -3
+    (3, [(0, 1), (1, 2)], {0, 2}, (0, -1, -3),
+     InternalError, "contiguous range around 0"),
+    # the values are contiguous but do not reach 0
+    (3, [(0, 1), (1, 2)], {0, 2}, (-1, -2, -3),
+     InternalError, "contiguous range around 0"),
 ])
 def test_build_guards_raise_on_inconsistent_distances(
         monkeypatch, n, edges, terminals, dist, error, fragment):
