@@ -8,16 +8,21 @@ one join edge (its *beam*), whose inner endpoint (the component's *join
 root*) sits on the component's top level.
 
 The components form a laminar merge forest, built by one upward union-find
-sweep into flat lists by build index (rank, top level, children, smallest
-vertex, parent); one sort assigns the ids, and the decomposition keeps the
-forest as columns by id: level, layer flag, top level (``a_set``), cap flag,
-beam, join root, Q and depth children, parent.  Every reader reads the
-columns.  Only top levels are stored, at most 2n vertex references in all;
-a component's full vertex set is one walk down ``d_children`` (``_d_set``)
-on each read and is never stored.  A join edge leaves exactly the
-components below its ends' lowest common one, so beams take one pass over
-the join.  The build costs O(n + m) beside the union-find and the sorts,
-where storing every vertex set would cost n per level.
+sweep over the levels, which one pass over the distances buckets into
+ascending vertex lists.  Each step of the sweep makes one component per
+group, found through one array indexed by group root, into flat lists by
+build index (rank, top level, children, smallest vertex, parent).  One sort
+assigns the ids, and the decomposition keeps the forest as columns by id:
+level, layer flag, top level (``a_set``), cap flag, beam, join root, Q and
+depth children, parent; one pass over the ids checks the beams and fills
+the child columns, sorting only a component's several children.  Every
+reader reads the columns.  Only top levels are stored, at most 2n vertex
+references in all; a component's full vertex set is one walk down
+``d_children`` (``_d_set``) on each read and is never stored.  A join edge
+leaves exactly the components below its ends' lowest common one, so beams
+take one pass over the join.  The build costs O(n + m) beside the
+union-find and the sorts, where storing every vertex set would cost n per
+level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
@@ -167,55 +172,34 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
     on the way up: each vertex of level i links the groups of its cross
     neighbours to itself (groups: Q components), then each edge inside
     level i is merged once, from its larger end (groups: layer components).
-    Ids follow (level, smallest vertex, layer before Q)."""
+    After each step one pass over the level, in ascending vertex order,
+    makes a component per group, claimed in ``owner`` by the group's root,
+    and the previous step's components join the one claimed by their own
+    group.  Ids follow (level, smallest vertex, layer before Q)."""
     join = frozenset(join)
     dm = f_distances(graft, join, root)  # also asserts the join is minimum
     graph, dist, nbrs = graft.graph, dm.dist, graft.graph.nbrs
-    interval, levels = dm.interval(), dm.level_sets()
+    reached = [d for d in dist if d is not None]
+    lo, hi = min(reached), max(reached)
+    levels: list[list[int]] = [[] for _ in range(lo, hi + 1)]  # ascending
+    for v, d in enumerate(dist):
+        if d is not None:
+            levels[d - lo].append(v)
+    if not (lo <= 0 <= hi and all(levels)):
+        raise InternalError(
+            "distance values must form a contiguous range around 0")
 
     # Components by build index: rank (2·level, plus 1 on a layer component:
     # one more at each step up the forest), top-level vertices, children
     # (the groups merged into it), smallest vertex and parent.
     rank, top, kids, low, up = [], [], [], [], []
     uf = list(range(graph.n))
-
-    def group(r: int, below: list[int]) -> list[int]:
-        """One component of rank r per union-find group of its level,
-        adopting those of ``below`` merged into it.  Every group holds a
-        vertex of the level, so a component of ``below`` left out is a bug."""
-        made: dict[int, int] = {}
-        for v in levels[r >> 1]:
-            x = v
-            while uf[x] != x:
-                uf[x] = x = uf[uf[x]]
-            x = made.setdefault(x, len(top))
-            if x < len(top):
-                top[x].append(v)
-                if v < low[x]:
-                    low[x] = v
-                continue
-            rank.append(r)
-            top.append([v])
-            kids.append([])
-            low.append(v)
-            up.append(None)
-        for c in below:
-            x = low[c]
-            while uf[x] != x:
-                uf[x] = x = uf[uf[x]]
-            x = made.get(x)
-            if x is None:
-                raise InternalError("every component meets its own level")
-            kids[x].append(c)
-            up[c] = x
-            if low[c] < low[x]:
-                low[x] = low[c]
-        return list(made.values())
-
-    layers: list[int] = []  # the previous level's layer components
-    for i in interval:
+    # A group root's component, if at least ``first``: a build of this step.
+    owner = [-1] * graph.n
+    first = 0  # the first build index of the current step
+    for i, level in enumerate(levels, lo):
         inner = []  # edges inside level i, merged after the Q grouping
-        for v in levels[i]:  # a root until its own level's edges merge
+        for v in level:  # a root until its own level's edges merge
             for u in nbrs[v]:
                 du = dist[u]
                 if du is not None and du < i:  # a cross edge
@@ -224,14 +208,39 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
                     uf[u] = v
                 elif du == i and u < v:
                     inner.append((u, v))
-        qs = group(2 * i, layers)
-        for u, v in inner:
-            while uf[u] != u:
-                uf[u] = u = uf[uf[u]]
-            while uf[v] != v:
-                uf[v] = v = uf[uf[v]]
-            uf[u] = v
-        layers = group(2 * i + 1, qs)
+        for r in (2 * i, 2 * i + 1):  # Q components, then layer components
+            if r & 1:
+                for u, v in inner:
+                    while uf[u] != u:
+                        uf[u] = u = uf[uf[u]]
+                    while uf[v] != v:
+                        uf[v] = v = uf[uf[v]]
+                    uf[u] = v
+            below, first = range(first, len(top)), len(top)
+            for v in level:  # ascending: a group's first vertex is its least
+                x = v
+                while uf[x] != x:
+                    uf[x] = x = uf[uf[x]]
+                if owner[x] >= first:
+                    top[owner[x]].append(v)
+                    continue
+                owner[x] = len(top)
+                rank.append(r)
+                top.append([v])
+                kids.append([])
+                low.append(v)
+                up.append(None)
+            for c in below:  # every group holds a vertex of the level
+                x = low[c]
+                while uf[x] != x:
+                    uf[x] = x = uf[uf[x]]
+                x = owner[x]
+                if x < first:
+                    raise InternalError("every component meets its own level")
+                kids[x].append(c)
+                up[c] = x
+                if low[c] < low[x]:
+                    low[x] = low[c]
 
     order = sorted(range(len(top)), key=lambda x: (rank[x] >> 1, low[x], -rank[x]))
     pos = [0] * len(order)  # build index -> id
@@ -247,6 +256,12 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
         x = up[x]
     leaving = _leaving(graph, join, home, up, rank)
 
+    def ids(cs: list[int]) -> tuple[int, ...]:
+        """The ids of the build indices ``cs``, ascending."""
+        if len(cs) > 1:
+            return tuple(sorted([pos[c] for c in cs]))
+        return (pos[cs[0]],) if cs else ()
+
     beam, f_root = [None] * len(order), [None] * len(order)
     q_children, d_children = [], []
     for cid, x in enumerate(order):
@@ -261,17 +276,17 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
                 raise TheoremViolationError(
                     f"join root {f} lies below the top level of its component")
             beam[cid], f_root[cid] = e, f
-        children = tuple(sorted([pos[c] for c in kids[x]]))
+        cs = kids[x]
         if rank[x] & 1:
-            q_children.append(children)
-            d_children.append(
-                tuple(sorted([pos[d] for q in kids[x] for d in kids[q]])))
+            q_children.append(ids(cs))
+            d_children.append(ids(kids[cs[0]] if len(cs) == 1 else
+                                  [d for q in cs for d in kids[q]]))
         else:
             q_children.append(())
-            d_children.append(children)
+            d_children.append(ids(cs))
 
     return DistanceDecomposition(
-        root=root, distance_map=dm, interval=interval,
+        root=root, distance_map=dm, interval=range(lo, hi + 1),
         initial_id=pos[up[home[root]]],
         level=tuple([rank[x] >> 1 for x in order]),
         is_layer=tuple([rank[x] & 1 == 1 for x in order]),

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InternalError, NotMinimumJoinError, StructuralInputError
+from .errors import NotMinimumJoinError, StructuralInputError
 from .matching import toggled_sizes
 from .tjoin import Graft, _hop_distances, is_join, nu
 
@@ -52,25 +52,6 @@ class DistanceMap:
 
     def __getitem__(self, v: int) -> int | None:
         return self.dist[v]
-
-    def reachable(self) -> frozenset[int]:
-        return frozenset(v for v, d in enumerate(self.dist) if d is not None)
-
-    def interval(self) -> range:
-        """The contiguous range of attained distance values (contains 0)."""
-        vals = [d for d in self.dist if d is not None]
-        lo, hi = min(vals), max(vals)
-        if set(vals) != set(range(lo, hi + 1)) or not lo <= 0 <= hi:
-            raise InternalError(
-                "distance values must form a contiguous range around 0")
-        return range(lo, hi + 1)
-
-    def level_sets(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {}
-        for v, d in enumerate(self.dist):
-            if d is not None:
-                out.setdefault(d, set()).add(v)
-        return {i: frozenset(s) for i, s in out.items()}
 
 
 def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:

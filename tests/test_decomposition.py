@@ -702,9 +702,11 @@ def test_matches_bfs_oracle_on_multigrafts():
 
 
 def test_ids_follow_the_smallest_vertex_not_the_level_set_order():
-    # Level -2 splits into {3, 8} and {5}.  CPython iterates its vertex set
-    # {3, 5, 8} as 8, 3, 5, so a smallest vertex taken from the first one
-    # seen would give {5} the lower id.
+    # Level -2 splits into {3, 8} and {5}, and ids follow the smallest
+    # vertex, so {3, 8} comes first.  The build reads each level as an
+    # ascending list; CPython iterates the set {3, 5, 8} as 8, 3, 5, so a
+    # build that took a smallest vertex from the first one seen in that
+    # order would give {5} the lower id.
     graft = validate_graft(Graph(9, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5),
                                      (3, 6), (1, 7), (6, 8)]), {1, 2, 5, 6})
     dd = distance_decomposition(graft, minimum_join(graft), 1)

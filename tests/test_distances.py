@@ -37,8 +37,6 @@ def test_f_weight():
 def test_goldens():
     dm = f_distances(P3, minimum_join(P3), 0)
     assert dm.dist == (0, -1, -2)
-    assert dm.level_sets() == {0: frozenset({0}), -1: frozenset({1}),
-                               -2: frozenset({2})}
     assert f_distances(C4, minimum_join(C4), 2).dist == (-2, -1, 0, -1)
 
 
@@ -46,7 +44,7 @@ def test_unreachable_marks_other_components():
     g = validate_graft(Graph(4, [(0, 1), (2, 3)]), {0, 1})
     dm = f_distances(g, minimum_join(g), 0)
     assert dm[2] is UNREACHABLE and dm[3] is UNREACHABLE
-    assert dm.reachable() == frozenset({0, 1})
+    assert dm.dist == (0, -1, UNREACHABLE, UNREACHABLE)
 
 
 def test_rejects_non_minimum_join():
