@@ -14,6 +14,11 @@ File format (ASCII only, LF line endings, single spaces, decimals)::
 The ``t`` line may be a bare ``t`` for an empty terminal set and must
 appear before the first edge line.
 
+``parse_graft`` reads the lines one at a time, except the run of edge
+lines right after the terminal line, which it converts in one go when the
+run keeps every rule; any other run, and every other line, is read line by
+line, and only those rules name an error line.
+
 Each command runs with the cyclic garbage collector paused and leaves it as
 the caller had it: no command leaves a connjoin object in a reference cycle,
 so reference counting frees everything it makes
@@ -26,7 +31,9 @@ import argparse
 import functools
 import gc
 import json
+import operator
 import random
+import re
 import sys
 from typing import Iterable
 
@@ -53,12 +60,104 @@ def _int_token(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} is too long ({len(token)} digits)") from None
 
 
+# A run of edge lines, each ending in a newline, in the file's exact spelling.
+_EDGE_RUN = re.compile(r"(?:e [0-9]+ [0-9]+\n)+")
+
+
+class _LineRules:
+    """The per-line rules of the file format after line 1, and what they
+    have read so far: the terminals, the edges and the terminal line."""
+
+    __slots__ = ("n", "m", "terminals", "edges", "t_line", "line_no")
+
+    def __init__(self, n: int, m: int) -> None:
+        self.n, self.m = n, m
+        self.terminals: set[int] = set()
+        self.edges: list[tuple[int, int]] = []
+        self.t_line: int | None = None
+        self.line_no = 1  # the last line read
+
+    def read(self, text: str, pos: int, until_terminal: bool) -> int:
+        """Read the lines of ``text`` from offset ``pos``, a line start, to
+        its end, or through the terminal line if ``until_terminal``; the
+        offset after the last line read."""
+        n, m, terminals, edges = self.n, self.m, self.terminals, self.edges
+        size = len(text)
+        while pos < size:
+            end = text.find("\n", pos)
+            if end == -1:
+                end = size
+            line, pos = text[pos:end], end + 1
+            self.line_no = idx = self.line_no + 1
+            if line == "":
+                raise ParseError(idx, "blank lines are not allowed")
+            tokens = line.split(" ")
+            if "" in tokens:
+                raise ParseError(idx, "tokens must be separated by single spaces")
+            kind = tokens[0]
+            if kind == "e":  # the most common line first
+                if self.t_line is None:
+                    raise ParseError(idx, "edge line before the terminal line")
+                if len(tokens) != 3:
+                    raise ParseError(idx, "edge lines must be 'e <u> <v>'")
+                a, b = tokens[1], tokens[2]
+                if a.isdigit() and b.isdigit() and len(a) + len(b) < 40:
+                    u, v = int(a), int(b)  # the fast path, for short decimals
+                else:  # _int_token raises on a token int() cannot take, naming it
+                    u, v = (_int_token(a, idx, "endpoint"),
+                            _int_token(b, idx, "endpoint"))
+                if u >= n or v >= n:
+                    raise ParseError(idx, f"endpoint outside 0..{n - 1}")
+                if u == v:
+                    raise ParseError(idx, "loop edges are not allowed")
+                if len(edges) == m:
+                    raise ParseError(idx, f"more than {m} edge lines")
+                edges.append((u, v))
+            elif kind == "t":
+                if self.t_line is not None:
+                    raise ParseError(idx, "duplicate terminal line")
+                self.t_line = idx
+                for tok in tokens[1:]:
+                    v = _int_token(tok, idx, "terminal")
+                    if v >= n:
+                        raise ParseError(idx, f"terminal {v} is outside 0..{n - 1}")
+                    if v in terminals:
+                        raise ParseError(idx, f"terminal {v} repeated")
+                    terminals.add(v)
+                if until_terminal:
+                    break
+            elif kind != "c":  # a comment is skipped
+                raise ParseError(idx, f"unknown directive {kind!r}")
+        return pos
+
+
+def _edge_run(run: str, n: int, m: int) -> list[tuple[int, int]] | None:
+    """The edges of ``run``, edge lines that open the edge block, if they
+    keep every per-line rule; else None."""
+    tokens = run.split()
+    try:
+        us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+    except ValueError:  # a token longer than the interpreter converts
+        return None
+    if (len(us) > m or max(us) >= n or max(vs) >= n
+            or any(map(operator.eq, us, vs))):
+        return None
+    return list(zip(us, vs))
+
+
 def parse_graft(text: str) -> Graft:
     """Parse the graft file format, strictly.
 
     Unknown directives, bad counts, out-of-range or repeated vertices,
     loops, and odd terminal parity are all rejected with the offending
     line number.
+
+    Lines are read one at a time by ``_LineRules``, up to the terminal
+    line.  The run of well-formed edge lines that follows it is converted
+    in one go: one regex match, one split, and C-level range and loop
+    checks.  A run that breaks any rule is read line by line instead, as is
+    every line after the run, so the per-line rules are the only code that
+    names an error line.
     """
     if "\r" in text:
         raise ParseError(text[: text.index("\r")].count("\n") + 1,
@@ -67,70 +166,36 @@ def parse_graft(text: str) -> Graft:
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
         raise ParseError(text[:bad].count("\n") + 1,
                          "non-ASCII characters are not allowed")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # single trailing newline
-    if not lines:
+    if not text:
         raise ParseError(1, "empty file")
 
-    head = lines[0].split(" ")
+    end = text.find("\n")
+    first = text if end == -1 else text[:end]
+    head = first.split(" ")
     if len(head) != 4 or head[0] != "p" or head[1] != "graft":
         raise ParseError(1, "first line must be 'p graft <n> <m>'")
     n = _int_token(head[2], 1, "vertex count")
     m = _int_token(head[3], 1, "edge count")
 
-    terminals: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    t_line: int | None = None
-    for idx, line in enumerate(lines[1:], start=2):
-        if line == "":
-            raise ParseError(idx, "blank lines are not allowed")
-        tokens = line.split(" ")
-        if "" in tokens:
-            raise ParseError(idx, "tokens must be separated by single spaces")
-        kind = tokens[0]
-        if kind == "e":  # the most common line first
-            if t_line is None:
-                raise ParseError(idx, "edge line before the terminal line")
-            if len(tokens) != 3:
-                raise ParseError(idx, "edge lines must be 'e <u> <v>'")
-            a, b = tokens[1], tokens[2]
-            if a.isdigit() and b.isdigit() and len(a) + len(b) < 40:
-                u, v = int(a), int(b)  # the fast path, for short decimals
-            else:  # _int_token raises on a token int() cannot take, naming it
-                u, v = _int_token(a, idx, "endpoint"), _int_token(b, idx, "endpoint")
-            if u >= n or v >= n:
-                raise ParseError(idx, f"endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ParseError(idx, "loop edges are not allowed")
-            if len(edges) == m:
-                raise ParseError(idx, f"more than {m} edge lines")
-            edges.append((u, v))
-            continue
-        if kind == "c":
-            continue
-        if kind == "t":
-            if t_line is not None:
-                raise ParseError(idx, "duplicate terminal line")
-            t_line = idx
-            for tok in tokens[1:]:
-                v = _int_token(tok, idx, "terminal")
-                if v >= n:
-                    raise ParseError(idx, f"terminal {v} is outside 0..{n - 1}")
-                if v in terminals:
-                    raise ParseError(idx, f"terminal {v} repeated")
-                terminals.add(v)
-            continue
-        raise ParseError(idx, f"unknown directive {kind!r}")
+    rules = _LineRules(n, m)
+    pos = rules.read(text, len(first) + 1, until_terminal=True)
+    run = _EDGE_RUN.match(text, pos)
+    edges = None if run is None else _edge_run(run.group(), n, m)
+    if edges is not None:  # the first read stopped at the terminal line,
+        rules.edges = edges  # so no edge line came before the run
+        rules.line_no += len(edges)
+        pos = run.end()
+    rules.read(text, pos, until_terminal=False)
 
-    if t_line is None:
-        raise ParseError(len(lines), "missing terminal line")
-    if len(edges) != m:
-        raise ParseError(len(lines), f"expected {m} edge lines, found {len(edges)}")
+    if rules.t_line is None:
+        raise ParseError(rules.line_no, "missing terminal line")
+    if len(rules.edges) != m:
+        raise ParseError(rules.line_no,
+                         f"expected {m} edge lines, found {len(rules.edges)}")
     try:
-        return validate_graft(Graph(n, edges), terminals)
+        return validate_graft(Graph(n, rules.edges), rules.terminals)
     except (NoJoinError, StructuralInputError) as exc:
-        raise ParseError(t_line, str(exc)) from exc
+        raise ParseError(rules.t_line, str(exc)) from exc
 
 
 def format_graft(graft: Graft, comments: Iterable[str] = ()) -> str:

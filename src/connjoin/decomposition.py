@@ -139,20 +139,21 @@ def _d_set(a_set: Sequence[frozenset[int]],
     return frozenset(below)
 
 
-def _leaving(graph: Graph, join: Iterable[int], home: dict[int, int],
+def _leaving(graph: Graph, join: Iterable[int], home: Sequence[int | None],
              parent: Sequence[int | None], rank: list[int],
              ) -> list[list[tuple[int, int]]]:
     """The join edges leaving each component, as (edge, inner end), indexed
     like ``parent`` and ``rank`` (by id, or by build index in the sweep).
 
     An edge leaves exactly the components below its ends' lowest common
-    one, so one climb from the ends' own-level Q components (``home``)
-    finds them all.  An end off the root's component (None) never climbs,
-    so the edge leaves every component holding the other, caps included."""
+    one, so one climb from the ends' own-level Q components (``home``, by
+    vertex) finds them all.  An end off the root's component (None) never
+    climbs, so the edge leaves every component holding the other, caps
+    included."""
     leaving: list[list[tuple[int, int]]] = [[] for _ in parent]
     for e in join:
         u, v = graph.endpoints(e)
-        a, b = home.get(u), home.get(v)
+        a, b = home[u], home[v]
         while a != b:
             ra = math.inf if a is None else rank[a]
             rb = math.inf if b is None else rank[b]
@@ -244,7 +245,8 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
 
     order = sorted(range(len(top)), key=lambda x: (rank[x] >> 1, low[x], -rank[x]))
     pos = [0] * len(order)  # build index -> id
-    home: dict[int, int] = {}  # each vertex's own-level Q component
+    # Each vertex's own-level Q component, None off the root's component.
+    home: list[int | None] = [None] * graph.n
     for cid, x in enumerate(order):
         pos[x] = cid
         if not rank[x] & 1:
@@ -361,8 +363,11 @@ def verify_decomposition(
     join = frozenset(join)
     _check_edge_ids(graft, join)
     graph, is_layer, is_cap = graft.graph, dd.is_layer, dd.is_cap
-    home = {v: q for q, top in enumerate(dd.a_set) if not is_layer[q]
-            for v in top}
+    home: list[int | None] = [None] * graph.n  # as in the build
+    for q, top in enumerate(dd.a_set):
+        if not is_layer[q]:
+            for v in top:
+                home[v] = q
     leaving = _leaving(graph, join, home, dd.parent,
                        [2 * i + layer for i, layer in zip(dd.level, is_layer)])
     out: list[Violation] = []

@@ -29,23 +29,21 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise StructuralInputError(f"vertex count must be >= 0, got {n}")
-        kept: list[tuple[int, int]] = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise StructuralInputError(
-                    f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise StructuralInputError(f"edge {len(kept)} ({u}, {v}) is a loop")
-            kept.append((u, v))
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(kept)
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         # Sorted incidence lists make every traversal in the package
         # deterministic without per-call sorting.  A bucket pass sorts them
         # all: listing each vertex v's incidences (u, e) in edge order and
         # appending (v, e) to u's lists, v ascending, sorts u's lists by
-        # (neighbour, edge id).
+        # (neighbour, edge id).  The first pass checks each edge as it
+        # lists it.
         inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for e, (u, v) in enumerate(self.edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise StructuralInputError(
+                    f"edge ({u}, {v}) out of range for {n} vertices")
+            if u == v:
+                raise StructuralInputError(f"edge {e} ({u}, {v}) is a loop")
             inc[u].append((v, e))
             inc[v].append((u, e))
         nbrs: list[list[int]] = [[] for _ in range(n)]

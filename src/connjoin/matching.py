@@ -137,6 +137,10 @@ def max_weight_matching(
     label, blossombase = [0] * nodes, list(range(nodes))
     labeledge, bestedge, childs, edges, mybestedges = (
         [None] * nodes for _ in range(5))
+    # bestslack[x]: the exact slack of bestedge[x] in the current duals,
+    # dualvar[i] + dualvar[j] - w2[i][j]; infinite while bestedge[x] is None.
+    # Whoever sets bestedge[x] sets it, and each dual step refreshes it.
+    bestslack: list = [math.inf] * nodes
     queue: list[int] = []
 
     def leaves(b: int) -> list[int]:
@@ -159,6 +163,7 @@ def max_weight_matching(
             label[w] = label[b] = t
             labeledge[w] = labeledge[b] = None if v is None else (v, w)
             bestedge[w] = bestedge[b] = None
+            bestslack[w] = bestslack[b] = math.inf
             if t == 1:
                 break
             v = blossombase[b]  # a T-blossom's base labels its mate S
@@ -222,8 +227,10 @@ def max_weight_matching(
                 queue.append(v)
             inblossom[v] = b
         # Merge the sub-blossoms' least-slack edge tables: bestedgeto[bj] is
-        # (slack, edge), the least-slack edge to S-blossom bj seen so far.
-        bestedgeto: dict = {}
+        # the least-slack edge to S-blossom bj seen so far, slackto[bj] its
+        # slack.
+        slackto: dict[int, int] = {}
+        bestedgeto: dict[int, tuple[int, int]] = {}
         for bv in path:
             if bv >= n and mybestedges[bv] is not None:
                 for k in mybestedges[bv]:
@@ -233,8 +240,8 @@ def max_weight_matching(
                     bj = inblossom[j]
                     if bj != b and label[bj] == 1:
                         s = dualvar[i] + dualvar[j] - w2[i][j]
-                        if bj not in bestedgeto or s < bestedgeto[bj][0]:
-                            bestedgeto[bj] = (s, k)
+                        if s < slackto.get(bj, math.inf):
+                            slackto[bj], bestedgeto[bj] = s, k
                 mybestedges[bv] = None
             else:  # read the leaves' rows as they are
                 for u in leaves(bv) if bv >= n else (bv,):
@@ -243,12 +250,15 @@ def max_weight_matching(
                         bj = inblossom[x]
                         if bj != b and label[bj] == 1:
                             s = du + dualvar[x] - wx
-                            if bj not in bestedgeto or s < bestedgeto[bj][0]:
-                                bestedgeto[bj] = (s, (u, x))
-            bestedge[bv] = None
-        mybestedges[b] = [k for _, k in bestedgeto.values()]
-        best = min(bestedgeto.values(), key=lambda sk: sk[0], default=None)
-        bestedge[b] = None if best is None else best[1]
+                            if s < slackto.get(bj, math.inf):
+                                slackto[bj], bestedgeto[bj] = s, (u, x)
+            bestedge[bv], bestslack[bv] = None, math.inf
+        mybestedges[b] = list(bestedgeto.values())
+        if slackto:
+            bj = min(slackto, key=slackto.__getitem__)  # the first least
+            bestedge[b], bestslack[b] = bestedgeto[bj], slackto[bj]
+        else:
+            bestedge[b], bestslack[b] = None, math.inf
 
     def expand_blossom(b: int, endstage: bool) -> None:
         # At the end of a stage, zero-dual sub-blossoms go too; appending to
@@ -289,7 +299,7 @@ def max_weight_matching(
             bw = kids[j]
             label[w] = label[bw] = 2
             labeledge[w] = labeledge[bw] = (v, w)
-            bestedge[bw] = None
+            bestedge[bw], bestslack[bw] = None, math.inf
             j += jstep
             while kids[j] != entrychild:
                 bv = kids[j]
@@ -369,9 +379,11 @@ def max_weight_matching(
         # live blossoms only: a freed id is rewritten when it is handed out.
         label[:n] = [0] * n
         labeledge[:n] = bestedge[:n] = [None] * n
+        bestslack[:n] = [math.inf] * n
         for b in blossomdual:
             label[b] = 0
             labeledge[b] = bestedge[b] = mybestedges[b] = None
+            bestslack[b] = math.inf
         queue[:] = []
         for v in range(n):
             if mate[v] == -1 and not label[inblossom[v]]:
@@ -409,10 +421,8 @@ def max_weight_matching(
                             at = w
                         else:
                             continue
-                        e = bestedge[at]
-                        if e is None or kslack < (dualvar[e[0]] + dualvar[e[1]]
-                                                  - w2[e[0]][e[1]]):
-                            bestedge[at] = (v, w)
+                        if kslack < bestslack[at]:
+                            bestedge[at], bestslack[at] = (v, w), kslack
 
             if augmented:
                 break
@@ -424,16 +434,14 @@ def max_weight_matching(
             # keeps the first least delta.
             deltatype, delta, deltaedge, deltablossom = -1, math.inf, None, None
             for v in range(n):
-                e = bestedge[v]
-                if not label[inblossom[v]] and e is not None:
-                    d = dualvar[e[0]] + dualvar[e[1]] - w2[e[0]][e[1]]
-                    if d < delta:
-                        delta, deltatype, deltaedge = d, 2, e
+                d = bestslack[v]
+                if d < delta and not label[inblossom[v]]:
+                    delta, deltatype, deltaedge = d, 2, bestedge[v]
 
             for b in itertools.chain(range(n), blossomdual):
                 e = bestedge[b]
                 if blossomparent[b] == -1 and label[b] == 1 and e is not None:
-                    d = (dualvar[e[0]] + dualvar[e[1]] - w2[e[0]][e[1]]) // 2
+                    d = bestslack[b] // 2
                     if d < delta:
                         delta, deltatype, deltaedge = d, 3, e
 
@@ -457,6 +465,10 @@ def max_weight_matching(
                         blossomdual[b] += delta
                     elif label[b] == 2:
                         blossomdual[b] -= delta
+            for x in itertools.chain(range(n), blossomdual):
+                e = bestedge[x]
+                if e is not None:
+                    bestslack[x] = dualvar[e[0]] + dualvar[e[1]] - w2[e[0]][e[1]]
 
             if deltatype in (2, 3):
                 queue.append(deltaedge[0])

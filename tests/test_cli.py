@@ -3,14 +3,18 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import connjoin
-from connjoin import graph_core
+from connjoin import cli, graph_core
 from connjoin.cli import format_graft, main, parse_graft
 from connjoin.constructive import replay, ConstructionRecipe
 from connjoin.decomposition import DecompositionReport, Violation
@@ -50,6 +54,17 @@ def test_format_preserves_edge_order():
     assert format_graft(parse_graft(text)) == text
 
 
+RUN_EDGES = 100
+
+
+def after_run(*tail, m=None):
+    """A 7-vertex graft file: ``RUN_EDGES`` well-formed edge lines, then the
+    ``tail`` lines, with m counting every line as an edge unless given."""
+    run = [f"e {v % 6} {v % 6 + 1}" for v in range(RUN_EDGES)]
+    m = RUN_EDGES + len(tail) if m is None else m
+    return "\n".join([f"p graft 7 {m}", "t", *run, *tail]) + "\n"
+
+
 @pytest.mark.parametrize("text,line,fragment", [
     ("", 1, "empty file"),
     ("p graft 3\nt\n", 1, "first line"),
@@ -74,12 +89,102 @@ def test_format_preserves_edge_order():
     ("p graft 2 1\nt\r\ne 0 1\n", 2, "carriage"),
     ("p graft 2 1\nt\nc caf\u00e9\ne 0 1\n", 3, "non-ASCII"),
     ("p graft 2 1\nt\ne 0 \u0661\n", 3, "non-ASCII"),  # an Arabic-Indic 1
+    # The same rules after 100 well-formed edge lines (lines 3..102), which
+    # the reader converts as one run: the bad line is line 103.
+    (after_run("e 3 3"), 103, "loop"),
+    (after_run("e 3 3", "e 0 1"), 103, "loop"),
+    (after_run("e 0 7"), 103, "endpoint outside"),
+    (after_run("e 0 7", "e 0 1"), 103, "endpoint outside"),
+    (after_run("e  0 1", "e 0 1"), 103, "single spaces"),
+    (after_run("e 0 " + "1" * 19), 103, "endpoint outside"),
+    (after_run("e 0 " + "1" * 19, "e 0 1"), 103, "endpoint outside"),
+    (after_run("", "e 0 1"), 103, "blank"),
+    (after_run("e 0 1", m=RUN_EDGES), 103, f"more than {RUN_EDGES}"),
+    (after_run(m=RUN_EDGES + 1), 102, f"expected {RUN_EDGES + 1} edge lines"),
+    (after_run("t"), 103, "duplicate terminal"),
+    (after_run("e 0 x", "e 0 1"), 103, "ASCII decimal"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ParseError) as err:
         parse_graft(text)
     assert err.value.line_no == line
     assert fragment in str(err.value)
+
+
+def parse_line_by_line(text):
+    """``parse_graft`` with no edge run read in one go: the per-line rules
+    alone."""
+    with mock.patch.object(cli, "_EDGE_RUN", re.compile("(?!)")):
+        return parse_graft(text)
+
+
+def parse_outcome(parse, text):
+    """The graft, or the error's line and message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+RUN_TEXT = "".join(f"e {v % 6} {v % 6 + 1}\n" for v in range(RUN_EDGES))
+
+
+@pytest.mark.parametrize("text", [
+    # a comment between edges
+    "p graft 7 200\nt 0 6\n" + RUN_TEXT + "c between\n" + RUN_TEXT,
+    # the trailing recipe comment that ``generate`` writes
+    "p graft 7 100\nt 0 6\n" + RUN_TEXT + 'c recipe {"steps":[]}\n',
+    # no final newline
+    "p graft 7 100\nt 0 6\n" + RUN_TEXT[:-1],
+    "p graft 7 101\nt 0 6\n" + RUN_TEXT + "e 5 6",
+    # leading zeros
+    "p graft 7 101\nt 0 6\ne 000 0006\n" + RUN_TEXT,
+    # parallel edges, in both directions
+    "p graft 7 103\nt 0 6\ne 2 3\ne 3 2\ne 2 3\n" + RUN_TEXT,
+    # m = 0, with and without a comment
+    "p graft 7 0\nt\n",
+    "p graft 7 0\nt\nc none\n",
+    # comments before the terminal line, edges after a later comment only
+    "p graft 7 100\nc a\nc b\nt 0 6\nc c\n" + RUN_TEXT,
+])
+def test_edge_run_reads_like_the_line_rules(text):
+    graft = parse_graft(text)
+    assert graft == parse_line_by_line(text)
+    assert graft.m == int(text.split("\n", 1)[0].split(" ")[3])
+
+
+@st.composite
+def canonical_texts(draw):
+    """A graft file as ``format_graft`` writes it, perhaps with a trailing
+    recipe comment, and at most one line replaced or inserted."""
+    n = draw(st.integers(1, 8))
+    ends = st.integers(0, n - 1)
+    edges = [(u, v) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=150))
+             if u != v]
+    terminals = draw(st.sets(ends))
+    if len(terminals) % 2:
+        terminals.discard(min(terminals))
+    lines = [f"p graft {n} {len(edges)}",
+             " ".join(["t", *map(str, sorted(terminals))])]
+    lines += [f"e {u} {v}" for u, v in edges]
+    if draw(st.booleans()):
+        lines.append("c recipe {}")
+    mutation = draw(st.sampled_from([
+        None, "", "e 1 1", "e 0 9", "e  0 1", "e 0 1 ", "e 0", "e 0 1 2",
+        "e 00 01", "e 0 " + "9" * 19, "e 0 x", "c note", "t", "t 0 1", "q"]))
+    if mutation is not None:
+        at = draw(st.integers(1, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            lines[at] = mutation
+        else:
+            lines.insert(at, mutation)
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_texts())
+def test_parse_agrees_with_the_line_rules(text):
+    assert parse_outcome(parse_graft, text) == parse_outcome(parse_line_by_line, text)
 
 
 def test_parse_is_linear_in_terminals():
