@@ -55,14 +55,15 @@ def test_format_preserves_edge_order():
 
 
 RUN_EDGES = 100
+RUN_LINES = [f"e {v % 6} {v % 6 + 1}" for v in range(RUN_EDGES)]  # 7 vertices
+RUN_TEXT = "".join(line + "\n" for line in RUN_LINES)
 
 
 def after_run(*tail, m=None):
-    """A 7-vertex graft file: ``RUN_EDGES`` well-formed edge lines, then the
+    """A 7-vertex graft file: the ``RUN_LINES`` edge lines, then the
     ``tail`` lines, with m counting every line as an edge unless given."""
-    run = [f"e {v % 6} {v % 6 + 1}" for v in range(RUN_EDGES)]
     m = RUN_EDGES + len(tail) if m is None else m
-    return "\n".join([f"p graft 7 {m}", "t", *run, *tail]) + "\n"
+    return "\n".join([f"p graft 7 {m}", "t", *RUN_LINES, *tail]) + "\n"
 
 
 @pytest.mark.parametrize("text,line,fragment", [
@@ -124,9 +125,6 @@ def parse_outcome(parse, text):
         return parse(text)
     except ParseError as exc:
         return exc.line_no, str(exc)
-
-
-RUN_TEXT = "".join(f"e {v % 6} {v % 6 + 1}\n" for v in range(RUN_EDGES))
 
 
 @pytest.mark.parametrize("text", [
