@@ -107,23 +107,33 @@ def head_set(
     """
     if not verdict.eligible:
         raise StructuralInputError("head sets are defined for eligible systems")
-    nbrs, a_set, d_children = graft.graph.nbrs, dd.a_set, dd.d_children
+    terminals, nbrs = graft.terminals, graft.graph.nbrs
+    a_set, d_children = dd.a_set, dd.d_children
     order = [dd.initial_id]
     for cid in order:  # grows while it is read: a breadth-first listing
         order.extend(d_children[cid])
+    empty: frozenset[int] = frozenset()
     heads: dict[int, frozenset[int]] = {}
     for cid in reversed(order):
-        top_terminals = graft.terminals & a_set[cid]
-        child_heads = [heads[c] for c in d_children[cid]]
+        top, kids = a_set[cid], d_children[cid]
+        top_terminals = empty if terminals.isdisjoint(top) else terminals & top
         want = 0 if cid == dd.initial_id else 1
-        if not child_heads:
+        if not kids:
             heads[cid] = top_terminals
-        elif len(top_terminals) > 1 or (len(top_terminals) + len(child_heads)) % 2 != want:
-            heads[cid] = frozenset()
+        elif len(top_terminals) > 1 or (len(top_terminals) + len(kids)) % 2 != want:
+            heads[cid] = empty
         else:
-            heads[cid] = frozenset(
-                v for v in top_terminals or a_set[cid]
-                if all(not ch.isdisjoint(nbrs[v]) for ch in child_heads))
+            # Plain loops, child by child: a comprehension or generator costs
+            # a frame per call on CPython before 3.12, and this runs once per
+            # component and once per candidate vertex.
+            kept = top_terminals or top
+            for c in kids:
+                child_heads, seen = heads[c], []
+                for v in kept:
+                    if not child_heads.isdisjoint(nbrs[v]):
+                        seen.append(v)
+                kept = seen
+            heads[cid] = frozenset(kept)
     return heads
 
 
@@ -139,23 +149,24 @@ def construct_join(
     """
     if v not in heads.get(dd.initial_id, frozenset()):
         raise StructuralInputError(f"vertex {v} is not a head of the initial component")
-    graph = graft.graph
-    out: set[int] = set()
+    nbrs, eids, d_children = graft.graph.nbrs, graft.graph.eids, dd.d_children
+    out: list[int] = []  # one edge per tree link, so no repeats
     stack: list[tuple[int, int]] = [(dd.initial_id, v)]
     while stack:
         cid, anchor = stack.pop()
-        for child_id in dd.d_children[cid]:
+        for child_id in d_children[cid]:
             child_heads = heads[child_id]
-            # sorted: the first hit is minimal
-            for u, e in zip(graph.nbrs[anchor], graph.eids[anchor]):
+            i = 0  # sorted: the first hit is minimal
+            for u in nbrs[anchor]:
                 if u in child_heads:
-                    out.add(e)
-                    stack.append((child_id, u))
                     break
+                i += 1
             else:
                 raise InternalError(
                     f"anchor {anchor} has no edge into the head set of "
                     f"component {child_id}")
+            out.append(eids[anchor][i])
+            stack.append((child_id, u))
     if graft.terminals and not out:
         raise InternalError("terminals present but the constructed join is empty")
     return frozenset(out)

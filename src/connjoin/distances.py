@@ -92,10 +92,16 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     nbrs = graph.nbrs
     layer, level = [], min(seeds)
     while layer or seeds:  # layer: the candidates for distance ``level``
+        if level in seeds:
+            layer += seeds.pop(level)
         nxt = []
-        for v in layer + seeds.pop(level, []):
+        # A plain loop per neighbour: a comprehension per vertex costs a
+        # frame each on CPython before 3.12.
+        for v in layer:
             if dist[v] is None:
                 dist[v] = level
-                nxt += [u for u in nbrs[v] if dist[u] is None]
+                for u in nbrs[v]:
+                    if dist[u] is None:
+                        nxt.append(u)
         layer, level = nxt, level + 1
     return DistanceMap(root, tuple(dist))

@@ -591,8 +591,7 @@ def greedy_start(cost: Sequence[Sequence[int]],
     ``column``, if given, holds the costs of one more point, rank k, to
     the ranks of ``cost``."""
     k = len(cost)
-    near = [min(c for j, c in enumerate(row) if j != i)
-            for i, row in enumerate(cost)]
+    near = [min(row[:i] + row[i + 1:]) for i, row in enumerate(cost)]
     if column is not None:
         near = [*map(min, near, column), min(column)]
     mate = [-1] * len(near)

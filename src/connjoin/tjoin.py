@@ -181,18 +181,20 @@ def _shortest_path_edges(
     """
     if dist[b] is None:
         raise InternalError(f"no path between matched terminals {a} and {b}")
-    path: set[int] = set()
+    nbrs, eids = graph.nbrs, graph.eids
+    path: list[int] = []
     v = b
     while v != a:
-        d = dist[v]
-        # sorted by (u, e): the first hit is minimal
-        for u, e in zip(graph.nbrs[v], graph.eids[v]):
-            if dist[u] == d - 1:
-                path.add(e)
-                v = u
+        d = dist[v] - 1
+        i = 0  # sorted by (u, e): the first hit is minimal
+        for u in nbrs[v]:
+            if dist[u] == d:
                 break
+            i += 1
         else:
             raise InternalError("BFS layering broke during path realization")
+        path.append(eids[v][i])
+        v = u
     return frozenset(path)
 
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from connjoin import connected_join
 from connjoin.cli import format_graft, main
 from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
                                      MULTIPLE_Q_COMPONENTS, T_OUTSIDE_INITIAL,
@@ -178,6 +179,24 @@ def test_matches_oracle_and_root_independent(corpus):
         for r in sorted(case.graft.terminals)[1:]:
             assert decide(case.graft, root=r).answer == d.answer, \
                 f"seed {case.seed} root {r}"
+
+
+def test_decision_does_not_depend_on_the_join(corpus, monkeypatch):
+    # decide starts from optimum_join's join, but a YES prints the join that
+    # construct_join stitches from the head sets: handed each minimum join
+    # in turn, decide must answer the same, printed join included.  The
+    # verifier's reports are pinned the same way, from every root, by
+    # test_outputs_are_the_same_for_every_minimum_join.
+    several = 0
+    for case in corpus:
+        if len(case.oracle.min_joins) < 2:
+            continue
+        several += 1
+        for join in case.oracle.min_joins:
+            monkeypatch.setattr(connected_join, "optimum_join",
+                                lambda graft, join=join: join)
+            assert decide(case.graft) == case.decision, f"seed {case.seed}"
+    assert several == 280
 
 
 def test_heads_equal_coverable_top_slice(corpus):
