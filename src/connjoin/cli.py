@@ -221,8 +221,46 @@ def _read(path: str) -> str:
     return sys.stdin.buffer.read().decode("ascii", "surrogateescape")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc, indent: str = "") -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, from C-encoded pieces.
+
+    Under ``indent`` the standard library switches to its pure-Python
+    encoder, whose closures also leave cyclic garbage.  Here strings and
+    ints are encoded in C and each list or dict is one join.  Any other
+    value falls back to ``json.dumps``, re-indented: JSON text holds no raw
+    newline but those between items."""
+    kind = type(doc)
+    if kind is str:
+        return _encode_str(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, doc)) == {int}:  # a bool is no int here
+            body = sep.join(map(int.__repr__, doc))
+        else:
+            body = sep.join([_json_text(x, inner) for x in doc])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict and set(map(type, doc)) <= {str}:
+        if not doc:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([
+            f"{_encode_str(k)}: {_json_text(doc[k], inner)}" for k in sorted(doc)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if doc is None or kind is bool:
+        return "null" if doc is None else "true" if doc else "false"
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    print(_json_text(doc))
 
 
 def _default_root(graft: Graft, flag: int | None) -> int:
@@ -337,7 +375,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         with open(f"{args.out}.graft", "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         with open(f"{args.out}.recipe.json", "w", encoding="ascii", newline="") as fh:
-            fh.write(json.dumps(recipe.to_json(), sort_keys=True, indent=2) + "\n")
+            fh.write(_json_text(recipe.to_json()) + "\n")
         return 0
     if args.format == "json":
         _emit({"file": text, "recipe": recipe.to_json()})

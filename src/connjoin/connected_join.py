@@ -1,11 +1,20 @@
 """Decide whether a connected minimum join exists and build one.
 
-The pipeline: compute a minimum join, root the distance decomposition at a
-terminal, screen the easy failure modes (eligibility), then evaluate the
-head sets — per component, the top-level vertices from which the remaining
-depth can be stitched together — bottom-up.  A connected minimum join
-exists iff the initial component's head set is nonempty, and each head
-vertex of the initial component is coverable by one.
+The pipeline is one staged chain, each stage taking what the one before it
+proved: compute a minimum join (``optimum_join`` proves it minimum as it
+realizes it), the distances from a terminal root under it (no second check
+of the join), then the sweep stage of the distance decomposition, whose
+merge forest the decision reads unnumbered.  On the forest it screens the
+easy failure modes (eligibility), then evaluates the head sets — per
+component, the top-level vertices from which the remaining depth can be
+stitched together — bottom-up.  A connected minimum join exists iff the
+initial component's head set is nonempty, and each head vertex of the
+initial component is coverable by one; the join stitched from the smallest
+is checked once more, as a new join.
+
+``is_eligible``, ``head_set`` and ``construct_join`` read only relative
+ids, so each takes the forest or the numbered ``DistanceDecomposition``
+alike, and their results name components in the ids of what they read.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .decomposition import DistanceDecomposition, distance_decomposition
+from .decomposition import DistanceDecomposition, MergeForest, _sweep
+from .distances import _distances
 from .errors import InternalError, StructuralInputError
 from .tjoin import Graft, is_join, optimum_join
 
@@ -52,7 +62,9 @@ __all__ = [
 class EligibilityVerdict:
     eligible: bool
     failure_reason: str | None = None
-    component_id: int | None = None  # offender, for MULTIPLE_Q_COMPONENTS
+    # The offender, for MULTIPLE_Q_COMPONENTS: the first in the ids of the
+    # decomposition or forest screened.
+    component_id: int | None = None
 
     def __post_init__(self) -> None:
         if self.eligible == (self.failure_reason is not None):
@@ -60,7 +72,8 @@ class EligibilityVerdict:
 
 
 def is_eligible(
-    graft: Graft, join: Iterable[int], root: int, dd: DistanceDecomposition,
+    graft: Graft, join: Iterable[int], root: int,
+    dd: DistanceDecomposition | MergeForest,
 ) -> EligibilityVerdict:
     """Screen the failure modes that rule out a connected minimum join.
 
@@ -89,7 +102,8 @@ def is_eligible(
 
 
 def head_set(
-    graft: Graft, dd: DistanceDecomposition, verdict: EligibilityVerdict,
+    graft: Graft, dd: DistanceDecomposition | MergeForest,
+    verdict: EligibilityVerdict,
 ) -> dict[int, frozenset[int]]:
     """Per-component head vertices, computed bottom-up over the depth tree.
 
@@ -116,7 +130,8 @@ def head_set(
     heads: dict[int, frozenset[int]] = {}
     for cid in reversed(order):
         top, kids = a_set[cid], d_children[cid]
-        top_terminals = empty if terminals.isdisjoint(top) else terminals & top
+        top_terminals = (empty if terminals.isdisjoint(top)
+                         else terminals.intersection(top))
         want = 0 if cid == dd.initial_id else 1
         if not kids:
             heads[cid] = top_terminals
@@ -138,8 +153,8 @@ def head_set(
 
 
 def construct_join(
-    graft: Graft, dd: DistanceDecomposition, heads: dict[int, frozenset[int]],
-    v: int,
+    graft: Graft, dd: DistanceDecomposition | MergeForest,
+    heads: dict[int, frozenset[int]], v: int,
 ) -> frozenset[int]:
     """Stitch a connected minimum join covering head vertex ``v``.
 
@@ -211,16 +226,16 @@ def decide(graft: Graft, root: int | None = None) -> Decision:
     if len(graft.parts) > 1:
         return Decision(False, STAGE_SPLIT_T)
     root = min(terminals) if root is None else root
-    join = optimum_join(graft)
-    dd = distance_decomposition(graft, join, root)
-    verdict = is_eligible(graft, join, root, dd)
+    join = optimum_join(graft)  # proved a minimum join as it is realized
+    forest = _sweep(graft, join, _distances(graft, root))
+    verdict = is_eligible(graft, join, root, forest)
     if not verdict.eligible:
         return Decision(False, STAGE_NOT_ELIGIBLE + verdict.failure_reason, root=root)
-    heads = head_set(graft, dd, verdict)
-    initial_heads = heads[dd.initial_id]
+    heads = head_set(graft, forest, verdict)
+    initial_heads = heads[forest.initial_id]
     if not initial_heads:
         return Decision(False, STAGE_EMPTY_HEAD_SET, root=root)
-    built = construct_join(graft, dd, heads, min(initial_heads))
+    built = construct_join(graft, forest, heads, min(initial_heads))
     if len(built) != len(join):
         raise InternalError(
             f"constructed join has {len(built)} edges, minimum is {len(join)}")

@@ -7,22 +7,28 @@ deferring the edges internal to level i splits them further into
 one join edge (its *beam*), whose inner endpoint (the component's *join
 root*) sits on the component's top level.
 
-The components form a laminar merge forest, built by one upward union-find
-sweep over the levels, which one pass over the distances buckets into
-ascending vertex lists.  Each step of the sweep makes one component per
-group, found through one array indexed by group root, into flat lists by
-build index (rank, top level, children, smallest vertex, parent).  One sort
-assigns the ids, and the decomposition keeps the forest as columns by id:
-level, layer flag, top level (``a_set``), cap flag, beam, join root, Q and
-depth children, parent; one pass over the ids checks the beams and fills
-the child columns, sorting only a component's several children.  Every
-reader reads the columns.  Only top levels are stored, at most 2n vertex
-references in all; a component's full vertex set is one walk down
-``d_children`` (``_d_set``) on each read and is never stored.  A join edge
-leaves exactly the components below its ends' lowest common one, so beams
-take one pass over the join.  The build costs O(n + m) beside the
-union-find and the sorts, where storing every vertex set would cost n per
-level.
+The components form a laminar merge forest, built in two stages.  The
+sweep stage (``_sweep``) is one upward union-find sweep over the levels,
+which one pass over the distances buckets into ascending vertex lists.
+Each step of the sweep makes one component per group, found through one
+array indexed by group root, into flat columns by build index: level, layer
+flag, top level, smallest vertex, parent, and the Q and depth children.
+The same stage records each vertex's own-level Q component (``home``),
+marks the caps, finds every component's leaving join edges (``_leaving``:
+a join edge leaves exactly the components below its ends' lowest common
+one, so beams take one pass over the join) and raises on any beam that
+breaks the theorem.  Its ``MergeForest`` is all the decision reads:
+eligibility, head sets and construction use only relative ids, so
+``decide`` runs this stage alone.  The numbering stage (``_number``) turns
+the forest into the ``DistanceDecomposition`` with one sort, by (level,
+smallest vertex, layer before Q), reading the forest's columns in id order:
+top levels become frozensets and child lists ascending id tuples.
+``distance_decomposition`` runs both stages, for ``decompose``'s JSON and
+for the verifier, whose reports name components by id.  Only top levels are
+stored, at most 2n vertex references in all; a component's full vertex set
+is one walk down ``d_children`` (``_d_set``) on each read and is never
+stored.  The build costs O(n + m) beside the union-find and the sort, where
+storing every vertex set would cost n per level.
 
 ``verify_decomposition`` re-derives the structural claims — beam counts,
 minimality and distance projection of the restricted join, factor-critical
@@ -60,6 +66,7 @@ from .tjoin import Graft, _check_edge_ids, is_join, nu, optimum_join
 
 __all__ = [
     "DistanceDecomposition",
+    "MergeForest",
     "DecompositionReport",
     "Violation",
     "distance_decomposition",
@@ -140,14 +147,17 @@ def _d_set(a_set: Sequence[frozenset[int]],
 
 
 def _leaving(graph: Graph, join: Iterable[int], home: Sequence[int | None],
-             parent: Sequence[int | None], rank: list[int],
+             parent: Sequence[int | None], rank: Sequence[int],
              ) -> list[list[tuple[int, int]]]:
     """The join edges leaving each component, as (edge, inner end), indexed
     like ``parent`` and ``rank`` (by id, or by build index in the sweep).
+    A rank grows strictly from each component to its parent: the sweep
+    passes its build indices, the verifier 2·level, plus 1 on a layer
+    component.
 
     An edge leaves exactly the components below its ends' lowest common
     one, so one climb from the ends' own-level Q components (``home``, by
-    vertex) finds them all.  An end off the root's component (None) never
+    vertex) finds them all: the lower-ranked end is never that component.  An end off the root's component (None) never
     climbs, so the edge leaves every component holding the other, caps
     included."""
     leaving: list[list[tuple[int, int]]] = [[] for _ in parent]
@@ -166,20 +176,57 @@ def _leaving(graph: Graph, join: Iterable[int], home: Sequence[int | None],
     return leaving
 
 
-def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
-    """Build the decomposition of the root's component under a minimum join.
+@dataclass(frozen=True)
+class MergeForest:
+    """The components as the sweep builds them: columns by build index,
+    under the names of ``DistanceDecomposition``'s columns by id.
+
+    Build indices run up the sweep, one step at a time (a level's Q
+    components, then its layer components), so a parent's index exceeds
+    its children's.  Top levels are the sweep's ascending lists.  Child
+    lists ascend by build index, except the depth children of a layer
+    component with several Q components, which follow those Q components
+    in turn.  ``is_eligible``, ``head_set`` and ``construct_join`` read
+    only relative ids, so they take a forest as it is; ``_number`` turns it
+    into the decomposition."""
+
+    root: int
+    distance_map: DistanceMap
+    interval: range
+    initial_id: int
+    level: list[int]
+    is_layer: list[bool]
+    a_set: list[list[int]]
+    low: list[int]  # smallest vertex
+    is_cap: list[bool]
+    beam: list[int | None]
+    f_root: list[int | None]
+    q_children: list[Sequence[int]]
+    d_children: list[list[int]]
+    parent: list[int | None]
+
+
+def _id_key(level: Sequence[int], low: Sequence[int], is_layer: Sequence[bool]):
+    """The sort key of build indices that gives their ids: (level,
+    smallest vertex, layer before Q)."""
+    return lambda x: (level[x], low[x], not is_layer[x])
+
+
+def _sweep(graft: Graft, join: frozenset[int], dm: DistanceMap) -> MergeForest:
+    """The sweep stage: the merge forest of ``dm``'s root component under
+    ``join``, a minimum join the caller has proved, with its caps and beams.
 
     Levels are swept upward with an incremental union-find, halving paths
-    on the way up: each vertex of level i links the groups of its cross
-    neighbours to itself (groups: Q components), then each edge inside
-    level i is merged once, from its larger end (groups: layer components).
-    After each step one pass over the level, in ascending vertex order,
-    makes a component per group, claimed in ``owner`` by the group's root,
-    and the previous step's components join the one claimed by their own
-    group.  Ids follow (level, smallest vertex, layer before Q)."""
-    join = frozenset(join)
-    dm = f_distances(graft, join, root)  # also asserts the join is minimum
-    graph, dist, nbrs = graft.graph, dm.dist, graft.graph.nbrs
+    on the way up.  Each vertex of level i links the groups of its cross
+    neighbours to itself, and one pass over the level, in ascending vertex
+    order, makes a Q component per group, claimed in ``owner`` by the
+    group's root; the previous level's layer components join the one that
+    claimed their own group.  Then each edge inside level i is merged once,
+    from its larger end, and a second pass makes the layer components, which
+    the level's Q components join.  Each vertex's ``home`` is its own-level
+    Q component, from which ``_leaving`` climbs to every component's leaving
+    join edges."""
+    graph, dist, nbrs, root = graft.graph, dm.dist, graft.graph.nbrs, dm.root
     reached = [d for d in dist if d is not None]
     lo, hi = min(reached), max(reached)
     levels: list[list[int]] = [[] for _ in range(lo, hi + 1)]  # ascending
@@ -190,17 +237,16 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
         raise InternalError(
             "distance values must form a contiguous range around 0")
 
-    # Components by build index: rank (2·level, plus 1 on a layer component:
-    # one more at each step up the forest), top-level vertices, children
-    # (the groups merged into it), smallest vertex and parent.
-    rank, top, kids, low, up = [], [], [], [], []
+    level, is_layer, top, low, up = [], [], [], [], []
+    q_children, d_children = [], []
+    home: list[int | None] = [None] * graph.n  # None off the root's component
     uf = list(range(graph.n))
     # A group root's component, if at least ``first``: a build of this step.
     owner = [-1] * graph.n
     first = 0  # the first build index of the current step
-    for i, level in enumerate(levels, lo):
+    for i, vs in enumerate(levels, lo):
         inner = []  # edges inside level i, merged after the Q grouping
-        for v in level:  # a root until its own level's edges merge
+        for v in vs:  # a root until its own level's edges merge
             for u in nbrs[v]:
                 du = dist[u]
                 if du is not None and du < i:  # a cross edge
@@ -209,94 +255,143 @@ def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> Dist
                     uf[u] = v
                 elif du == i and u < v:
                     inner.append((u, v))
-        for r in (2 * i, 2 * i + 1):  # Q components, then layer components
-            if r & 1:
-                for u, v in inner:
-                    while uf[u] != u:
-                        uf[u] = u = uf[uf[u]]
-                    while uf[v] != v:
-                        uf[v] = v = uf[uf[v]]
-                    uf[u] = v
-            below, first = range(first, len(top)), len(top)
-            for v in level:  # ascending: a group's first vertex is its least
-                x = v
-                while uf[x] != x:
-                    uf[x] = x = uf[uf[x]]
-                if owner[x] >= first:
-                    top[owner[x]].append(v)
-                    continue
-                owner[x] = len(top)
-                rank.append(r)
-                top.append([v])
-                kids.append([])
-                low.append(v)
-                up.append(None)
-            for c in below:  # every group holds a vertex of the level
-                x = low[c]
-                while uf[x] != x:
-                    uf[x] = x = uf[uf[x]]
-                x = owner[x]
-                if x < first:
-                    raise InternalError("every component meets its own level")
-                kids[x].append(c)
-                up[c] = x
-                if low[c] < low[x]:
-                    low[x] = low[c]
 
-    order = sorted(range(len(top)), key=lambda x: (rank[x] >> 1, low[x], -rank[x]))
+        # Q components: one per group, with each vertex's home
+        below, first = range(first, len(top)), len(top)
+        for v in vs:  # ascending: a group's first vertex is its least
+            x = v
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            if owner[x] >= first:
+                home[v] = x = owner[x]
+                top[x].append(v)
+                continue
+            home[v] = owner[x] = len(top)
+            level.append(i)
+            is_layer.append(False)
+            top.append([v])
+            low.append(v)
+            up.append(None)
+            q_children.append(())
+            d_children.append([])
+        for c in below:  # the layer components one level down
+            x = low[c]
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            x = owner[x]
+            if x < first:
+                raise InternalError("every component meets its own level")
+            d_children[x].append(c)
+            up[c] = x
+            if low[c] < low[x]:
+                low[x] = low[c]
+
+        # Layer components: the groups once the level's own edges merge
+        for u, v in inner:
+            while uf[u] != u:
+                uf[u] = u = uf[uf[u]]
+            while uf[v] != v:
+                uf[v] = v = uf[uf[v]]
+            uf[u] = v
+        below, first = range(first, len(top)), len(top)
+        for v in vs:
+            x = v
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            if owner[x] >= first:
+                top[owner[x]].append(v)
+                continue
+            owner[x] = len(top)
+            level.append(i)
+            is_layer.append(True)
+            top.append([v])
+            low.append(v)
+            up.append(None)
+            q_children.append([])
+            d_children.append(None)
+        for c in below:  # the level's Q components
+            x = low[c]
+            while uf[x] != x:
+                uf[x] = x = uf[uf[x]]
+            x = owner[x]
+            if x < first:
+                raise InternalError("every component meets its own level")
+            q_children[x].append(c)
+            up[c] = x
+            if low[c] < low[x]:
+                low[x] = low[c]
+            depth = d_children[x]  # shared while there is one Q component
+            d_children[x] = d_children[c] if depth is None else depth + d_children[c]
+
+    is_cap = [False] * len(top)
+    x = home[root]
+    while x is not None:  # the root's own components are the caps
+        is_cap[x] = True
+        x = up[x]
+    # Build indices grow up the forest, so they rank it for the climb.
+    leaving = _leaving(graph, join, home, up, range(len(top)))
+    beam, f_root, wrong = [None] * len(top), [None] * len(top), []
+    for x, out in enumerate(leaving):
+        if is_cap[x]:
+            continue
+        if len(out) == 1 and dist[out[0][1]] == level[x]:
+            beam[x], f_root[x] = out[0]
+        else:
+            wrong.append(x)
+    if wrong:  # the first by id, as a numbered build would meet it
+        x = min(wrong, key=_id_key(level, low, is_layer))
+        if len(leaving[x]) != 1:
+            raise TheoremViolationError(
+                f"component at level {level[x]} (smallest vertex {low[x]})"
+                f" is left by {len(leaving[x])} join edges instead of 1")
+        raise TheoremViolationError(
+            f"join root {leaving[x][0][1]} lies below the top level of its"
+            " component")
+    return MergeForest(
+        root=root, distance_map=dm, interval=range(lo, hi + 1),
+        initial_id=up[home[root]], level=level, is_layer=is_layer, a_set=top,
+        low=low, is_cap=is_cap, beam=beam, f_root=f_root,
+        q_children=q_children, d_children=d_children, parent=up)
+
+
+def _number(forest: MergeForest) -> DistanceDecomposition:
+    """The numbering stage: ids by (level, smallest vertex, layer before
+    Q), the forest's columns read in id order, top levels as frozensets and
+    child lists as ascending id tuples."""
+    order = sorted(range(len(forest.level)),
+                   key=_id_key(forest.level, forest.low, forest.is_layer))
     pos = [0] * len(order)  # build index -> id
-    # Each vertex's own-level Q component, None off the root's component.
-    home: list[int | None] = [None] * graph.n
     for cid, x in enumerate(order):
         pos[x] = cid
-        if not rank[x] & 1:
-            for v in top[x]:
-                home[v] = x
-    caps, x = set(), home[root]
-    while x is not None:  # the root's own components are the caps
-        caps.add(x)
-        x = up[x]
-    leaving = _leaving(graph, join, home, up, rank)
 
-    def ids(cs: list[int]) -> tuple[int, ...]:
+    def by_id(column: list) -> tuple:
+        return tuple(map(column.__getitem__, order))
+
+    def ids(cs: Sequence[int]) -> tuple[int, ...]:
         """The ids of the build indices ``cs``, ascending."""
         if len(cs) > 1:
             return tuple(sorted([pos[c] for c in cs]))
         return (pos[cs[0]],) if cs else ()
 
-    beam, f_root = [None] * len(order), [None] * len(order)
-    q_children, d_children = [], []
-    for cid, x in enumerate(order):
-        i = rank[x] >> 1
-        if x not in caps:
-            if len(leaving[x]) != 1:
-                raise TheoremViolationError(
-                    f"component at level {i} (smallest vertex {low[x]})"
-                    f" is left by {len(leaving[x])} join edges instead of 1")
-            (e, f), = leaving[x]
-            if dist[f] != i:
-                raise TheoremViolationError(
-                    f"join root {f} lies below the top level of its component")
-            beam[cid], f_root[cid] = e, f
-        cs = kids[x]
-        if rank[x] & 1:
-            q_children.append(ids(cs))
-            d_children.append(ids(kids[cs[0]] if len(cs) == 1 else
-                                  [d for q in cs for d in kids[q]]))
-        else:
-            q_children.append(())
-            d_children.append(ids(cs))
-
     return DistanceDecomposition(
-        root=root, distance_map=dm, interval=range(lo, hi + 1),
-        initial_id=pos[up[home[root]]],
-        level=tuple([rank[x] >> 1 for x in order]),
-        is_layer=tuple([rank[x] & 1 == 1 for x in order]),
-        a_set=tuple([frozenset(top[x]) for x in order]),
-        is_cap=tuple([x in caps for x in order]),
-        beam=tuple(beam), f_root=tuple(f_root),
-        q_children=tuple(q_children), d_children=tuple(d_children),
-        parent=tuple([None if up[x] is None else pos[up[x]] for x in order]))
+        root=forest.root, distance_map=forest.distance_map,
+        interval=forest.interval, initial_id=pos[forest.initial_id],
+        level=by_id(forest.level), is_layer=by_id(forest.is_layer),
+        a_set=tuple(map(frozenset, by_id(forest.a_set))),
+        is_cap=by_id(forest.is_cap), beam=by_id(forest.beam),
+        f_root=by_id(forest.f_root),
+        q_children=tuple(map(ids, by_id(forest.q_children))),
+        d_children=tuple(map(ids, by_id(forest.d_children))),
+        parent=tuple([None if x is None else pos[x]
+                      for x in by_id(forest.parent)]))
+
+
+def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
+    """Build the decomposition of the root's component under a minimum join:
+    the sweep stage, then the numbering stage."""
+    join = frozenset(join)
+    dm = f_distances(graft, join, root)  # also asserts the join is minimum
+    return _number(_sweep(graft, join, dm))
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:

@@ -72,6 +72,14 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
     if len(join) != minimum:
         raise NotMinimumJoinError(
             f"join has {len(join)} edges but the minimum is {minimum}")
+    return _distances(graft, root)
+
+
+def _distances(graft: Graft, root: int) -> DistanceMap:
+    """The distances stage of ``f_distances``, without its checks: for a
+    caller that has proved its own minimum join (the values do not depend
+    on which) and holds a vertex ``root``."""
+    graph = graft.graph
     solve = next((s for s in graft.solved if root in s.terminals), None)
     if solve:  # a terminal root: a copy of its rank at hop 0
         column = solve.cost[solve.terminals.index(root)]

@@ -5,16 +5,19 @@ import time
 
 import pytest
 
-from connjoin import connected_join
+from connjoin import connected_join, decomposition, distances, tjoin
 from connjoin.cli import format_graft, main
 from connjoin.connected_join import (EMPTY_T, INITIAL_DISCONNECTED,
-                                     MULTIPLE_Q_COMPONENTS, T_OUTSIDE_INITIAL,
+                                     MULTIPLE_Q_COMPONENTS, STAGE_EMPTY_HEAD_SET,
+                                     STAGE_EMPTY_T, STAGE_NOT_ELIGIBLE,
+                                     STAGE_SPLIT_T, T_OUTSIDE_INITIAL,
                                      EligibilityVerdict, connected_minimum_join,
                                      construct_join, decide, head_set,
                                      is_eligible)
 from connjoin.constructive import gen_primal, gen_tailed
 from connjoin.decomposition import distance_decomposition, verify_decomposition
-from connjoin.errors import NoJoinError, StructuralInputError
+from connjoin.errors import (NoJoinError, NotMinimumJoinError,
+                             StructuralInputError)
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
 from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
@@ -327,3 +330,103 @@ def test_answer_survives_relabeling_and_root_change(family, seed):
             assert spans_connected(copy, c.join)
         answers.add(d.answer)
     assert len(answers) == 1
+
+
+def test_decide_runs_the_sweep_stage_on_the_join_it_proved(corpus, monkeypatch):
+    # decide reads the merge forest as the sweep builds it, so the numbering
+    # stage never runs, and the distances stage takes the join optimum_join
+    # has just proved: is_join runs once per join built, the optimum's and,
+    # on a YES, the constructed one
+    def number(forest):
+        raise AssertionError("decide numbered the merge forest")
+
+    monkeypatch.setattr(decomposition, "_number", number)
+    calls = []
+    real = tjoin.is_join
+    for module in (tjoin, connected_join, decomposition, distances):
+        monkeypatch.setattr(module, "is_join",
+                            lambda *args: calls.append(1) or real(*args))
+    stages = set()
+    for case in corpus:
+        calls.clear()
+        d = decide(case.graft)
+        assert d == case.decision, f"seed {case.seed}"
+        want = (0 if d.stage in (STAGE_EMPTY_T, STAGE_SPLIT_T) else
+                2 if d.answer else 1)
+        assert len(calls) == want, f"seed {case.seed}"
+        stages.add(STAGE_NOT_ELIGIBLE if d.stage and d.stage.startswith(
+            STAGE_NOT_ELIGIBLE) else d.stage)
+    assert stages == {None, STAGE_EMPTY_T, STAGE_NOT_ELIGIBLE,
+                      STAGE_EMPTY_HEAD_SET}
+    # the public entries keep their checks
+    tri = validate_graft(Graph(3, [(0, 1), (1, 2), (0, 2)]), {0, 1})
+    with pytest.raises(NotMinimumJoinError):
+        distance_decomposition(tri, {1, 2}, 0)
+
+
+def relabel_cases(corpus):
+    """(graft, root) pairs: every terminal root of the corpus grafts that
+    reach the sweep, the bench's generator members and its deep shapes."""
+    for case in corpus:
+        graft = case.graft
+        if graft.terminals and len(graft.parts) == 1:
+            for root in sorted(graft.terminals):
+                yield graft, root
+    for graft in ([gen_primal(3, 3, seed=s)[0].graft for s in (44, 1, 7, 13, 6, 92)]
+                  + [gen_tailed(2, 4, seed=s)[0] for s in (6, 1, 0, 36)]):
+        yield graft, min(graft.terminals)
+    for i, length in enumerate((100, 180, 260, 340, 400, 440, 600)):
+        yield spine(length, length // 2 if i % 2 else 0, seed=length), 0
+
+
+def test_numbering_only_relabels(corpus):
+    # The numbering stage turns the sweep's forest into the decomposition
+    # and changes nothing but the ids.  A component is found in both by its
+    # level, kind and smallest top-level vertex; under that map every column
+    # agrees, and the readers give the decision on the forest what they give
+    # on the numbered decomposition, head sets included.
+    answers = set()
+    for graft, root in relabel_cases(corpus):
+        join = optimum_join(graft)
+        forest = decomposition._sweep(graft, join,
+                                      distances._distances(graft, root))
+        dd = distance_decomposition(graft, join, root)
+        by_key = {(i, layer, min(top)): cid for cid, (i, layer, top)
+                  in enumerate(zip(dd.level, dd.is_layer, dd.a_set))}
+        pos = [by_key[key] for key in zip(forest.level, forest.is_layer,
+                                          map(min, forest.a_set))]
+        assert sorted(pos) == list(range(len(dd.level)))
+        assert pos[forest.initial_id] == dd.initial_id
+        for x, cid in enumerate(pos):
+            assert forest.a_set[x] == sorted(dd.a_set[cid])
+            assert (forest.is_cap[x], forest.beam[x], forest.f_root[x]) == (
+                dd.is_cap[cid], dd.beam[cid], dd.f_root[cid])
+            assert sorted(pos[c] for c in forest.q_children[x]) == list(
+                dd.q_children[cid])
+            assert sorted(pos[c] for c in forest.d_children[x]) == list(
+                dd.d_children[cid])
+            up = forest.parent[x]
+            assert (None if up is None else pos[up]) == dd.parent[cid]
+
+        verdict = is_eligible(graft, join, root, dd)
+        seen = is_eligible(graft, join, root, forest)
+        assert (seen.eligible, seen.failure_reason) == (
+            verdict.eligible, verdict.failure_reason)
+        decision = decide(graft, root)
+        answers.add(decision.stage)
+        if not verdict.eligible:
+            assert decision.stage == STAGE_NOT_ELIGIBLE + verdict.failure_reason
+            continue
+        heads = head_set(graft, dd, verdict)
+        assert {pos[x]: h for x, h in head_set(graft, forest, seen).items()} \
+            == heads
+        initial = heads[dd.initial_id]
+        if not initial:
+            assert decision.stage == STAGE_EMPTY_HEAD_SET
+            continue
+        assert decision.join == construct_join(graft, dd, heads, min(initial))
+        assert decision.coverable == initial
+    assert answers == {None, STAGE_EMPTY_HEAD_SET,
+                       *(STAGE_NOT_ELIGIBLE + reason for reason in
+                         (T_OUTSIDE_INITIAL, INITIAL_DISCONNECTED,
+                          MULTIPLE_Q_COMPONENTS))}

@@ -732,6 +732,11 @@ def test_matches_bfs_oracle_on_deep_caterpillars(depth):
     # vertex 2 at -2 between 1 and 3 at -1: {2} is left by two join edges
     (4, [(0, 1), (1, 2), (2, 3)], {0, 3}, (0, -1, -2, -1),
      TheoremViolationError, "left by 2 join edges"),
+    # at level -2, {1, 2} is left by 2 join edges and its Q component {1}
+    # by 3: the layer component has the lower id, so it is named, although
+    # the sweep builds the Q component first
+    (4, [(0, 1), (1, 2), (1, 3)], {0, 1, 2, 3}, (0, -2, -2, -1),
+     TheoremViolationError, "left by 2 join edges"),
     # the only join edge leaving {1, 2} ends at 1, below its level -1
     (3, [(0, 1), (1, 2)], {0, 1}, (0, -2, -1),
      TheoremViolationError, "below the top level"),
