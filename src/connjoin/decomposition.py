@@ -12,14 +12,18 @@ sweep stage (``_sweep``) is one upward union-find sweep over the levels,
 which one pass over the distances buckets into ascending vertex lists.
 Each step of the sweep makes one component per group, found through one
 array indexed by group root, into flat columns by build index: level, layer
-flag, top level, smallest vertex, parent, and the Q and depth children.
-The same stage records each vertex's own-level Q component (``home``),
-marks the caps, finds every component's leaving join edges (``_leaving``:
-a join edge leaves exactly the components below its ends' lowest common
-one, so beams take one pass over the join) and raises on any beam that
-breaks the theorem.  Its ``MergeForest`` is all the decision reads:
-eligibility, head sets and construction use only relative ids, so
-``decide`` runs this stage alone.  The numbering stage (``_number``) turns
+flag, top level, smallest vertex, parent, and the Q and depth children.  A
+level with no edge inside it, as every level of a bipartite graft, has its
+Q components as its layer components: that step makes one layer component
+per Q component, sharing its top level and depth children, and groups
+nothing.  The same stage records each vertex's own-level Q component
+(``home``), marks the caps, counts every component's leaving join edges
+(``_leaving``: a join edge leaves exactly the components below its ends'
+lowest common one, so one pass over the join fills flat columns, a count
+and the first edge per component and a list only for one left by two or
+more) and raises on any beam that breaks the theorem.  Its ``MergeForest``
+is all the decision reads: eligibility, head sets and construction use only
+relative ids, so ``decide`` runs this stage alone.  The numbering stage (``_number``) turns
 the forest into the ``DistanceDecomposition`` with one sort, by (level,
 smallest vertex, layer before Q), reading the forest's columns in id order:
 top levels become frozensets and child lists ascending id tuples.
@@ -35,19 +39,19 @@ minimality and distance projection of the restricted join, factor-critical
 level contractions carrying a near-perfect matching, and strong-comb depth
 contractions — and reports violations instead of trusting the
 construction.  It reads the same merge forest: the build's climb gives
-every component's leaving join edges.  The three checks of a non-cap layer
-component with one Q component are proved bottom-up where the
-decomposition allows it: the cuts of the components below pack as many odd
-cuts as the restricted join has edges, and a search over the top level
-passes through children already proved (``_restriction_closes``).  The
-same packing and routes prove its level contraction factor-critical and
-its Q component's depth contraction a strong comb.  Only where that proof
-does not close does the verifier build the component's grafts and solve
-them.  Every graft the verifier checks comes from one routine,
-``_contraction``, under a vertex map: the induced sub-graft under its rank
-map, a level contraction from the component's top level alone (its Q
-components meet only through edges inside that level) and a depth
-contraction from the top level plus one blob per depth child.
+every component's leaving join edges, in the same columns.  The three
+checks of a non-cap layer component with one Q component are proved
+bottom-up where the decomposition allows it: the cuts of the components
+below pack as many odd cuts as the restricted join has edges, and a search
+over the top level passes through children already proved
+(``_restriction_closes``).  The same packing and routes prove its level
+contraction factor-critical and its Q component's depth contraction a
+strong comb.  Only where that proof does not close does the verifier build
+the component's grafts and solve them.  Every graft the verifier checks
+comes from one routine, ``_contraction``, under a vertex map: the induced
+sub-graft under its rank map, a level contraction from the component's top
+level alone (its Q components meet only through edges inside that level)
+and a depth contraction from the top level plus one blob per depth child.
 """
 
 from __future__ import annotations
@@ -146,34 +150,64 @@ def _d_set(a_set: Sequence[frozenset[int]],
     return frozenset(below)
 
 
+@dataclass(slots=True)
+class _Leaving:
+    """The join edges leaving each component, as flat columns indexed like
+    the ``parent`` and ``rank`` that ``_leaving`` climbed.  On valid input a
+    component is left by one edge or none, so only the few components left
+    by two or more hold a list."""
+
+    count: list[int]  # how many join edges leave
+    edge: list[int | None]  # the first in join order
+    end: list[int | None]  # its inner end
+    more: dict[int, list[tuple[int, int]]]  # the rest, as (edge, inner end)
+
+    def edges(self, x: int) -> list[int]:
+        """The join edges leaving ``x``, in join order."""
+        if not self.count[x]:
+            return []
+        return [self.edge[x], *(e for e, _ in self.more.get(x, ()))]
+
+
 def _leaving(graph: Graph, join: Iterable[int], home: Sequence[int | None],
-             parent: Sequence[int | None], rank: Sequence[int],
-             ) -> list[list[tuple[int, int]]]:
-    """The join edges leaving each component, as (edge, inner end), indexed
-    like ``parent`` and ``rank`` (by id, or by build index in the sweep).
-    A rank grows strictly from each component to its parent: the sweep
-    passes its build indices, the verifier 2·level, plus 1 on a layer
-    component.
+             parent: Sequence[int | None], rank: Sequence[int]) -> _Leaving:
+    """The join edges leaving each component, as columns indexed like
+    ``parent`` and ``rank`` (by id, or by build index in the sweep).  This
+    climb alone decides which edge leaves which component.  A rank grows
+    strictly from each component to its parent: the sweep passes its build
+    indices, the verifier 2·level, plus 1 on a layer component.
 
     An edge leaves exactly the components below its ends' lowest common
     one, so one climb from the ends' own-level Q components (``home``, by
-    vertex) finds them all: the lower-ranked end is never that component.  An end off the root's component (None) never
-    climbs, so the edge leaves every component holding the other, caps
-    included."""
-    leaving: list[list[tuple[int, int]]] = [[] for _ in parent]
+    vertex) finds them all: the lower-ranked end is never that component.
+    An end off the root's component (None) never climbs, so the edge leaves
+    every component holding the other, caps included."""
+    count = [0] * len(parent)
+    edge: list[int | None] = [None] * len(parent)
+    end: list[int | None] = [None] * len(parent)
+    more: dict[int, list[tuple[int, int]]] = {}
+    ends, inf = graph.edges, math.inf
     for e in join:
-        u, v = graph.endpoints(e)
+        u, v = ends[e]
         a, b = home[u], home[v]
         while a != b:
-            ra = math.inf if a is None else rank[a]
-            rb = math.inf if b is None else rank[b]
+            ra = inf if a is None else rank[a]
+            rb = inf if b is None else rank[b]
             if ra <= rb:
-                leaving[a].append((e, u))
+                if count[a]:
+                    more.setdefault(a, []).append((e, u))
+                else:
+                    edge[a], end[a] = e, u
+                count[a] += 1
                 a = parent[a]
             if rb <= ra:
-                leaving[b].append((e, v))
+                if count[b]:
+                    more.setdefault(b, []).append((e, v))
+                else:
+                    edge[b], end[b] = e, v
+                count[b] += 1
                 b = parent[b]
-    return leaving
+    return _Leaving(count, edge, end, more)
 
 
 @dataclass(frozen=True)
@@ -183,12 +217,13 @@ class MergeForest:
 
     Build indices run up the sweep, one step at a time (a level's Q
     components, then its layer components), so a parent's index exceeds
-    its children's.  Top levels are the sweep's ascending lists.  Child
-    lists ascend by build index, except the depth children of a layer
-    component with several Q components, which follow those Q components
-    in turn.  ``is_eligible``, ``head_set`` and ``construct_join`` read
-    only relative ids, so they take a forest as it is; ``_number`` turns it
-    into the decomposition."""
+    its children's.  Top levels are the sweep's ascending lists, one list
+    for a layer component and its only Q component on a level without an
+    inner edge.  Child lists ascend by build index, except the depth
+    children of a layer component with several Q components, which follow
+    those Q components in turn.  ``is_eligible``, ``head_set`` and
+    ``construct_join`` read only relative ids, so they take a forest as it
+    is; ``_number`` turns it into the decomposition."""
 
     root: int
     distance_map: DistanceMap
@@ -223,9 +258,13 @@ def _sweep(graft: Graft, join: frozenset[int], dm: DistanceMap) -> MergeForest:
     group's root; the previous level's layer components join the one that
     claimed their own group.  Then each edge inside level i is merged once,
     from its larger end, and a second pass makes the layer components, which
-    the level's Q components join.  Each vertex's ``home`` is its own-level
-    Q component, from which ``_leaving`` climbs to every component's leaving
-    join edges."""
+    the level's Q components join.  A level without such an edge has no
+    group to merge: each of its Q components becomes one layer component,
+    in build order, sharing its top list and depth children, as the second
+    pass would make them.  Each vertex's ``home`` is its own-level Q
+    component, from which ``_leaving`` climbs to every component's leaving
+    join edges; beams and join roots are its first-edge columns, checked
+    against its counts."""
     graph, dist, nbrs, root = graft.graph, dm.dist, graft.graph.nbrs, dm.root
     reached = [d for d in dist if d is not None]
     lo, hi = min(reached), max(reached)
@@ -286,6 +325,19 @@ def _sweep(graft: Graft, join: frozenset[int], dm: DistanceMap) -> MergeForest:
             if low[c] < low[x]:
                 low[x] = low[c]
 
+        if not inner:  # each Q component is a layer component alone
+            below, first = range(first, len(top)), len(top)
+            for x, c in enumerate(below, first):
+                up[c] = x
+                level.append(i)
+                is_layer.append(True)
+                top.append(top[c])  # shared, as are the depth children
+                low.append(low[c])
+                up.append(None)
+                q_children.append((c,))
+                d_children.append(d_children[c])
+            continue
+
         # Layer components: the groups once the level's own edges merge
         for u, v in inner:
             while uf[u] != u:
@@ -330,22 +382,21 @@ def _sweep(graft: Graft, join: frozenset[int], dm: DistanceMap) -> MergeForest:
         x = up[x]
     # Build indices grow up the forest, so they rank it for the climb.
     leaving = _leaving(graph, join, home, up, range(len(top)))
-    beam, f_root, wrong = [None] * len(top), [None] * len(top), []
-    for x, out in enumerate(leaving):
-        if is_cap[x]:
-            continue
-        if len(out) == 1 and dist[out[0][1]] == level[x]:
-            beam[x], f_root[x] = out[0]
-        else:
+    count, beam, f_root = leaving.count, leaving.edge, leaving.end
+    wrong = []
+    for x, cap in enumerate(is_cap):
+        if cap:
+            beam[x] = f_root[x] = None
+        elif count[x] != 1 or dist[f_root[x]] != level[x]:
             wrong.append(x)
     if wrong:  # the first by id, as a numbered build would meet it
         x = min(wrong, key=_id_key(level, low, is_layer))
-        if len(leaving[x]) != 1:
+        if count[x] != 1:
             raise TheoremViolationError(
                 f"component at level {level[x]} (smallest vertex {low[x]})"
-                f" is left by {len(leaving[x])} join edges instead of 1")
+                f" is left by {count[x]} join edges instead of 1")
         raise TheoremViolationError(
-            f"join root {leaving[x][0][1]} lies below the top level of its"
+            f"join root {f_root[x]} lies below the top level of its"
             " component")
     return MergeForest(
         root=root, distance_map=dm, interval=range(lo, hi + 1),
@@ -470,10 +521,10 @@ def verify_decomposition(
     def bad(cid: int | None, check: str, message: str) -> None:
         out.append(Violation(cid, check, message))
 
-    for cid, cap in enumerate(is_cap):
+    for cid, (cap, count) in enumerate(zip(is_cap, leaving.count)):
         want = 0 if cap else 1
-        if len(leaving[cid]) != want:
-            bad(cid, "beam-count", f"{len(leaving[cid])} join edges"
+        if count != want:
+            bad(cid, "beam-count", f"{count} join edges"
                 f" leave the component, expected {want}")
 
     layers = [cid for cid, layer in enumerate(is_layer) if layer]
@@ -580,7 +631,8 @@ def _restriction_closes(graph, join, dd, cid, home, leaving, closed) -> bool:
     ends = {}  # child -> its beam's outer end w_D
     for d in dd.d_children[cid]:
         beam, f_d = dd.beam[d], dd.f_root[d]
-        if d not in closed or leaving[d] != [(beam, f_d)]:
+        if d not in closed or leaving.count[d] != 1 \
+                or (leaving.edge[d], leaving.end[d]) != (beam, f_d):
             return False
         u, v = graph.endpoints(beam)
         ends[d] = v if u == f_d else u
@@ -718,7 +770,7 @@ def _check_depth_contraction(graph, join, dd, cid, home, leaving, bad) -> None:
                     image[u] = teeth[child]
     contracted, new_id = _contraction(graph, join, top, image,
                                       len(top) + len(teeth))
-    beams = [e for c in dd.d_children[cid] for e, _ in leaving[c]]
+    beams = [e for c in dd.d_children[cid] for e in leaving.edges(c)]
     if any(e not in new_id for e in beams):
         bad(cid, "comb-join",
             "a join edge leaves the depth set without staying inside "

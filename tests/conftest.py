@@ -42,6 +42,35 @@ def sparse_graft(n: int, k: int, seed: int) -> Graft:
     return validate_graft(Graph(n, edges), rng.sample(range(n), k))
 
 
+def mixed_level_grafts() -> list[tuple[Graft, int]]:
+    """(graft, root) pairs whose levels mix the two kinds the sweep tells
+    apart: levels with an edge inside and levels without.  A path with
+    terminals at its ends puts each spine vertex on a level of its own; an
+    odd cycle hung on it meets itself inside the level of its far edge.  A
+    grid is bipartite, so none of its levels holds an edge, but a level
+    holds several vertices and a component several depth children; the
+    chord 3-4 of the 3 x 4 grid closes an odd cycle, and the edge it puts
+    inside a level joins two Q components below the root's."""
+    out = []
+    for length, cycle, at in ((6, 3, 6), (8, 5, 3), (10, 7, 1), (12, 9, 0)):
+        ring = [at, *range(length + 1, length + cycle)]
+        edges = [(i, i + 1) for i in range(length)]
+        edges += [(ring[j - 1], ring[j]) for j in range(cycle)]
+        graft = validate_graft(Graph(length + cycle, edges), {0, length})
+        out.append((graft, 0))
+    for rows, cols, terminals, chords in (
+            (3, 4, {0, 11}, []), (4, 5, {0, 7, 12, 19}, []),
+            (5, 5, {2, 10, 14, 22}, []), (3, 4, {0, 3, 8, 11}, [(3, 4)])):
+        edges = [(r * cols + c, r * cols + c + 1)
+                 for r in range(rows) for c in range(cols - 1)]
+        edges += [(r * cols + c, (r + 1) * cols + c)
+                  for r in range(rows - 1) for c in range(cols)]
+        edges += chords
+        graft = validate_graft(Graph(rows * cols, edges), terminals)
+        out.append((graft, min(terminals)))
+    return out
+
+
 def random_multigraft(seed: int) -> Graft:
     """Multigraph of up to 14 vertices with parallel edges and usually several
     components; per component the terminals are none, all of an even-sized

@@ -23,7 +23,7 @@ from connjoin.oracle import oracle_report
 from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
                             validate_graft)
 
-from conftest import sparse_graft
+from conftest import mixed_level_grafts, sparse_graft
 
 
 def spans_connected(graft, join):
@@ -366,7 +366,8 @@ def test_decide_runs_the_sweep_stage_on_the_join_it_proved(corpus, monkeypatch):
 
 def relabel_cases(corpus):
     """(graft, root) pairs: every terminal root of the corpus grafts that
-    reach the sweep, the bench's generator members and its deep shapes."""
+    reach the sweep, the bench's generator members, its deep shapes and
+    grafts whose levels mix those with and without an inner edge."""
     for case in corpus:
         graft = case.graft
         if graft.terminals and len(graft.parts) == 1:
@@ -377,6 +378,7 @@ def relabel_cases(corpus):
         yield graft, min(graft.terminals)
     for i, length in enumerate((100, 180, 260, 340, 400, 440, 600)):
         yield spine(length, length // 2 if i % 2 else 0, seed=length), 0
+    yield from mixed_level_grafts()
 
 
 def test_numbering_only_relabels(corpus):

@@ -17,7 +17,8 @@ from connjoin.errors import (InternalError, StructuralInputError,
 from connjoin.graph_core import Graph, connected_components
 from connjoin.tjoin import Graft, minimum_join, optimum_join, validate_graft
 
-from conftest import count_work, random_connected_graft, random_multigraft
+from conftest import (count_work, mixed_level_grafts, random_connected_graft,
+                      random_multigraft)
 from decomposition_oracle import matchable_deletions, oracle_components
 from path_oracle import enumerate_circuits, shortest_path_weight_oracle
 
@@ -236,11 +237,7 @@ def certified(monkeypatch):
         ran.clear()
         verify_decomposition(graft, join, dd)
         graph, join = graft.graph, frozenset(join)
-        home = {v: q for q, top in enumerate(dd.a_set) if not dd.is_layer[q]
-                for v in top}
-        leaving = decomposition._leaving(
-            graph, join, home, dd.parent,
-            [2 * i + layer for i, layer in zip(dd.level, dd.is_layer)])
+        home, leaving = climb(graph, join, dd)
         out = []
         for cid in non_cap_layers(dd):
             if cid not in ran:
@@ -256,6 +253,77 @@ def certified(monkeypatch):
                 out.append((cid, found))
         return out
     return certified
+
+
+def climb(graph, join, dd):
+    """``home`` and the leaving-edge columns by id, as the verifier builds
+    them."""
+    home = [None] * graph.n
+    for q, top in enumerate(dd.a_set):
+        if not dd.is_layer[q]:
+            for v in top:
+                home[v] = q
+    return home, decomposition._leaving(
+        graph, join, home, dd.parent,
+        [2 * i + layer for i, layer in zip(dd.level, dd.is_layer)])
+
+
+def test_leaving_columns_match_a_crossing_count(corpus):
+    # Under a minimum join XOR each circuit, a component may be left by any
+    # number of join edges.  Per component, the count, the first edge with
+    # its inner end and the rest, in join order, equal a direct count of
+    # the join edges with one end inside the component's vertex set.
+    overflowing_children = 0
+    for case in corpus[:100]:
+        graft = case.graft
+        graph, join = graft.graph, minimum_join(graft)
+        dd = distance_decomposition(graft, join, min(graft.terminals, default=0))
+        vertex_sets = [c.vertices for c in dd.components]
+        for circuit in [frozenset()] + enumerate_circuits(graph):
+            other = join ^ circuit
+            _, leaving = climb(graph, other, dd)
+            for cid, inside in enumerate(vertex_sets):
+                crossing = [(e, u if u in inside else v) for e in other
+                            for u, v in [graph.endpoints(e)]
+                            if (u in inside) != (v in inside)]
+                assert leaving.count[cid] == len(crossing)
+                assert (leaving.edge[cid], leaving.end[cid]) == (
+                    crossing[0] if crossing else (None, None))
+                assert leaving.more.get(cid) == (crossing[1:] or None)
+                assert leaving.edges(cid) == [e for e, _ in crossing]
+            # a depth child of a non-cap Q component left by two or more
+            # edges: its depth contraction reads the overflow list
+            overflowing_children += sum(
+                leaving.count[d] >= 2 for q, kids in enumerate(dd.d_children)
+                if not (dd.is_layer[q] or dd.is_cap[q]) for d in kids)
+    assert overflowing_children > 15  # 22
+
+
+def test_depth_contraction_reads_every_edge_leaving_a_child():
+    # Under the join {0, 1, 2, 6}, the child {2} of Q component 3 is left
+    # by edges 1, 2 and 6 (the parallel edges 2 and 6 both run 2-3).  The
+    # child beams of the depth contraction are all three, which are no
+    # minimum join of it; its first edge alone would be one.
+    graft = validate_graft(Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4), (3, 4),
+                                     (3, 4), (2, 3), (0, 1), (3, 4), (1, 2),
+                                     (3, 4)]), {0, 2})
+    join = minimum_join(graft)
+    assert join == {0, 1}
+    dd = distance_decomposition(graft, join, 0)
+    other = join | {2, 6}
+    assert dd.d_children[3] == (0,)
+    _, leaving = climb(graft.graph, frozenset(other), dd)
+    assert sorted(leaving.edges(0)) == [1, 2, 6]
+    assert verify_decomposition(graft, other, dd).to_json()["violations"] == [
+        {"component_id": 0, "check": "beam-count",
+         "message": "3 join edges leave the component, expected 1"},
+        {"component_id": 1, "check": "beam-count",
+         "message": "3 join edges leave the component, expected 1"},
+        {"component_id": 2, "check": "induced-join-minimality",
+         "message": "restriction has 3 edges, minimum is 1"},
+        {"component_id": 3, "check": "comb-join",
+         "message": "child beams are not a minimum join of the depth "
+                    "contraction"}]
 
 
 def non_cap_layers(dd):
@@ -699,6 +767,15 @@ def test_matches_bfs_oracle_on_multigrafts():
     for seed in range(300):
         graft = random_multigraft(seed)
         assert_matches_oracle(graft, min(graft.terminals, default=0))
+
+
+def test_matches_bfs_oracle_on_mixed_levels():
+    # odd cycles hung on paths, bipartite grids and a grid with an odd
+    # chord: the sweep groups the levels with an edge inside, and takes
+    # every other level's Q components as its layer components
+    for seed, (graft, root) in enumerate(mixed_level_grafts()):
+        for g, r in ((graft, root), shuffled(graft, root, seed)):
+            assert_matches_oracle(g, r)
 
 
 def test_ids_follow_the_smallest_vertex_not_the_level_set_order():
