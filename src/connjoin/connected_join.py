@@ -159,29 +159,28 @@ def construct_join(
     """Stitch a connected minimum join covering head vertex ``v``.
 
     Depth-first from the initial component: at each component's anchor,
-    connect to the smallest adjacent head of every child and recurse from
-    there.  One edge per tree link is exactly minimum.
+    connect to the smallest adjacent head of every child by its least edge
+    id, and recurse from there.  One edge per tree link is exactly minimum.
     """
     if v not in heads.get(dd.initial_id, frozenset()):
         raise StructuralInputError(f"vertex {v} is not a head of the initial component")
     nbrs, eids, d_children = graft.graph.nbrs, graft.graph.eids, dd.d_children
+    n = graft.n
     out: list[int] = []  # one edge per tree link, so no repeats
     stack: list[tuple[int, int]] = [(dd.initial_id, v)]
     while stack:
         cid, anchor = stack.pop()
         for child_id in d_children[cid]:
-            child_heads = heads[child_id]
-            i = 0  # sorted: the first hit is minimal
+            child_heads, w = heads[child_id], n
             for u in nbrs[anchor]:
-                if u in child_heads:
-                    break
-                i += 1
-            else:
+                if u < w and u in child_heads:
+                    w = u
+            if w == n:
                 raise InternalError(
                     f"anchor {anchor} has no edge into the head set of "
                     f"component {child_id}")
-            out.append(eids[anchor][i])
-            stack.append((child_id, u))
+            out.append(eids[anchor][nbrs[anchor].index(w)])
+            stack.append((child_id, w))
     if graft.terminals and not out:
         raise InternalError("terminals present but the constructed join is empty")
     return frozenset(out)

@@ -407,8 +407,8 @@ def _sweep(graft: Graft, join: frozenset[int], dm: DistanceMap) -> MergeForest:
 
 def _number(forest: MergeForest) -> DistanceDecomposition:
     """The numbering stage: ids by (level, smallest vertex, layer before
-    Q), the forest's columns read in id order, top levels as frozensets and
-    child lists as ascending id tuples."""
+    Q), the forest's columns read in id order, top levels as frozensets, one
+    per list, and child lists as ascending id tuples."""
     order = sorted(range(len(forest.level)),
                    key=_id_key(forest.level, forest.low, forest.is_layer))
     pos = [0] * len(order)  # build index -> id
@@ -417,6 +417,10 @@ def _number(forest: MergeForest) -> DistanceDecomposition:
 
     def by_id(column: list) -> tuple:
         return tuple(map(column.__getitem__, order))
+
+    tops, a_set = by_id(forest.a_set), []
+    for i, top in enumerate(tops):  # a shared list's two ids are adjacent
+        a_set.append(a_set[-1] if i and top is tops[i - 1] else frozenset(top))
 
     def ids(cs: Sequence[int]) -> tuple[int, ...]:
         """The ids of the build indices ``cs``, ascending."""
@@ -428,7 +432,7 @@ def _number(forest: MergeForest) -> DistanceDecomposition:
         root=forest.root, distance_map=forest.distance_map,
         interval=forest.interval, initial_id=pos[forest.initial_id],
         level=by_id(forest.level), is_layer=by_id(forest.is_layer),
-        a_set=tuple(map(frozenset, by_id(forest.a_set))),
+        a_set=tuple(a_set),
         is_cap=by_id(forest.is_cap), beam=by_id(forest.beam),
         f_root=by_id(forest.f_root),
         q_children=tuple(map(ids, by_id(forest.q_children))),

@@ -5,10 +5,10 @@ edge sequence, so parallel edges are distinct objects.  A loop is a
 ``StructuralInputError``: it is never part of a join, and dropping it would
 renumber every later edge.
 
-Each vertex's incidences are stored as two aligned flat tuples, sorted by
-(neighbour, edge id): ``nbrs[v]`` holds the neighbours, a parallel edge's
-repeated, and ``eids[v]`` the matching edge ids.  Traversals read them
-directly; ``incident`` pairs them up for callers that want pairs.
+Each vertex's incidences are stored as two aligned flat tuples in edge id
+order: ``nbrs[v]`` holds the neighbours, a parallel edge's repeated, and
+``eids[v]`` the matching edge ids.  Traversals read them directly;
+``incident`` pairs them up, sorted by (neighbour, edge id).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ EdgeId = int
 
 
 class Graph:
-    """An immutable undirected multigraph."""
+    """An immutable undirected multigraph whose edges are int pairs."""
 
     __slots__ = ("n", "edges", "nbrs", "eids")
 
@@ -30,28 +30,31 @@ class Graph:
         if n < 0:
             raise StructuralInputError(f"vertex count must be >= 0, got {n}")
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        # Sorted incidence lists make every traversal in the package
-        # deterministic without per-call sorting.  A bucket pass sorts them
-        # all: listing each vertex v's incidences (u, e) in edge order and
-        # appending (v, e) to u's lists, v ascending, sorts u's lists by
-        # (neighbour, edge id).  The first pass checks each edge as it
-        # lists it.
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise StructuralInputError(
-                    f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise StructuralInputError(f"edge {e} ({u}, {v}) is a loop")
-            inc[u].append((v, e))
-            inc[v].append((u, e))
+        edges = tuple(edges)
         nbrs: list[list[int]] = [[] for _ in range(n)]
         eids: list[list[int]] = [[] for _ in range(n)]
-        for v, pairs in enumerate(inc):
-            for u, e in pairs:
+        # One pass lists each edge at both ends, so every list is in edge id
+        # order.  An endpoint that is not an int fails as a list index.
+        try:
+            pairs = tuple(map(tuple, edges))  # a tuple maps to itself
+            for e, (u, v) in enumerate(pairs):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise StructuralInputError(
+                        f"edge ({u}, {v}) out of range for {n} vertices")
+                if u == v:
+                    raise StructuralInputError(f"edge {e} ({u}, {v}) is a loop")
                 nbrs[u].append(v)
                 eids[u].append(e)
+                nbrs[v].append(u)
+                eids[v].append(e)
+        except StructuralInputError:
+            raise
+        except (TypeError, ValueError):  # some edge is no pair of ints
+            e = next(e for e, pair in enumerate(edges) if type(pair) not in
+                     (tuple, list) or list(map(type, pair)) != [int, int])
+            raise StructuralInputError(
+                f"edge {e} {edges[e]!r} is not a pair of int vertices") from None
+        self.edges: tuple[tuple[int, int], ...] = pairs
         self.nbrs: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
         self.eids: tuple[tuple[int, ...], ...] = tuple(map(tuple, eids))
 
@@ -64,7 +67,7 @@ class Graph:
 
     def incident(self, v: VertexId) -> tuple[tuple[int, int], ...]:
         """Pairs ``(neighbor, edge_id)`` sorted by (neighbor, edge_id)."""
-        return tuple(zip(self.nbrs[v], self.eids[v]))
+        return tuple(sorted(zip(self.nbrs[v], self.eids[v])))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)

@@ -176,25 +176,23 @@ def _shortest_path_edges(
     """Edge set of the canonical shortest a–b path, given ``dist``, the hop
     distances from a.
 
-    Walking back from b, each step takes the smallest (vertex, edge) pair
-    one BFS layer closer to a, so equal inputs trace equal paths.
+    Walking back from b, each step takes the least vertex one BFS layer
+    closer to a, by its least edge, so equal inputs trace equal paths.
     """
     if dist[b] is None:
         raise InternalError(f"no path between matched terminals {a} and {b}")
-    nbrs, eids = graph.nbrs, graph.eids
+    nbrs, eids, n = graph.nbrs, graph.eids, graph.n
     path: list[int] = []
     v = b
     while v != a:
-        d = dist[v] - 1
-        i = 0  # sorted by (u, e): the first hit is minimal
+        d, w = dist[v] - 1, n
         for u in nbrs[v]:
-            if dist[u] == d:
-                break
-            i += 1
-        else:
+            if u < w and dist[u] == d:
+                w = u
+        if w == n:
             raise InternalError("BFS layering broke during path realization")
-        path.append(eids[v][i])
-        v = u
+        path.append(eids[v][nbrs[v].index(w)])
+        v = w
     return frozenset(path)
 
 

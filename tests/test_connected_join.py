@@ -4,6 +4,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connjoin import connected_join, decomposition, distances, tjoin
 from connjoin.cli import format_graft, main
@@ -20,7 +22,8 @@ from connjoin.errors import (NoJoinError, NotMinimumJoinError,
                              StructuralInputError)
 from connjoin.graph_core import Graph, connected_components
 from connjoin.oracle import oracle_report
-from connjoin.tjoin import (Graft, is_join, minimum_join, nu, optimum_join,
+from connjoin.tjoin import (Graft, _hop_distances, _shortest_path_edges,
+                            is_join, minimum_join, nu, optimum_join,
                             validate_graft)
 
 from conftest import mixed_level_grafts, sparse_graft
@@ -432,3 +435,71 @@ def test_numbering_only_relabels(corpus):
                        *(STAGE_NOT_ELIGIBLE + reason for reason in
                          (T_OUTSIDE_INITIAL, INITIAL_DISCONNECTED,
                           MULTIPLE_Q_COMPONENTS))}
+
+
+@st.composite
+def shuffled_multigrafts(draw):
+    """A connected multigraph on up to 9 vertices, a spanning tree plus
+    random edges and parallel copies, its edges in a drawn order, and an
+    even terminal set."""
+    n = draw(st.integers(2, 9))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), max_size=6))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    edges = draw(st.permutations(edges))
+    k = draw(st.integers(1, n // 2))
+    terminals = draw(st.lists(vertex, min_size=2 * k, max_size=2 * k,
+                              unique=True))
+    return validate_graft(Graph(n, edges), terminals)
+
+
+def first_hit_path(graph, dist, a, b):
+    """The a-b path walked back from b by the first pair one layer closer in
+    the (neighbour, edge id) sorted incidence list."""
+    path, v = set(), b
+    while v != a:
+        v, e = next((u, e) for u, e in graph.incident(v)
+                    if dist[u] == dist[v] - 1)
+        path.add(e)
+    return frozenset(path)
+
+
+def first_hit_join(graft, dd, heads, v):
+    """``construct_join`` by the first head of each child in the (neighbour,
+    edge id) sorted incidence list of the anchor."""
+    out, stack = set(), [(dd.initial_id, v)]
+    while stack:
+        cid, anchor = stack.pop()
+        for child in dd.d_children[cid]:
+            u, e = next((u, e) for u, e in graft.graph.incident(anchor)
+                        if u in heads[child])
+            out.add(e)
+            stack.append((child, u))
+    return frozenset(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_multigrafts())
+def test_least_steps_match_the_sorted_first_hit(graft):
+    # The incidence lists are in edge id order; the path walk and the
+    # construction take the least neighbour and the first edge to it, which
+    # is the first hit of the list sorted by (neighbour, edge id).
+    graph = graft.graph
+    for a in range(graph.n):
+        dist = _hop_distances(graph, a)
+        for b in range(graph.n):
+            assert _shortest_path_edges(graph, dist, a, b) == \
+                first_hit_path(graph, dist, a, b)
+    decision = decide(graft)
+    if not decision.answer:
+        return
+    dd = distance_decomposition(graft, optimum_join(graft), decision.root)
+    heads = head_set(graft, dd, is_eligible(graft, optimum_join(graft),
+                                            decision.root, dd))
+    assert decision.join == first_hit_join(
+        graft, dd, heads, min(heads[dd.initial_id]))
+    for v in heads[dd.initial_id]:
+        assert construct_join(graft, dd, heads, v) == \
+            first_hit_join(graft, dd, heads, v)

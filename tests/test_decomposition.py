@@ -1,6 +1,7 @@
 """Layered decomposition: frozen small goldens plus the self-check route."""
 
 import dataclasses
+import json
 import random
 from collections import Counter
 
@@ -185,6 +186,43 @@ def test_verify_golden_on_corrupted_joins(corpus):
         "beam-count": 10860, "near-perfect-matching": 3314,
         "induced-join-minimality": 853, "factor-critical-contraction": 729,
         "distance-projection": 407, "strong-comb": 276, "comb-join": 108}
+
+
+def test_verify_does_not_depend_on_the_edge_order(corpus, monkeypatch):
+    # The incidence lists follow the edge order, and so does the route
+    # search of ``_restriction_closes``.  Renumbering the edges, the join
+    # with them, must leave each report and the number of contractions the
+    # verifier builds as they were.
+    calls = Counter()
+    contraction = decomposition._contraction
+
+    def counted(*args):
+        calls["contractions"] += 1
+        return contraction(*args)
+
+    monkeypatch.setattr(decomposition, "_contraction", counted)
+
+    def verified(graft, join, root):
+        calls.clear()
+        dd = distance_decomposition(graft, join, root)
+        return verify_decomposition(graft, join, dd).to_json(), calls.copy()
+
+    total = 0
+    for case in corpus:
+        graft = case.graft
+        root, join = min(graft.terminals, default=0), minimum_join(graft)
+        want = verified(graft, join, root)
+        total += want[1]["contractions"]
+        rng = random.Random(case.seed)
+        for _ in range(2):
+            order = list(range(graft.m))
+            rng.shuffle(order)  # new edge i is old edge order[i]
+            new_id = {e: i for i, e in enumerate(order)}
+            shuffled = validate_graft(
+                Graph(graft.n, [graft.graph.edges[e] for e in order]),
+                graft.terminals)
+            assert verified(shuffled, {new_id[e] for e in join}, root) == want
+    assert total > 0
 
 
 def path_or_primal(family):
@@ -776,6 +814,22 @@ def test_matches_bfs_oracle_on_mixed_levels():
     for seed, (graft, root) in enumerate(mixed_level_grafts()):
         for g, r in ((graft, root), shuffled(graft, root, seed)):
             assert_matches_oracle(g, r)
+
+
+def test_numbering_freezes_each_shared_top_list_once():
+    # On a level without an inner edge the sweep gives a layer component and
+    # its only Q component one top list; the numbered columns share one
+    # frozenset there too, and read as one frozenset per id would.
+    for graft, root in mixed_level_grafts():
+        join = minimum_join(graft)
+        forest = decomposition._sweep(graft, join,
+                                      decomposition.f_distances(graft, join, root))
+        dd = decomposition._number(forest)
+        frozen = set(map(id, dd.a_set))
+        assert len(frozen) == len(set(map(id, forest.a_set))) < len(dd.a_set)
+        apart = dataclasses.replace(
+            dd, a_set=tuple(frozenset(list(top)) for top in dd.a_set))
+        assert json.dumps(dd.to_json()) == json.dumps(apart.to_json())
 
 
 def test_ids_follow_the_smallest_vertex_not_the_level_set_order():

@@ -46,11 +46,11 @@ def test_flat_adjacency_matches_brute_force_incidence(drawn):
     g = Graph(n, kept)
     assert g.edges == tuple(kept)
     for v in range(n):
-        pairs = sorted((b if a == v else a, e)
-                       for e, (a, b) in enumerate(kept) if v in (a, b))
+        pairs = [(b if a == v else a, e)
+                 for e, (a, b) in enumerate(kept) if v in (a, b)]
         assert g.nbrs[v] == tuple(u for u, _ in pairs)
         assert g.eids[v] == tuple(e for _, e in pairs)
-        assert g.incident(v) == tuple(pairs)
+        assert g.incident(v) == tuple(sorted(pairs))
 
 
 def test_is_stable_dominating_golden():
@@ -94,3 +94,38 @@ def test_components_partition_vertices(g):
     assert sorted(seen) == list(range(g.n))
     # ordered by smallest member
     assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+
+def test_edges_given_as_lists_are_stored_as_int_pairs():
+    g = Graph(3, [[0, 1], [1, 2]])
+    twin = Graph(3, [(0, 1), (1, 2)])
+    assert g.edges == twin.edges and type(g.endpoints(0)) is tuple
+    assert g == twin and hash(g) == hash(twin)
+    assert {g, twin} == {twin}
+    with pytest.raises(AttributeError):
+        g.endpoints(0).append(2)  # the immutable graph stays unchanged
+    assert Graph(3, iter([(0, 1), [1, 2]])) == twin
+
+
+@pytest.mark.parametrize("edges, bad", [
+    ([(0, 1), (0, 1, 2)], r"edge 1 \(0, 1, 2\)"),
+    ([(0, 1), (1,)], r"edge 1 \(1,\)"),
+    ([(0, 1), (1, 2.0)], r"edge 1 \(1, 2.0\)"),
+    ([(0.5, 1), (1, 2)], r"edge 0 \(0.5, 1\)"),
+    ([[0, 1], 5, (0, 1, 2)], "edge 1 5"),
+    ([(0, 1), "12"], "edge 1 '12'"),
+    ([(0, 1), (1, None)], r"edge 1 \(1, None\)"),
+])
+def test_an_edge_that_is_no_int_pair_is_named(edges, bad):
+    with pytest.raises(StructuralInputError,
+                       match=bad + " is not a pair of int vertices"):
+        Graph(3, edges)
+    with pytest.raises(StructuralInputError, match=bad):
+        Graph(3, iter(edges))  # a one-shot iterable names it too
+
+
+def test_range_and_loop_errors_name_the_first_bad_edge():
+    with pytest.raises(StructuralInputError, match=r"edge \(0, 3\) out of range"):
+        Graph(3, [(0, 1), (0, 3), (0, 1.5)])
+    with pytest.raises(StructuralInputError, match=r"edge 1 \(2, 2\) is a loop"):
+        Graph(3, [[0, 1], [2, 2], (0, 1, 2)])
