@@ -14,10 +14,10 @@ File format (ASCII only, LF line endings, single spaces, decimals)::
 The ``t`` line may be a bare ``t`` for an empty terminal set and must
 appear before the first edge line.
 
-``parse_graft`` reads the lines one at a time, except the run of edge
-lines right after the terminal line, which it converts in one go when the
-run keeps every rule; any other run, and every other line, is read line by
-line, and only those rules name an error line.
+The commands run the library's stages on what the one before proved:
+``distances`` only the distances stage, which reads no join; ``decompose``
+and ``verify`` distances, sweep and numbering on the join that
+``minimum_join`` or ``optimum_join`` proved as it realized it.
 
 Each command runs with the cyclic garbage collector paused and leaves it as
 the caller had it: no command leaves a connjoin object in a reference cycle,
@@ -39,11 +39,10 @@ from typing import Iterable
 
 from .connected_join import decide
 from .constructive import gen_primal, gen_rake, gen_tailed
-from .decomposition import distance_decomposition, verify_decomposition
-from .distances import f_distances
-from .errors import (InternalError, NoJoinError, NotMinimumJoinError,
-                     OracleScaleError, ParseError, StructuralInputError,
-                     TheoremViolationError)
+from .decomposition import _number, _sweep, verify_decomposition
+from .distances import _distances
+from .errors import (InternalError, NoJoinError, OracleScaleError, ParseError,
+                     StructuralInputError, TheoremViolationError)
 from .graph_core import Graph
 from .oracle import oracle_report
 from .tjoin import Graft, minimum_join, optimum_join, validate_graft
@@ -312,7 +311,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_distances(args: argparse.Namespace) -> int:
     graft = parse_graft(_read(args.file))
     root = _default_root(graft, args.root)
-    dm = f_distances(graft, optimum_join(graft), root)
+    dm = _distances(graft, root)  # the same under every minimum join
     if args.format == "json":
         _emit({"root": root, "distances": list(dm.dist)})
         return 0
@@ -324,7 +323,7 @@ def cmd_distances(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     graft = parse_graft(_read(args.file))
     root = _default_root(graft, args.root)
-    dd = distance_decomposition(graft, minimum_join(graft), root)
+    dd = _number(_sweep(graft, minimum_join(graft), _distances(graft, root)))
     _emit(dd.to_json())
     return 0
 
@@ -333,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     graft = parse_graft(_read(args.file))
     root = _default_root(graft, args.root)
     join = optimum_join(graft)
-    dd = distance_decomposition(graft, join, root)
+    dd = _number(_sweep(graft, join, _distances(graft, root)))
     report = verify_decomposition(graft, join, dd)
     if args.format == "json":
         _emit(report.to_json())
@@ -427,8 +426,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)  # a usage error raises SystemExit
         return args.func(args)
-    except (ParseError, NoJoinError, NotMinimumJoinError, OracleScaleError,
-            StructuralInputError, OSError) as exc:
+    except (ParseError, NoJoinError, OracleScaleError, StructuralInputError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalError, TheoremViolationError) as exc:

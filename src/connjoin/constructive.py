@@ -18,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .distances import f_distances
+from .distances import _distances
 from .errors import InternalError, StructuralInputError
 from .graph_core import Graph, is_stable_dominating
-from .tjoin import Graft, optimum_join
+from .tjoin import Graft
 
 RAKE = "RAKE"
 PRIMAL = "PRIMAL"
@@ -482,6 +482,7 @@ def replay_witness(recipe: ConstructionRecipe) -> PrimalWitness:
 
 
 def is_primal(graft: Graft, r: int) -> bool:
-    """True iff every vertex sits at distance ≤ 0 from ``r``."""
-    dm = f_distances(graft, optimum_join(graft), r)
-    return all(d is not None and d <= 0 for d in dm.dist)
+    """True iff every vertex sits at distance ≤ 0 from ``r``, under any minimum join."""
+    if not 0 <= r < graft.n:
+        raise StructuralInputError(f"root {r} is not a vertex")
+    return all(d is not None and d <= 0 for d in _distances(graft, r).dist)

@@ -27,8 +27,8 @@ relative ids, so ``decide`` runs this stage alone.  The numbering stage (``_numb
 the forest into the ``DistanceDecomposition`` with one sort, by (level,
 smallest vertex, layer before Q), reading the forest's columns in id order:
 top levels become frozensets and child lists ascending id tuples.
-``distance_decomposition`` runs both stages, for ``decompose``'s JSON and
-for the verifier, whose reports name components by id.  Only top levels are
+``decompose`` and ``verify`` run both stages on the join they built, and
+``distance_decomposition`` on a caller's join it proves.  Only top levels are
 stored, at most 2n vertex references in all; a component's full vertex set
 is one walk down ``d_children`` (``_d_set``) on each read and is never
 stored.  The build costs O(n + m) beside the union-find and the sort, where
@@ -64,9 +64,9 @@ from typing import Iterable, Sequence
 from .errors import (InternalError, NoJoinError, StructuralInputError,
                      TheoremViolationError)
 from .graph_core import Graph, is_stable_dominating
-from .distances import DistanceMap, f_distances
+from .distances import DistanceMap, _distances, f_distances
 from .matching import is_factor_critical
-from .tjoin import Graft, _check_edge_ids, is_join, nu, optimum_join
+from .tjoin import Graft, _check_edge_ids, is_join, nu
 
 __all__ = [
     "DistanceDecomposition",
@@ -121,6 +121,7 @@ class DistanceDecomposition:
         return tuple([_Component(cid, forest) for cid in range(len(self.level))])
 
     def to_json(self) -> dict:
+        """All components in full: n·depth vertex entries, 4× per path doubling."""
         comps = []
         for cid, top in enumerate(self.a_set):
             # one walk serves both vertex lists
@@ -444,9 +445,8 @@ def _number(forest: MergeForest) -> DistanceDecomposition:
 def distance_decomposition(graft: Graft, join: Iterable[int], root: int) -> DistanceDecomposition:
     """Build the decomposition of the root's component under a minimum join:
     the sweep stage, then the numbering stage."""
-    join = frozenset(join)
-    dm = f_distances(graft, join, root)  # also asserts the join is minimum
-    return _number(_sweep(graft, join, dm))
+    join = frozenset(join)  # f_distances proves it minimum
+    return _number(_sweep(graft, join, f_distances(graft, join, root)))
 
 
 def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:
@@ -461,7 +461,7 @@ def is_strong_comb(graft: Graft, root: int, teeth: Iterable[int]) -> bool:
     if root in teeth or not teeth or not is_stable_dominating(graph, teeth):
         return False
     try:
-        dm = f_distances(graft, optimum_join(graft), root)
+        dm = _distances(graft, root)  # the same under every minimum join
     except NoJoinError:
         return False
     return all(
@@ -691,8 +691,8 @@ def _check_restriction(graph, join, dd, cid, bad) -> None:
         bad(cid, "induced-join-minimality", f"restriction has"
             f" {len(inner_join)} edges, minimum is {nu(sub)}")
         return
-    f_root = dd.f_root[cid]
-    inner_dm = f_distances(sub, inner_join, image[f_root])
+    f_root = dd.f_root[cid]  # inner_join: a join of sub by construction
+    inner_dm = _distances(sub, image[f_root])
     offset = dd.distance_map[f_root]
     for v in verts:
         inner = inner_dm[image[v]]

@@ -4,6 +4,8 @@ A minimum join induces the edge weighting +1 off the join, -1 on it.  The
 distance from a root to a vertex is the minimum weight of a simple path,
 and — because the weighting is conservative exactly when the join is
 minimum — this distance is the same for every minimum join of the graft.
+So the stage ``_distances``, which the library calls, reads no join;
+``f_distances`` proves an outside caller's join minimum first.
 
 Computation avoids negative-weight path search entirely: the distance
 equals the drop in minimum-join size when the terminal set is toggled at
@@ -59,8 +61,8 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
 
     dist(root, x) is the change in minimum-join size when the terminal set
     is toggled at root and x; vertices outside the root's component are
-    UNREACHABLE.  The join argument is only asserted minimum — the values
-    are join-independent.
+    UNREACHABLE.  The join is proved minimum, then not read: the values are
+    the same under every minimum join, and the library calls ``_distances``.
     """
     graph = graft.graph
     if not (0 <= root < graph.n):
@@ -76,9 +78,8 @@ def f_distances(graft: Graft, join: Iterable[int], root: int) -> DistanceMap:
 
 
 def _distances(graft: Graft, root: int) -> DistanceMap:
-    """The distances stage of ``f_distances``, without its checks: for a
-    caller that has proved its own minimum join (the values do not depend
-    on which) and holds a vertex ``root``."""
+    """``f_distances`` without its checks, as no join is read: for a vertex
+    ``root`` of a graft with a join."""
     graph = graft.graph
     solve = next((s for s in graft.solved if root in s.terminals), None)
     if solve:  # a terminal root: a copy of its rank at hop 0

@@ -13,9 +13,9 @@ terminals (from k - 1 stopped searches) and what one near-perfect solve
 rooted at a copy of its smallest terminal at hop 0 gives (``rooted_optimum``):
 the optimum under weight -4 hop on the terminals with its duals, ν, and the
 k sizes that toggling the terminal set at that root and each terminal leaves.
-``optimum_join`` realizes the optimum's own pairing, for the decision,
-distances and verifiers, whose output is join-independent; ``minimum_join``
-adds a tie-break solve for the canonical join that commands print.
+``optimum_join`` realizes the optimum's own pairing, for ``check`` and
+``verify``, whose output is join-independent; ``minimum_join`` adds a
+tie-break solve for the canonical printed join.  ``_realize`` proves each.
 """
 
 from __future__ import annotations

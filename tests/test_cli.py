@@ -14,13 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import connjoin
-from connjoin import cli, graph_core
+from connjoin import cli, graph_core, tjoin
 from connjoin.cli import format_graft, main, parse_graft
 from connjoin.constructive import replay, ConstructionRecipe
 from connjoin.decomposition import DecompositionReport, Violation
 from connjoin.errors import InternalError, ParseError, TheoremViolationError
 from connjoin.graph_core import Graph
 from connjoin.tjoin import validate_graft
+
+from test_cli_digests import depth_grafts
 
 P3_TEXT = "p graft 3 2\nt 0 2\ne 0 1\ne 1 2\n"
 
@@ -297,7 +299,9 @@ def test_verify_prints_one_line_per_violation_and_exits_1(
 @pytest.mark.parametrize("error", [InternalError, TheoremViolationError])
 @pytest.mark.parametrize("command,target", [
     ("check", "connjoin.cli.decide"),
-    ("decompose", "connjoin.cli.distance_decomposition"),
+    ("distances", "connjoin.cli._distances"),
+    ("decompose", "connjoin.cli._number"),
+    ("verify", "connjoin.cli._sweep"),
 ])
 def test_library_faults_are_internal_errors_exit_2(
         tmp_path, capsys, monkeypatch, error, command, target):
@@ -360,6 +364,46 @@ def test_generate_json_format(capsys):
     doc = json.loads(out)
     assert parse_graft(doc["file"]).terminals == replay(
         ConstructionRecipe.from_json(doc["recipe"])).terminals
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "distances", "decompose", "verify"])
+def test_each_join_is_proved_once(tmp_path, capsys, monkeypatch, corpus, command):
+    # The commands run the stages on the join that minimum_join or
+    # optimum_join proves as it realizes it: distances builds no join and
+    # every other command one, and is_join runs on the command's graft once
+    # per join built, the optimum's and, on a YES of check, the constructed
+    # one (the verifier also asks it of the depth contractions it builds).
+    # The public entries that prove an outside caller's join never run.
+    joins, checks, parsed = [], [], []
+    realize, is_join, parse = tjoin._realize, tjoin.is_join, cli.parse_graft
+
+    def refuse(*args):
+        raise AssertionError("a command called a public entry")
+
+    def counted(graft, edges):
+        checks.append(graft is parsed[-1])
+        return is_join(graft, edges)
+
+    monkeypatch.setattr(tjoin, "_realize",
+                        lambda *args: joins.append(1) or realize(*args))
+    monkeypatch.setattr(cli, "parse_graft",
+                        lambda text: parsed.append(parse(text)) or parsed[-1])
+    for name, module in list(sys.modules.items()):
+        if name == "connjoin" or name.startswith("connjoin."):
+            if getattr(module, "is_join", None) is is_join:
+                monkeypatch.setattr(module, "is_join", counted)
+            for entry in ("f_distances", "distance_decomposition"):
+                if hasattr(module, entry):
+                    monkeypatch.setattr(module, entry, refuse)
+    for graft in [case.graft for case in corpus] + depth_grafts():
+        joins.clear()
+        checks.clear()
+        code, out, err = run(capsys, [command, write(tmp_path, format_graft(graft))])
+        assert err == "" and code in ((0, 1) if command == "check" else (0,))
+        built = command != "distances" and (
+            command != "check" or bool(graft.terminals) and len(graft.parts) == 1)
+        assert (len(joins), sum(checks)) == (built, built + (out[:3] == "yes")), \
+            format_graft(graft)
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -233,6 +233,30 @@ def test_head_set_requires_matching_decomposition():
     assert heads[dd.initial_id] == frozenset({0})
 
 
+P3 = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda join, dd, heads: is_eligible(P3, join, 2, dd),
+     "decomposition is rooted at 0, not 2"),
+    (lambda join, dd, heads: is_eligible(
+        P3, join, 1, distance_decomposition(P3, join, 1)),
+     "root 1 must be a terminal"),
+    (lambda join, dd, heads: head_set(
+        P3, dd, EligibilityVerdict(False, T_OUTSIDE_INITIAL)),
+     "head sets are defined for eligible systems"),
+    (lambda join, dd, heads: construct_join(P3, dd, heads, 1),
+     "vertex 1 is not a head of the initial component"),
+], ids=["root-elsewhere", "non-terminal-root", "ineligible", "not-a-head"])
+def test_public_guards_name_the_fault(call, message):
+    # the guards of the readers' public entries, which decide never trips
+    join = minimum_join(P3)
+    dd = distance_decomposition(P3, join, 0)
+    heads = head_set(P3, dd, is_eligible(P3, join, 0, dd))
+    with pytest.raises(StructuralInputError, match=f"^{message}$"):
+        call(join, dd, heads)
+
+
 def spine(length, legs=0, seed=0):
     """A path of ``length`` edges with terminals at both ends, plus ``legs``
     pendant vertices hung off random spine vertices (a caterpillar)."""

@@ -200,6 +200,15 @@ def test_gluing_sum_validation():
                    {0: {0: 0, 1: 0}, 1: {0: 0, 2: 0}})  # sites adjacent
 
 
+@pytest.mark.parametrize("at", ["below", "above"])
+def test_is_primal_rejects_a_root_outside_the_graph(at):
+    # the distances stage reads dist[root] unchecked, so is_primal checks it
+    g = validate_graft(Graph(3, [(0, 1), (1, 2)]), {0, 2})
+    root = -1 if at == "below" else g.n
+    with pytest.raises(StructuralInputError, match=f"^root {root} is not a vertex$"):
+        is_primal(g, root)
+
+
 def test_gen_primal_witnesses():
     for seed in range(30):
         depth = seed % 3

@@ -713,8 +713,10 @@ def test_is_strong_comb():
     assert not is_strong_comb(odd, 0, {1})  # no join: one terminal
     with pytest.raises(StructuralInputError, match="^tooth 4 is not a vertex$"):
         is_strong_comb(star, 0, {1, 2, 4})
-    with pytest.raises(StructuralInputError, match="^root -1 is not a vertex$"):
-        is_strong_comb(star, -1, {1, 2, 3})
+    for root in (-1, star.n):
+        with pytest.raises(StructuralInputError,
+                           match=f"^root {root} is not a vertex$"):
+            is_strong_comb(star, root, {1, 2, 3})
 
 
 def without_join_fields(dd):

@@ -53,8 +53,9 @@ def test_rejects_non_minimum_join():
         f_distances(tri, {1, 2}, 0)  # a join, but twice the minimum
     with pytest.raises(NotMinimumJoinError):
         f_distances(C4, {0, 1, 2, 3}, 0)  # not a join at all
-    with pytest.raises(StructuralInputError):
-        f_distances(C4, minimum_join(C4), 9)
+    for root in (-1, 9):
+        with pytest.raises(StructuralInputError):
+            f_distances(C4, minimum_join(C4), root)
 
 
 def test_rejects_join_ids_that_are_not_edges():
