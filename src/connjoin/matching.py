@@ -28,13 +28,13 @@ cost table and a root point appended last, under weight -4 cost; a
 terminal root is a copy of its rank at hop 0.  ``rooted_optimum`` runs it
 from Kolmogorov's greedy initialization (``greedy_start``).  With the root
 point exposed, the ranks' mates are a minimum-cost perfect matching on any
-table (``tjoin.optimum_join`` and ``min_weight_perfect_matching`` pair by
-them), and every other size is a toggle at that root.  Its duals are even
-with blossom duals folded in, so ``toggled_sizes`` starts the same search
-at any other root from them as they are.  ``tight_pairing`` finds the
-lexicographically smallest optimal pairing for printed joins by a second
-solve on the pairs the optimum's vertex duals allow to be tight, with a
-tie-break penalty encoded below the primary cost.
+table: ``tjoin.optimum_join`` pairs by them and
+``min_weight_perfect_matching_value`` sums them.  Every other size is a
+toggle at that root.  Its duals are even with blossom duals folded in, so
+``toggled_sizes`` starts the same search at any other root from them as
+they are.  ``tight_pairing`` finds the lexicographically smallest optimal
+pairing for printed joins by a second solve on the pairs the optimum's
+vertex duals allow to be tight, with a tie-break below the primary cost.
 """
 
 from __future__ import annotations

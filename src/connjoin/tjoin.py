@@ -20,6 +20,7 @@ tie-break solve for the canonical printed join.  ``_realize`` proves each.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -47,10 +48,14 @@ class Graft:
     terminals: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        for v in self.terminals:
-            if not (0 <= v < self.graph.n):
-                raise StructuralInputError(f"terminal {v} is not a vertex")
+        try:  # an int stays itself and a bool becomes one
+            terminals = frozenset(map(operator.index, self.terminals))
+        except TypeError:  # named below
+            terminals = frozenset(self.terminals)
+        object.__setattr__(self, "terminals", terminals)
+        for v in terminals:
+            if type(v) is not int or not 0 <= v < self.graph.n:
+                raise StructuralInputError(f"terminal {v!r} is not a vertex")
 
     @property
     def n(self) -> int:

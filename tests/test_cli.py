@@ -68,7 +68,7 @@ def after_run(*tail, m=None):
     return "\n".join([f"p graft 7 {m}", "t", *RUN_LINES, *tail]) + "\n"
 
 
-@pytest.mark.parametrize("text,line,fragment", [
+PARSE_ERRORS = [
     ("", 1, "empty file"),
     ("p graft 3\nt\n", 1, "first line"),
     ("p graft x 0\nt\n", 1, "ASCII decimal"),
@@ -106,7 +106,10 @@ def after_run(*tail, m=None):
     (after_run(m=RUN_EDGES + 1), 102, f"expected {RUN_EDGES + 1} edge lines"),
     (after_run("t"), 103, "duplicate terminal"),
     (after_run("e 0 x", "e 0 1"), 103, "ASCII decimal"),
-])
+]
+
+
+@pytest.mark.parametrize("text,line,fragment", PARSE_ERRORS)
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ParseError) as err:
         parse_graft(text)
@@ -129,7 +132,7 @@ def parse_outcome(parse, text):
         return exc.line_no, str(exc)
 
 
-@pytest.mark.parametrize("text", [
+EDGE_RUN_TEXTS = [
     # a comment between edges
     "p graft 7 200\nt 0 6\n" + RUN_TEXT + "c between\n" + RUN_TEXT,
     # the trailing recipe comment that ``generate`` writes
@@ -146,11 +149,30 @@ def parse_outcome(parse, text):
     "p graft 7 0\nt\nc none\n",
     # comments before the terminal line, edges after a later comment only
     "p graft 7 100\nc a\nc b\nt 0 6\nc c\n" + RUN_TEXT,
-])
+]
+
+
+@pytest.mark.parametrize("text", EDGE_RUN_TEXTS)
 def test_edge_run_reads_like_the_line_rules(text):
     graft = parse_graft(text)
     assert graft == parse_line_by_line(text)
     assert graft.m == int(text.split("\n", 1)[0].split(" ")[3])
+
+
+def test_edge_runs_are_converted_at_most_once():
+    """The bulk conversion takes the edge block of every well-formed file,
+    after comments too, and runs at most once on any file: a reader that
+    retried a rejected run at a later line would be quadratic."""
+    with mock.patch.object(cli, "_edge_run", wraps=cli._edge_run) as bulk:
+        for text in EDGE_RUN_TEXTS:
+            bulk.reset_mock()
+            parse_graft(text)
+            assert bulk.call_count == ("\ne " in text), text
+        for text, _, _ in PARSE_ERRORS:
+            bulk.reset_mock()
+            with pytest.raises(ParseError):
+                parse_graft(text)
+            assert bulk.call_count <= 1, text
 
 
 @st.composite

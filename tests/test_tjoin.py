@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connjoin import tjoin
-from connjoin.cli import format_graft, main
+from connjoin.cli import format_graft, main, parse_graft
 from connjoin.connected_join import decide
 from connjoin.constructive import gen_primal, is_primal
 from connjoin.decomposition import is_strong_comb
@@ -38,6 +38,23 @@ def test_validate_rejects_odd_component():
         validate_graft(Graph(3, [(0, 1)]), {0, 1, 2})
     g = validate_graft(Graph(3, [(0, 1)]), {0, 1})
     assert g.terminals == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("terminals", [
+    {0.5, 1.5}, {0.0, 2.0}, {"a", 1}, {None, 1}, {True, 2}])
+def test_terminals_must_be_int_vertices(terminals):
+    g = Graph(3, [(0, 1), (1, 2)])
+    bad = [t for t in terminals if type(t) not in (int, bool)]
+    if bad:
+        with pytest.raises(StructuralInputError) as err:
+            validate_graft(g, terminals)
+        assert str(err.value) in [f"terminal {t!r} is not a vertex" for t in bad]
+        return
+    # a bool is an int vertex: True becomes 1, and the graft round-trips
+    graft = validate_graft(g, terminals)
+    assert graft.terminals == {1, 2}
+    assert {type(t) for t in graft.terminals} == {int}
+    assert parse_graft(format_graft(graft)) == graft
 
 
 def test_terminal_out_of_range():
